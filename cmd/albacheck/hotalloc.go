@@ -8,7 +8,7 @@ import (
 
 // hotallocAnalyzer makes PR 7's zero-alloc claims compile-time-checked:
 // every function reachable from a declared hot root (the flat batch
-// kernels, rolling.Roller.Push, stream.Streamer.PushAt, the batcher
+// kernels, rolling.Roller.Push, stream.Windower.PushAt, the batcher
 // loop) or annotated //albacheck:hotpath is scanned for allocation
 // sources — append growth, make/new, slice and map literals, closures
 // and go/defer inside loops, and interface boxing at in-loop call
@@ -31,10 +31,9 @@ var hotallocAnalyzer = &Analyzer{
 // //albacheck:hotpath adds it to this set without editing the tool.
 var hotRoots = []string{
 	"albadross/internal/ml/flat.Forest.PredictProbaInto",
-	"albadross/internal/ml/flat.Forest.PredictProbaInto32",
 	"albadross/internal/ml/flat.GBM.PredictProbaInto",
 	"albadross/internal/features/rolling.Roller.Push",
-	"albadross/internal/stream.Streamer.PushAt",
+	"albadross/internal/stream.Windower.PushAt",
 	"albadross/internal/server.batcher.run",
 }
 

@@ -73,7 +73,7 @@ func serve(args []string) {
 		minAgree  = fs.Float64("min-agreement", 0.85, "champion-agreement floor for promotion")
 		cooldown  = fs.Duration("trigger-cooldown", 30*time.Second, "min spacing between drift triggers")
 
-		ingShards  = fs.Int("ingest-shards", 0, "node streams accepted on POST /api/ingest (0 disables ingest; see docs/REPLAY.md)")
+		ingShards  = fs.Int("ingest-shards", 0, "ingest shard workers: node streams from POST /api/ingest and /api/ingest/bulk are hashed onto them, plus /api/fleet rollup serving (0 disables ingest; see docs/FLEET.md and docs/REPLAY.md)")
 		ingMetrics = fs.Int("ingest-metrics", 0, "raw metrics per ingest reading (builds the telemetry schema; required with -ingest-shards)")
 		ingExtract = fs.String("ingest-extractor", "mvts", "ingest feature extractor: mvts, tsfresh, or rolling")
 		ingWindow  = fs.Int("ingest-window", 64, "ingest diagnosis window length (samples)")
@@ -82,10 +82,9 @@ func serve(args []string) {
 		ingRolling = fs.Bool("ingest-rolling", false, "incremental rolling features on the ingest path (requires -ingest-extractor rolling)")
 		walDir     = fs.String("wal-dir", "", "write-ahead window log directory (empty disables journaling and crash recovery)")
 		walSegment = fs.Int64("wal-segment", 1<<20, "WAL segment rotation size in bytes")
-		walRetain  = fs.Int("wal-retain", 0, "WAL segments retained per shard (0 keeps all)")
+		walRetain  = fs.Int("wal-retain", 0, "WAL segments retained per node (0 keeps all)")
 
-		fleetOn    = fs.Bool("fleet", false, "fleet mode: POST /api/ingest/bulk multi-node batches onto the -ingest-shards workers plus /api/fleet rollup serving (see docs/FLEET.md)")
-		fleetQueue = fs.Int("fleet-queue-depth", 0, "per-shard bulk task queue bound; full queues shed with 429 + Retry-After (0 = 32)")
+		fleetQueue = fs.Int("fleet-queue-depth", 0, "per-shard ingest task queue bound; full queues shed with 429 + Retry-After (0 = 32)")
 		fleetNodes = fs.Int("fleet-max-nodes", 0, "node streams admitted per shard worker (0 = 1024)")
 		fleetTop   = fs.Int("fleet-recent", 0, "diagnosis windows per node in the rollup recency score (0 = 16)")
 	)
@@ -117,12 +116,8 @@ func serve(args []string) {
 	var (
 		schema []telemetry.Metric
 		ext    features.Extractor
-		ingest server.IngestConfig
 		flcfg  server.FleetConfig
 	)
-	if *fleetOn && *ingShards <= 0 {
-		fatal(fmt.Errorf("-fleet needs -ingest-shards (the bulk shard worker count)"))
-	}
 	if *ingShards > 0 {
 		if *ingMetrics <= 0 {
 			fatal(fmt.Errorf("-ingest-shards requires -ingest-metrics"))
@@ -136,33 +131,25 @@ func serve(args []string) {
 			// The incremental path needs a causal repair policy.
 			gap = stream.GapHoldLast
 		}
-		ingest = server.IngestConfig{
-			Shards:          *ingShards,
-			Window:          *ingWindow,
-			Stride:          *ingStride,
-			Reorder:         *ingReorder,
-			Gap:             gap,
-			Rolling:         *ingRolling,
-			WALDir:          *walDir,
-			WALSegmentBytes: *walSegment,
-			WALRetain:       *walRetain,
+		flcfg = server.FleetConfig{
+			IngestConfig: server.IngestConfig{
+				Shards:          *ingShards,
+				Window:          *ingWindow,
+				Stride:          *ingStride,
+				Reorder:         *ingReorder,
+				Gap:             gap,
+				Rolling:         *ingRolling,
+				WALSegmentBytes: *walSegment,
+				WALRetain:       *walRetain,
+			},
+			QueueDepth:       *fleetQueue,
+			MaxNodesPerShard: *fleetNodes,
+			RollupRecent:     *fleetTop,
 		}
-		if *fleetOn {
-			// Fleet mode reuses the ingest geometry wholesale: the shard
-			// count becomes the bulk worker pool and each node's chain gets
-			// the same window, gap, and journaling configuration. Per-node
-			// WALs live under a subdirectory so a later switch back to
-			// per-shard ingest cannot collide with them.
-			flcfg = server.FleetConfig{
-				IngestConfig:     ingest,
-				QueueDepth:       *fleetQueue,
-				MaxNodesPerShard: *fleetNodes,
-				RollupRecent:     *fleetTop,
-			}
-			if *walDir != "" {
-				flcfg.WALDir = filepath.Join(*walDir, "fleet")
-			}
-			ingest = server.IngestConfig{}
+		if *walDir != "" {
+			// Per-node WALs live at <wal-dir>/fleet/node-NNNNNN — where
+			// fleet deployments have always kept them.
+			flcfg.WALDir = filepath.Join(*walDir, "fleet")
 		}
 	}
 	srv, err := server.New(server.Config{
@@ -192,7 +179,6 @@ func serve(args []string) {
 		TriggerCooldown: *cooldown,
 		Schema:          schema,
 		Extractor:       ext,
-		Ingest:          ingest,
 		Fleet:           flcfg,
 	})
 	if err != nil {

@@ -18,9 +18,8 @@ import (
 	"albadross/internal/hpas"
 	"albadross/internal/ml/forest"
 	"albadross/internal/ml/tree"
-	"albadross/internal/stream"
+	"albadross/internal/pipeline"
 	"albadross/internal/telemetry"
-	"albadross/internal/ts"
 )
 
 // midRunLeak wraps the memleak injector so it only acts in the second
@@ -79,33 +78,41 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st, err := stream.New(stream.Config{
-		Schema:    sys.Metrics,
-		Extractor: mvts.Extractor{},
-		Diagnose: func(vec []float64) (string, float64, error) {
+	// The extractor must match the one the model was trained with. For
+	// fleet-scale ingest, train with features/rolling instead and use
+	// pipeline.NewRollingFeatures for incremental per-sample feature
+	// updates (see docs/PERFORMANCE.md for expected throughput).
+	sink := &pipeline.Collector{}
+	chain, err := pipeline.NewChain(pipeline.ChainConfig{
+		Metrics:  len(sys.Metrics),
+		Window:   90,
+		Stride:   30,
+		Features: pipeline.BatchFeatures{Schema: sys.Metrics, Extractor: mvts.Extractor{}},
+		Predict: pipeline.PredictFunc(func(vec []float64) (string, float64, error) {
 			d, err := fw.DiagnoseVector(vec)
 			if err != nil {
 				return "", 0, err
 			}
 			return d.Label, d.Confidence, nil
-		},
-		// The extractor must match the one the model was trained with.
-		// For fleet-scale ingest, train with features/rolling instead and
-		// set Rolling: true to use incremental per-sample feature updates
-		// (see docs/PERFORMANCE.md for expected throughput).
-		Window: 90,
-		Stride: 30,
+		}),
+		Sink: sink,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("replaying a 400-sample run; memleak starts at sample 200:")
-	diags, err := stream.Replay(st, cloneData(fresh[0].Data))
-	if err != nil {
-		log.Fatal(err)
+	run := fresh[0].Data
+	reading := make([]float64, len(run.Metrics))
+	for t := 0; t < run.Steps(); t++ {
+		for m := range run.Metrics {
+			reading[m] = run.Metrics[m][t]
+		}
+		if err := chain.PushAt(t, reading); err != nil {
+			log.Fatal(err)
+		}
 	}
-	for _, d := range diags {
+	for _, d := range sink.Diagnoses {
 		marker := ""
 		if d.WindowEnd >= 200 && d.Label == hpas.MemLeak {
 			marker = "  <-- leak detected"
@@ -114,5 +121,3 @@ func main() {
 			d.WindowEnd, d.Label, d.Confidence, marker)
 	}
 }
-
-func cloneData(m *ts.Multivariate) *ts.Multivariate { return m.Clone() }

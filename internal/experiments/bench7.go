@@ -28,6 +28,7 @@ import (
 	"albadross/internal/features/rolling"
 	"albadross/internal/ml/forest"
 	"albadross/internal/ml/gbm"
+	"albadross/internal/pipeline"
 	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 )
@@ -295,18 +296,22 @@ func runRollingBench(seed int64) RollingBench {
 	return rb
 }
 
-// runStreamOnce feeds rows synthetic readings through a fresh streamer
-// and returns the wall-clock time.
+// runStreamOnce feeds rows synthetic readings through a fresh chain and
+// returns the wall-clock time.
 func runStreamOnce(schema []telemetry.Metric, rows int, seed int64, roll bool) (time.Duration, error) {
-	diag := func([]float64) (string, float64, error) { return "healthy", 1, nil }
-	s, err := stream.New(stream.Config{
-		Schema:    schema,
-		Extractor: rolling.Extractor{},
-		Diagnose:  diag,
-		Window:    32,
-		Stride:    8,
-		Gap:       stream.GapHoldLast,
-		Rolling:   roll,
+	const window = 32
+	feat, err := pipeline.FeaturesFor(rolling.Extractor{}, schema, window, stream.GapHoldLast, roll)
+	if err != nil {
+		return 0, err
+	}
+	s, err := pipeline.NewChain(pipeline.ChainConfig{
+		Metrics:  len(schema),
+		Window:   window,
+		Stride:   8,
+		Gap:      stream.GapHoldLast,
+		Features: feat,
+		Predict:  pipeline.PredictFunc(func([]float64) (string, float64, error) { return "healthy", 1, nil }),
+		Sink:     &pipeline.Collector{},
 	})
 	if err != nil {
 		return 0, err
@@ -325,7 +330,7 @@ func runStreamOnce(schema []telemetry.Metric, rows int, seed int64, roll bool) (
 			}
 			reading[m] = v
 		}
-		if _, err := s.Push(reading); err != nil {
+		if err := s.PushAt(i, reading); err != nil {
 			return 0, err
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"albadross/internal/features"
 	"albadross/internal/hpas"
 	"albadross/internal/ml"
+	"albadross/internal/pipeline"
 	"albadross/internal/runner"
 	"albadross/internal/stream"
 	"albadross/internal/telemetry"
@@ -287,14 +288,16 @@ func runChaosStream(res *ChaosResult, raw []*telemetry.NodeSample, testIdx []int
 		if window > 64 {
 			window = 64
 		}
-		st, err := stream.New(stream.Config{
-			Schema:    sys.Metrics,
-			Extractor: ex,
-			Diagnose:  diagnose,
-			Window:    window,
-			Stride:    window / 2,
-			Reorder:   8,
-			Gap:       stream.GapAbstain,
+		sink := &pipeline.Collector{}
+		st, err := pipeline.NewChain(pipeline.ChainConfig{
+			Metrics:  len(sys.Metrics),
+			Window:   window,
+			Stride:   window / 2,
+			Reorder:  8,
+			Gap:      stream.GapAbstain,
+			Features: pipeline.BatchFeatures{Schema: sys.Metrics, Gap: stream.GapAbstain, Extractor: ex},
+			Predict:  pipeline.PredictFunc(diagnose),
+			Sink:     sink,
 		})
 		if err != nil {
 			return err
@@ -308,19 +311,15 @@ func runChaosStream(res *ChaosResult, raw []*telemetry.NodeSample, testIdx []int
 		if err != nil {
 			return err
 		}
-		var got []*stream.Diagnosis
 		for _, r := range inj.DeliverStream(raw[i].Data) {
-			ds, err := st.PushAt(r.T, r.Values)
-			if err != nil {
+			if err := st.PushAt(r.T, r.Values); err != nil {
 				return fmt.Errorf("experiments: chaos stream sample %d: %w", i, err)
 			}
-			got = append(got, ds...)
 		}
-		ds, err := st.Flush()
-		if err != nil {
+		if err := st.Flush(); err != nil {
 			return err
 		}
-		got = append(got, ds...)
+		got := sink.Diagnoses
 		stats := st.Stats()
 		if len(got) != stats.Windows {
 			return fmt.Errorf("experiments: chaos stream sample %d: %d diagnoses for %d windows",

@@ -19,11 +19,15 @@ import (
 // factory: a stage chain and (optionally) the write-ahead log it
 // journals to. The owning shard worker is the only goroutine that ever
 // touches it, so the pipeline's single-writer contract — and with it
-// WAL journaling and Replay semantics — carries over unchanged from the
-// per-shard /api/ingest path.
+// WAL journaling and Replay semantics — holds without any locking.
 type NodeStream struct {
 	Chain *pipeline.Chain
 	Log   *wal.Log // nil when journaling is off
+	// Aux is the factory's own per-node state (the server keeps the
+	// node's predict stage here). The coordinator never looks at it; it
+	// travels with the stream so a Visit callback gets it back on the
+	// owning worker.
+	Aux any
 }
 
 // Config assembles a fleet coordinator.
@@ -103,12 +107,18 @@ type nodeSink struct {
 	node    int
 	app     string
 	emitted int
+	// capture, when set for the duration of one OfferNode task, also
+	// collects the diagnoses that task's rows complete.
+	capture *[]stream.Diagnosis
 }
 
 // Emit folds one diagnosis into the fleet rollup.
 func (k *nodeSink) Emit(d stream.Diagnosis) error {
 	k.emitted++
 	fleetDiagnoses.Inc()
+	if k.capture != nil {
+		*k.capture = append(*k.capture, d)
+	}
 	if k.r != nil {
 		k.r.Observe(k.node, k.app, d)
 	}
@@ -116,13 +126,15 @@ func (k *nodeSink) Emit(d stream.Diagnosis) error {
 }
 
 // task is one unit of shard work: either a demuxed slice of node
-// batches with its result slot, or a control closure (quiesce,
-// inventory) when fn is set.
+// batches with its result slot (plus, for OfferNode, the report its one
+// node fills), or a control closure (quiesce, inventory, visit) when fn
+// is set.
 type task struct {
-	nodes []NodeBatch
-	res   *ShardResult
-	fn    func(w *shardWorker)
-	wg    *sync.WaitGroup
+	nodes  []NodeBatch
+	res    *ShardResult
+	report *NodeReport
+	fn     func(w *shardWorker)
+	wg     *sync.WaitGroup
 }
 
 // ShardResult is one shard's accounting for one bulk batch.
@@ -273,6 +285,9 @@ func (w *shardWorker) exec(t *task) {
 		if nb.App != "" {
 			st.sink.app = nb.App
 		}
+		if t.report != nil {
+			st.sink.capture = &t.report.Diagnoses
+		}
 		accepted := 0
 		for r := range nb.Rows {
 			row := &nb.Rows[r]
@@ -291,6 +306,10 @@ func (w *shardWorker) exec(t *task) {
 		}
 		t.res.Accepted += accepted
 		t.res.Rejected += len(nb.Rows) - accepted
+		if t.report != nil {
+			st.sink.capture = nil
+			t.report.NodeInfo = w.info(nb.Node, st)
+		}
 	}
 }
 
@@ -300,6 +319,34 @@ func (w *shardWorker) exec(t *task) {
 // the result, advised by RetryAfter — while the other shards proceed at
 // full throughput.
 func (c *Coordinator) Offer(rows []Row) (*BatchResult, error) {
+	return c.offer(rows, nil)
+}
+
+// NodeReport is what a one-node offer saw on the node's shard worker:
+// the diagnoses its rows completed, in window order, and the node's
+// accounting right after them. It stays zero when no row reached the
+// worker (everything shed, or refused before routing).
+type NodeReport struct {
+	NodeInfo
+	Diagnoses []stream.Diagnosis
+}
+
+// OfferNode is Offer for a batch that belongs to one node — every row's
+// Node is set to node — and additionally reports what the batch did to
+// that node. The capture costs only the callers that ask for it: bulk
+// tasks carry no report.
+func (c *Coordinator) OfferNode(node int, rows []Row) (*BatchResult, *NodeReport, error) {
+	for i := range rows {
+		rows[i].Node = node
+	}
+	report := &NodeReport{}
+	res, err := c.offer(rows, report)
+	return res, report, err
+}
+
+// offer is Offer with an optional report slot; a report requires every
+// row to address the same node, so the batch demuxes into one task.
+func (c *Coordinator) offer(rows []Row, report *NodeReport) (*BatchResult, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("fleet: empty batch")
 	}
@@ -355,7 +402,7 @@ func (c *Coordinator) Offer(rows []Row) (*BatchResult, error) {
 		}
 		res.Nodes += sr.Nodes
 		w := c.workers[sb.Shard]
-		tasks[i] = task{nodes: sb.Nodes, res: sr, wg: &wg}
+		tasks[i] = task{nodes: sb.Nodes, res: sr, report: report, wg: &wg}
 		wg.Add(1)
 		select {
 		case w.tasks <- &tasks[i]:
@@ -409,26 +456,48 @@ func clampRetry(d time.Duration) time.Duration {
 	return d
 }
 
-// Quiesce blocks until every task accepted before the call has been
-// executed (queues drain FIFO, so a barrier task per shard suffices).
-// Unlike Offer it waits for queue room instead of shedding.
-func (c *Coordinator) Quiesce() error {
+// control runs fn on the goroutine of each listed shard worker, behind
+// whatever ingest work is already queued there, and waits for all of
+// them. Unlike Offer it waits for queue room instead of shedding.
+func (c *Coordinator) control(workers []*shardWorker, fn func(w *shardWorker)) error {
 	c.mu.RLock()
 	if c.closed {
 		c.mu.RUnlock()
 		return errors.New("fleet: coordinator is closed")
 	}
 	var wg sync.WaitGroup
-	barriers := make([]task, len(c.workers))
-	for i, w := range c.workers {
-		barriers[i] = task{fn: func(*shardWorker) {}, wg: &wg}
+	tasks := make([]task, len(workers))
+	for i, w := range workers {
+		tasks[i] = task{fn: fn, wg: &wg}
 		wg.Add(1)
-		w.tasks <- &barriers[i]
+		w.tasks <- &tasks[i]
 		w.depth.Set(float64(w.queued.Add(1)))
 	}
 	c.mu.RUnlock()
 	wg.Wait()
 	return nil
+}
+
+// Quiesce blocks until every task accepted before the call has been
+// executed (queues drain FIFO, so a barrier task per shard suffices).
+func (c *Coordinator) Quiesce() error {
+	return c.control(c.workers, func(*shardWorker) {})
+}
+
+// Visit runs fn on the shard worker that owns node, with the node's
+// stream — nil when the node has no state. The worker is the stream's
+// only writer, so fn sees the chain, the journal and Aux frozen for as
+// long as it runs; that shard's ingest waits meanwhile. An operator and
+// test primitive like Nodes, not a health probe.
+func (c *Coordinator) Visit(node int, fn func(ns *NodeStream)) error {
+	shard := c.router.Shard(node)
+	return c.control(c.workers[shard:shard+1], func(w *shardWorker) {
+		if st, ok := w.nodes[node]; ok {
+			fn(st.ns)
+		} else {
+			fn(nil)
+		}
+	})
 }
 
 // NodeInfo is one node's state snapshot from Nodes.
@@ -448,25 +517,17 @@ type NodeInfo struct {
 // behind any queued ingest work — an inventory and test helper, not a
 // health-probe primitive (Stats is the cheap path).
 func (c *Coordinator) Nodes() ([]NodeInfo, error) {
-	c.mu.RLock()
-	if c.closed {
-		c.mu.RUnlock()
-		return nil, errors.New("fleet: coordinator is closed")
-	}
-	var wg sync.WaitGroup
 	perShard := make([][]NodeInfo, len(c.workers))
-	tasks := make([]task, len(c.workers))
-	for i, w := range c.workers {
-		i := i
-		tasks[i] = task{wg: &wg, fn: func(w *shardWorker) {
-			perShard[i] = w.inventory()
-		}}
-		wg.Add(1)
-		w.tasks <- &tasks[i]
-		w.depth.Set(float64(w.queued.Add(1)))
+	err := c.control(c.workers, func(w *shardWorker) {
+		part := make([]NodeInfo, 0, len(w.nodes))
+		for id, st := range w.nodes {
+			part = append(part, w.info(id, st))
+		}
+		perShard[w.id] = part
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.mu.RUnlock()
-	wg.Wait()
 	var out []NodeInfo
 	for _, part := range perShard {
 		out = append(out, part...)
@@ -475,25 +536,20 @@ func (c *Coordinator) Nodes() ([]NodeInfo, error) {
 	return out, nil
 }
 
-// inventory renders the worker's node map. Runs on the worker
-// goroutine.
-func (w *shardWorker) inventory() []NodeInfo {
-	out := make([]NodeInfo, 0, len(w.nodes))
-	for id, st := range w.nodes {
-		info := NodeInfo{
-			Node: id, Shard: w.id, App: st.sink.app,
-			Stats:     st.ns.Chain.Stats(),
-			Committed: st.ns.Chain.Committed(),
-			Pending:   st.ns.Chain.PendingDepth(),
-			Emitted:   st.sink.emitted,
-		}
-		if st.ns.Log != nil {
-			ls := st.ns.Log.Stats()
-			info.WAL = &ls
-		}
-		out = append(out, info)
+// info renders one node's snapshot. Runs on the worker goroutine.
+func (w *shardWorker) info(id int, st *nodeState) NodeInfo {
+	info := NodeInfo{
+		Node: id, Shard: w.id, App: st.sink.app,
+		Stats:     st.ns.Chain.Stats(),
+		Committed: st.ns.Chain.Committed(),
+		Pending:   st.ns.Chain.PendingDepth(),
+		Emitted:   st.sink.emitted,
 	}
-	return out
+	if st.ns.Log != nil {
+		ls := st.ns.Log.Stats()
+		info.WAL = &ls
+	}
+	return info
 }
 
 // Stats is the coordinator's cheap cumulative accounting — atomics

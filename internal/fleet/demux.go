@@ -6,11 +6,10 @@ import (
 	"strconv"
 )
 
-// Values is one reading's metric vector on the bulk wire. JSON cannot
-// carry NaN, so missing cells travel as null — the same convention as
-// /api/ingest — but decoded with a hand-rolled scanner instead of a
-// []*float64 detour, so a reused Row keeps its backing array across
-// batches.
+// Values is one reading's metric vector on the ingest wire (both
+// endpoints). JSON cannot carry NaN, so missing cells travel as null,
+// decoded with a hand-rolled scanner instead of a []*float64 detour, so
+// a reused Row keeps its backing array across batches.
 type Values []float64
 
 // MarshalJSON encodes missing (NaN) cells as null.

@@ -102,7 +102,7 @@ func testFactory(opts factoryOpts) func(node int, sink pipeline.Sink) (*fleet.No
 				return nil, err
 			}
 		}
-		return &fleet.NodeStream{Chain: chain, Log: log}, nil
+		return &fleet.NodeStream{Chain: chain, Log: log, Aux: pred}, nil
 	}
 }
 
@@ -347,6 +347,82 @@ func TestCoordinatorBulkRoundTrip(t *testing.T) {
 	top := c.Stats()
 	if top.Accepted != int64(len(nodes)*perNode) {
 		t.Fatalf("stats accepted %d, want %d", top.Accepted, len(nodes)*perNode)
+	}
+}
+
+// TestOfferNodeAndVisit covers the two per-node primitives the server's
+// /api/ingest and evidence APIs stand on: a one-node offer reports
+// exactly the diagnoses ITS rows completed plus the node's snapshot,
+// and Visit hands a callback the node's stream — factory Aux included —
+// on the owning worker.
+func TestOfferNodeAndVisit(t *testing.T) {
+	roll := fleet.NewRollup(fleet.RollupConfig{Recent: 4})
+	c, err := fleet.NewCoordinator(fleet.Config{
+		Shards: 2, Metrics: testMetrics, NewNode: testFactory(factoryOpts{}), Rollup: roll,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const node = 7 // odd: runs hot
+	// The rows arrive addressed to other nodes; OfferNode re-addresses them.
+	res, rep, err := c.OfferNode(node, feedRows([]int{1}, 0, 2*testWindow+testWindow/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted != 20 || res.Nodes != 1 || len(res.PerShard) != 1 {
+		t.Fatalf("one-node offer accounting: %+v", res)
+	}
+	if rep.Node != node || rep.Committed != 20 || rep.Emitted != 2 || rep.Stats.Windows != 2 || rep.App != "app-1" {
+		t.Fatalf("node snapshot: %+v", rep.NodeInfo)
+	}
+	if len(rep.Diagnoses) != 2 || rep.Diagnoses[0].WindowEnd != testWindow-1 || rep.Diagnoses[1].WindowEnd != 2*testWindow-1 ||
+		rep.Diagnoses[0].Label != "cpuoccupy" {
+		t.Fatalf("captured diagnoses: %+v", rep.Diagnoses)
+	}
+	if roll.Tracked() != 1 {
+		t.Fatalf("captured diagnoses bypassed the rollup: %d nodes tracked", roll.Tracked())
+	}
+
+	// Capture is per call: a bulk offer in between leaves nothing behind,
+	// and the next one-node offer sees only its own window.
+	if _, err := c.Offer(feedRows([]int{node}, 20, testWindow)); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err = c.OfferNode(node, feedRows([]int{node}, 28, testWindow/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Diagnoses) != 1 || rep.Diagnoses[0].WindowEnd != 4*testWindow-1 || rep.Emitted != 4 {
+		t.Fatalf("second one-node offer: %d captured, snapshot %+v", len(rep.Diagnoses), rep.NodeInfo)
+	}
+
+	// Refused before routing: the report stays zero.
+	res, rep, err = c.OfferNode(node, []fleet.Row{{T: 99, Values: fleet.Values{1}}})
+	if err != nil || res.Rejected != 1 || rep.Committed != 0 || rep.Diagnoses != nil {
+		t.Fatalf("wrong-width one-node offer: res %+v report %+v err %v", res, rep, err)
+	}
+
+	var committed int
+	var aux any
+	if err := c.Visit(node, func(ns *fleet.NodeStream) { committed, aux = ns.Chain.Committed(), ns.Aux }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := aux.(*thresholdPredict); !ok || committed != 32 {
+		t.Fatalf("visit saw committed %d, aux %T", committed, aux)
+	}
+	visited := false
+	if err := c.Visit(node+1, func(ns *fleet.NodeStream) { visited = ns == nil }); err != nil || !visited {
+		t.Fatalf("visiting a node without state: err %v, nil stream %v", err, visited)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Visit(node, func(*fleet.NodeStream) {}); err == nil {
+		t.Fatal("Visit on a closed coordinator accepted")
+	}
+	if _, _, err := c.OfferNode(node, feedRows([]int{node}, 40, 1)); err == nil {
+		t.Fatal("OfferNode on a closed coordinator accepted")
 	}
 }
 

@@ -9,22 +9,22 @@ import "albadross/internal/obs"
 var (
 	fleetRows = obs.NewCounter(obs.Opts{
 		Name: "fleet_rows_total",
-		Help: "Bulk-ingest readings accepted into shard-owned node chains.",
+		Help: "Ingest readings accepted into shard-owned node chains.",
 		Unit: "rows",
 	})
 	fleetRejected = obs.NewCounter(obs.Opts{
 		Name: "fleet_rejected_rows_total",
-		Help: "Bulk-ingest readings refused permanently (width mismatch, per-row chain errors, node-capacity overflow).",
+		Help: "Ingest readings refused permanently (width mismatch, per-row chain errors, node-capacity overflow).",
 		Unit: "rows",
 	})
 	fleetShed = obs.NewCounterVec(obs.Opts{
 		Name: "fleet_shed_rows_total",
-		Help: "Bulk-ingest readings shed by back-pressure because the shard queue was full, by shard.",
+		Help: "Ingest readings shed by back-pressure because the shard queue was full, by shard.",
 		Unit: "rows",
 	}, "shard")
 	fleetQueueDepth = obs.NewGaugeVec(obs.Opts{
 		Name: "fleet_queue_depth",
-		Help: "Bulk-ingest tasks waiting in the shard worker queue at last sample, by shard.",
+		Help: "Ingest tasks waiting in the shard worker queue at last sample, by shard.",
 		Unit: "tasks",
 	}, "shard")
 	fleetNodes = obs.NewGauge(obs.Opts{
@@ -34,7 +34,7 @@ var (
 	})
 	fleetBatchRows = obs.NewHistogram(obs.Opts{
 		Name:    "fleet_bulk_batch_rows",
-		Help:    "Rows per bulk ingest batch offered to the fleet coordinator.",
+		Help:    "Rows per ingest batch offered to the fleet coordinator.",
 		Unit:    "rows",
 		Buckets: obs.SizeBuckets,
 	})

@@ -12,10 +12,9 @@
 // serving endpoints never scan the whole fleet.
 //
 // Each shard worker owns its nodes' stage chains and write-ahead logs
-// exclusively (single-writer, exactly the /api/ingest locking
-// discipline), so pipeline journaling and Replay semantics are
-// untouched: per-node state is bitwise identical no matter how many
-// shards the fleet is folded onto.
+// exclusively (single-writer, no locks), so pipeline journaling and
+// Replay semantics are untouched: per-node state is bitwise identical
+// no matter how many shards the fleet is folded onto.
 package fleet
 
 import (

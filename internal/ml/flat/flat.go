@@ -26,9 +26,7 @@
 // forest soft-voting, ascending round order for GBM logits) and their
 // NaN routing (a NaN feature fails `<=` and goes right), which makes
 // their float64 outputs bitwise identical to per-row pointer-walk
-// prediction; BENCH_7 gates on that identity. An optional float32
-// feature matrix (Matrix32) halves input bandwidth for callers that
-// accept a small, tolerance-bounded deviation.
+// prediction; BENCH_7 gates on that identity.
 package flat
 
 import (
@@ -160,26 +158,6 @@ func (n *Nodes) leafGroup(root int32, steps int, rows *[groupWidth][]float64, of
 	}
 }
 
-// leafOf32 is leafOf over a float32 feature row. The float64 threshold
-// is compared against the widened float32 value, so rows that landed
-// exactly on a split boundary in float64 may route differently; callers
-// accept a tolerance instead of bitwise identity.
-func (n *Nodes) leafOf32(root int32, x []float32) int32 {
-	feat, thr, left, right := n.Feature, n.Threshold, n.Left, n.Right
-	i := root
-	for {
-		l := left[i]
-		if l == i {
-			return n.Payload[i]
-		}
-		if float64(x[feat[i]]) <= thr[i] {
-			i = l
-		} else {
-			i = right[i]
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Forest
 
@@ -267,41 +245,6 @@ func (f *Forest) PredictProbaInto(x [][]float64, out [][]float64, workers int) {
 				}
 				for ; i < bhi; i++ {
 					p := f.LeafProba[f.leafOf(root, x[i]):]
-					o := out[i]
-					for c := 0; c < k; c++ {
-						o[c] += p[c]
-					}
-				}
-			}
-			for i := blo; i < bhi; i++ {
-				o := out[i]
-				for c := range o {
-					o[c] *= inv
-				}
-			}
-		}
-	})
-}
-
-// PredictProbaInto32 is PredictProbaInto over a float32 feature matrix.
-// Votes and scaling stay in float64, so the only deviation from the
-// float64 path is rows whose features round across a split threshold;
-// outputs are tolerance-close, not bitwise identical.
-func (f *Forest) PredictProbaInto32(m *Matrix32, out [][]float64, workers int) {
-	if len(f.Roots) == 0 {
-		return
-	}
-	k := f.Classes
-	inv := 1 / float64(len(f.Roots)) //albacheck:ignore floatsafe len(f.Roots) > 0 is checked in the prologue
-	ml.ParallelRows(m.Rows, workers, func(lo, hi int) {
-		for blo := lo; blo < hi; blo += rowBlock {
-			bhi := blo + rowBlock
-			if bhi > hi {
-				bhi = hi
-			}
-			for _, root := range f.Roots {
-				for i := blo; i < bhi; i++ {
-					p := f.LeafProba[f.leafOf32(root, m.Row(i)):]
 					o := out[i]
 					for c := 0; c < k; c++ {
 						o[c] += p[c]
@@ -412,43 +355,4 @@ func (g *GBM) PredictProbaInto(x [][]float64, out [][]float64, workers int) {
 			}
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// float32 feature matrix
-
-// Matrix32 is a row-major float32 copy of a feature matrix — the
-// optional reduced-precision input for PredictProbaInto32. Halving the
-// input width halves the memory bandwidth the traversal spends on
-// feature loads; the trade is that values are rounded to float32, so
-// predictions can differ for rows within one float32 ulp of a split
-// threshold.
-type Matrix32 struct {
-	// Data is the row-major backing array (Rows*Cols values).
-	Data []float32
-	// Rows and Cols are the matrix dimensions.
-	Rows, Cols int
-}
-
-// NewMatrix32 copies a float64 feature matrix into a single contiguous
-// float32 backing. Rows must be rectangular.
-func NewMatrix32(x [][]float64) *Matrix32 {
-	rows := len(x)
-	cols := 0
-	if rows > 0 {
-		cols = len(x[0])
-	}
-	m := &Matrix32{Data: make([]float32, rows*cols), Rows: rows, Cols: cols}
-	for i, row := range x {
-		base := i * cols
-		for j, v := range row {
-			m.Data[base+j] = float32(v)
-		}
-	}
-	return m
-}
-
-// Row returns row i as a float32 slice view into the backing array.
-func (m *Matrix32) Row(i int) []float32 {
-	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }

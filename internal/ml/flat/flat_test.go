@@ -160,56 +160,6 @@ func TestGobRoundTripFallsBackThenWarms(t *testing.T) {
 	}
 }
 
-// TestMatrix32ExactOnRepresentableInputs pins the float32 contract:
-// when every feature value is exactly representable in float32, the
-// reduced-precision kernel routes every row identically and the output
-// is bitwise equal to the float64 path. (General inputs are only
-// tolerance-close: values within a float32 ulp of a split threshold may
-// route differently.)
-func TestMatrix32ExactOnRepresentableInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	n, d, k := 160, 8, 3
-	x := make([][]float64, n)
-	y := make([]int, n)
-	for i := range x {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = float64(float32(rng.NormFloat64() * 3))
-		}
-		y[i] = i % k
-		row[0] += float64(y[i]) * 2
-		row[0] = float64(float32(row[0]))
-		x[i] = row
-	}
-	f := forest.New(forest.Config{NEstimators: 11, MaxDepth: 6, Workers: 1, Seed: 13})
-	if err := f.Fit(x, y, k); err != nil {
-		t.Fatalf("fit: %v", err)
-	}
-	f.WarmFlat()
-	fl := flattenForest(t, f)
-	q := make([][]float64, 90)
-	for i := range q {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = float64(float32(rng.NormFloat64() * 4))
-		}
-		q[i] = row
-	}
-	out64 := make([][]float64, len(q))
-	out32 := make([][]float64, len(q))
-	flat64 := make([]float64, len(q)*k)
-	flat32b := make([]float64, len(q)*k)
-	for i := range q {
-		out64[i] = flat64[i*k : (i+1)*k]
-		out32[i] = flat32b[i*k : (i+1)*k]
-	}
-	fl.PredictProbaInto(q, out64, 1)
-	fl.PredictProbaInto32(flat.NewMatrix32(q), out32, 1)
-	for i := range q {
-		assertBitwise(t, "float32 matrix vs float64", out32[i], out64[i])
-	}
-}
-
 // flattenForest rebuilds a standalone flat.Forest from a fitted forest
 // via the public Flatten API (what WarmFlat does internally).
 func flattenForest(t *testing.T, f *forest.Forest) *flat.Forest {

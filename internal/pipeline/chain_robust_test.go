@@ -1,4 +1,4 @@
-package stream
+package pipeline
 
 import (
 	"math"
@@ -6,11 +6,12 @@ import (
 
 	"albadross/internal/chaos"
 	"albadross/internal/features/mvts"
+	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 	"albadross/internal/ts"
 )
 
-func newRobustStreamer(t *testing.T, cfg Config) (*Streamer, *countingDiagnoser, []telemetry.Metric) {
+func newRobustChain(t *testing.T, cfg chainSpec) (*testChain, *countingDiagnoser, []telemetry.Metric) {
 	t.Helper()
 	schema := telemetry.BuildSchema(9)
 	cd := &countingDiagnoser{}
@@ -19,11 +20,7 @@ func newRobustStreamer(t *testing.T, cfg Config) (*Streamer, *countingDiagnoser,
 	if cfg.Diagnose == nil {
 		cfg.Diagnose = cd.diagnose
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, cd, schema
+	return mustTestChain(t, cfg), cd, schema
 }
 
 func reading(schema []telemetry.Metric, i int) []float64 {
@@ -34,19 +31,38 @@ func reading(schema []telemetry.Metric, i int) []float64 {
 	return row
 }
 
-func TestPushAtInOrderMatchesPush(t *testing.T) {
-	a, cda, schema := newRobustStreamer(t, Config{Window: 16, Stride: 8, Reorder: 4})
-	b, cdb, _ := newRobustStreamer(t, Config{Window: 16, Stride: 8})
-	for i := 0; i < 40; i++ {
-		if _, err := a.PushAt(100+i, reading(schema, i)); err != nil {
+// feedAt delivers reading(schema, ts-base) at every listed timestamp.
+func feedAt(t *testing.T, c *testChain, schema []telemetry.Metric, base int, timestamps ...int) {
+	t.Helper()
+	for _, ts := range timestamps {
+		if _, err := c.pushAt(ts, reading(schema, ts-base)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Push(reading(schema, i)); err != nil {
+	}
+}
+
+// upTo lists lo, lo+1, ..., hi-1.
+func upTo(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+func TestPushAtInOrderMatchesArrivalOrder(t *testing.T) {
+	a, cda, schema := newRobustChain(t, chainSpec{Window: 16, Stride: 8, Reorder: 4})
+	b, cdb, _ := newRobustChain(t, chainSpec{Window: 16, Stride: 8})
+	for i := 0; i < 40; i++ {
+		if _, err := a.pushAt(100+i, reading(schema, i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.push(reading(schema, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if cda.calls != cdb.calls {
-		t.Fatalf("PushAt emitted %d diagnoses, Push emitted %d", cda.calls, cdb.calls)
+		t.Fatalf("buffered PushAt emitted %d diagnoses, unbuffered arrival order emitted %d", cda.calls, cdb.calls)
 	}
 	st := a.Stats()
 	if st.Pushed != 40 || st.Duplicates != 0 || st.Late != 0 || st.GapsFilled != 0 {
@@ -55,7 +71,7 @@ func TestPushAtInOrderMatchesPush(t *testing.T) {
 }
 
 func TestPushAtReordersWithinHorizon(t *testing.T) {
-	s, _, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Reorder: 4})
+	c, _, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Reorder: 4})
 	// Anchor on 0, then deliver 1..15 with adjacent pairs swapped:
 	// 0, 2, 1, 4, 3, ..., 14, 13, 15. All jitter is within the horizon.
 	order := []int{0}
@@ -63,43 +79,24 @@ func TestPushAtReordersWithinHorizon(t *testing.T) {
 		order = append(order, i+1, i)
 	}
 	order = append(order, 15)
-	var got []*Diagnosis
-	for _, tt := range order {
-		ds, err := s.PushAt(tt, reading(schema, tt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ds...)
-	}
-	st := s.Stats()
+	feedAt(t, c, schema, 0, order...)
+	st := c.Stats()
 	if st.Late != 0 || st.GapsFilled != 0 || st.Duplicates != 0 {
 		t.Fatalf("in-horizon jitter mis-accounted: %+v", st)
 	}
-	if len(got) != 2 || st.Windows != 2 {
-		t.Fatalf("want 2 tumbling windows, got %d (stats %+v)", len(got), st)
+	if got := len(c.sink.Diagnoses); got != 2 || st.Windows != 2 {
+		t.Fatalf("want 2 tumbling windows, got %d (stats %+v)", got, st)
 	}
 }
 
 func TestPushAtDuplicatesAndLate(t *testing.T) {
-	s, _, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Reorder: 2})
-	for i := 0; i < 6; i++ {
-		if _, err := s.PushAt(i, reading(schema, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c, _, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Reorder: 2})
+	feedAt(t, c, schema, 0, upTo(0, 6)...)
 	// Timestamp 3 again: a duplicate of a committed slot arrives as "late"
-	// (the frontier has moved past it).
-	if _, err := s.PushAt(3, reading(schema, 3)); err != nil {
-		t.Fatal(err)
-	}
-	// A pending-slot duplicate: deliver 8 (buffered, 7 missing), then 8 again.
-	if _, err := s.PushAt(8, reading(schema, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PushAt(8, reading(schema, 8)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
+	// (the frontier has moved past it). Then a pending-slot duplicate:
+	// deliver 8 (buffered, 7 missing), then 8 again.
+	feedAt(t, c, schema, 0, 3, 8, 8)
+	st := c.Stats()
 	if st.Late != 1 {
 		t.Fatalf("late = %d, want 1", st.Late)
 	}
@@ -109,27 +106,23 @@ func TestPushAtDuplicatesAndLate(t *testing.T) {
 }
 
 func TestPushAtFillsGapsBeyondHorizon(t *testing.T) {
-	s, _, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Reorder: 3, Gap: GapHoldLast})
+	c, _, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Reorder: 3, Gap: stream.GapHoldLast})
 	// Timestamps 0,1,2 then jump to 10: slots 3..6 fall out of the
 	// horizon as maxT advances and must be synthesized as gap rows.
-	for _, tt := range []int{0, 1, 2, 10, 11, 12} {
-		if _, err := s.PushAt(tt, reading(schema, tt)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
+	feedAt(t, c, schema, 0, 0, 1, 2, 10, 11, 12)
+	st := c.Stats()
 	if st.GapsFilled == 0 {
 		t.Fatalf("no gaps synthesized: %+v", st)
 	}
 	// Flush drains the rest (slots 7..9 plus buffered 10..12).
-	if _, err := s.Flush(); err != nil {
+	if _, err := c.flush(); err != nil {
 		t.Fatal(err)
 	}
-	st = s.Stats()
+	st = c.Stats()
 	if st.GapsFilled != 7 {
 		t.Fatalf("gaps filled = %d, want 7 (slots 3..9)", st.GapsFilled)
 	}
-	if got := s.Samples(); got != 13 {
+	if got := c.Committed(); got != 13 {
 		t.Fatalf("committed %d samples, want 13 (0..12)", got)
 	}
 }
@@ -138,16 +131,10 @@ func TestImplausibleTimestampDropped(t *testing.T) {
 	// A corrupt far-future timestamp must be dropped, not trusted: the
 	// default MaxJump (4*Window+Reorder) would otherwise synthesize one
 	// gap row per skipped timestep up to it.
-	s, _, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Reorder: 2})
-	for i := 0; i < 4; i++ {
-		if _, err := s.PushAt(i, reading(schema, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.PushAt(1_000_000_000, reading(schema, 0)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
+	c, _, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Reorder: 2})
+	feedAt(t, c, schema, 0, upTo(0, 4)...)
+	feedAt(t, c, schema, 1_000_000_000, 1_000_000_000)
+	st := c.Stats()
 	if st.Implausible != 1 {
 		t.Fatalf("implausible = %d, want 1", st.Implausible)
 	}
@@ -155,56 +142,43 @@ func TestImplausibleTimestampDropped(t *testing.T) {
 		t.Fatalf("corrupt timestamp synthesized %d gap rows", st.GapsFilled)
 	}
 	// The stream recovers: in-sequence readings keep committing.
-	for i := 4; i < 8; i++ {
-		if _, err := s.PushAt(i, reading(schema, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Flush(); err != nil {
+	feedAt(t, c, schema, 0, upTo(4, 8)...)
+	if _, err := c.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Samples(); got != 8 {
+	if got := c.Committed(); got != 8 {
 		t.Fatalf("committed %d samples, want 8", got)
 	}
 
 	// A jump at the cap is still trusted and gap-filled.
-	s2, _, _ := newRobustStreamer(t, Config{Window: 8, Stride: 8, Reorder: 2})
-	if _, err := s2.PushAt(0, reading(schema, 0)); err != nil {
+	c2, _, _ := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Reorder: 2})
+	feedAt(t, c2, schema, 0, 0, 1+4*8+2)
+	if _, err := c2.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.PushAt(1+4*8+2, reading(schema, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := s2.Stats()
+	st2 := c2.Stats()
 	if st2.Implausible != 0 || st2.GapsFilled != 4*8+2 {
 		t.Fatalf("in-cap jump mishandled: %+v", st2)
 	}
 
-	if _, err := New(Config{Schema: schema, Extractor: mvts.Extractor{},
+	if _, err := newTestChain(chainSpec{Schema: schema, Extractor: mvts.Extractor{},
 		Diagnose: (&countingDiagnoser{}).diagnose, Window: 8, Reorder: 4, MaxJump: 2}); err == nil {
 		t.Fatal("MaxJump below the reorder horizon should be rejected")
 	}
 }
 
 func TestClockSkewIsAnchoredAway(t *testing.T) {
-	s, cd, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Reorder: 2})
+	c, cd, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Reorder: 2})
 	// A constant +1e6 skew must behave exactly like t starting at 0.
-	for i := 0; i < 16; i++ {
-		if _, err := s.PushAt(1_000_000+i, reading(schema, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
+	feedAt(t, c, schema, 1_000_000, upTo(1_000_000, 1_000_016)...)
+	st := c.Stats()
 	if st.GapsFilled != 0 || st.Late != 0 || cd.calls != 2 {
 		t.Fatalf("skewed feed mishandled: stats %+v, calls %d", st, cd.calls)
 	}
 }
 
 func TestGapAbstainPolicy(t *testing.T) {
-	s, cd, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Gap: GapAbstain, MaxMissing: 0.3})
+	c, cd, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Gap: stream.GapAbstain, MaxMissing: 0.3})
 	// First window: half the cells missing -> abstain.
 	for i := 0; i < 8; i++ {
 		row := reading(schema, i)
@@ -213,14 +187,15 @@ func TestGapAbstainPolicy(t *testing.T) {
 				row[m] = math.NaN()
 			}
 		}
-		d, err := s.Push(row)
+		ds, err := c.push(row)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 7 {
-			if d == nil || !d.Abstained || d.Label != AbstainLabel {
-				t.Fatalf("want abstention, got %+v", d)
+			if len(ds) != 1 || !ds[0].Abstained || ds[0].Label != stream.AbstainLabel {
+				t.Fatalf("want abstention, got %+v", ds)
 			}
+			d := ds[0]
 			if d.MissingFrac < 0.4 || d.MissingFrac > 0.6 {
 				t.Fatalf("missing frac = %v, want ~0.5", d.MissingFrac)
 			}
@@ -233,57 +208,49 @@ func TestGapAbstainPolicy(t *testing.T) {
 		t.Fatal("abstained window must not reach the classifier")
 	}
 	// Second window: clean -> diagnosed.
-	var last *Diagnosis
+	var last []stream.Diagnosis
 	for i := 8; i < 16; i++ {
-		d, err := s.Push(reading(schema, i))
+		ds, err := c.push(reading(schema, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != nil {
-			last = d
+		if len(ds) > 0 {
+			last = ds
 		}
 	}
-	if last == nil || last.Abstained || last.Label != "healthy" {
+	if len(last) != 1 || last[0].Abstained || last[0].Label != "healthy" {
 		t.Fatalf("clean window should diagnose, got %+v", last)
 	}
-	st := s.Stats()
+	st := c.Stats()
 	if st.Windows != 2 || st.Abstained != 1 {
 		t.Fatalf("stats = %+v, want Windows 2 Abstained 1", st)
 	}
 }
 
 func TestNonFiniteConfidenceAbstains(t *testing.T) {
-	s, _, schema := newRobustStreamer(t, Config{
+	c, _, schema := newRobustChain(t, chainSpec{
 		Window: 8, Stride: 8,
 		Diagnose: func([]float64) (string, float64, error) { return "cpuoccupy", math.NaN(), nil },
 	})
-	var got *Diagnosis
-	for i := 0; i < 8; i++ {
-		d, err := s.Push(reading(schema, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != nil {
-			got = d
-		}
-	}
-	if got == nil || !got.Abstained || got.Label != AbstainLabel {
+	feedAt(t, c, schema, 0, upTo(0, 8)...)
+	got := c.sink.Diagnoses
+	if len(got) != 1 || !got[0].Abstained || got[0].Label != stream.AbstainLabel {
 		t.Fatalf("NaN confidence should abstain, got %+v", got)
 	}
-	if st := s.Stats(); st.Abstained != 1 {
+	if st := c.Stats(); st.Abstained != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestHoldLastRepairOnDegradedWindow(t *testing.T) {
-	s, cd, schema := newRobustStreamer(t, Config{Window: 8, Stride: 8, Gap: GapHoldLast})
+	c, cd, schema := newRobustChain(t, chainSpec{Window: 8, Stride: 8, Gap: stream.GapHoldLast})
 	// One metric entirely NaN, another frozen; features must stay finite
 	// (the counting diagnoser rejects Inf).
 	for i := 0; i < 8; i++ {
 		row := reading(schema, i)
 		row[0] = math.NaN()
 		row[1] = 42
-		if _, err := s.Push(row); err != nil {
+		if _, err := c.push(row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +259,7 @@ func TestHoldLastRepairOnDegradedWindow(t *testing.T) {
 	}
 }
 
-// TestChaoticFeedFullAccounting drives a streamer with the chaos
+// TestChaoticFeedFullAccounting drives a chain with the chaos
 // injector's delivery stream (gaps, duplicates, reordering, skew) and
 // checks the end-to-end contract: every completed window is diagnosed or
 // abstained, nothing is silently dropped, and every confidence is
@@ -318,36 +285,29 @@ func TestChaoticFeedFullAccounting(t *testing.T) {
 	feed := inj.DeliverStream(samples[0].Data)
 
 	cd := &countingDiagnoser{}
-	s, err := New(Config{
+	c := mustTestChain(t, chainSpec{
 		Schema:     sys.Metrics,
 		Extractor:  mvts.Extractor{},
 		Diagnose:   cd.diagnose,
 		Window:     32,
 		Stride:     16,
 		Reorder:    8,
-		Gap:        GapAbstain,
+		Gap:        stream.GapAbstain,
 		MaxMissing: 0.6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*Diagnosis
 	for _, r := range feed {
-		ds, err := s.PushAt(r.T, r.Values)
-		if err != nil {
+		if err := c.PushAt(r.T, r.Values); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, ds...)
 	}
-	tail, err := s.Flush()
-	if err != nil {
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, tail...)
+	got := c.sink.Diagnoses
 
-	st := s.Stats()
+	st := c.Stats()
 	if len(got) != st.Windows {
-		t.Fatalf("returned %d diagnoses for %d completed windows", len(got), st.Windows)
+		t.Fatalf("emitted %d diagnoses for %d completed windows", len(got), st.Windows)
 	}
 	if st.Windows == 0 {
 		t.Fatal("chaotic feed completed no windows")

@@ -1,4 +1,4 @@
-package stream
+package pipeline
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"albadross/internal/features"
 	"albadross/internal/features/mvts"
 	"albadross/internal/features/rolling"
+	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ func (r *vecRecorder) diagnose(v []float64) (string, float64, error) {
 // feedReadings pushes n synthetic readings (metric m at step i gets a
 // mix of trend, periodicity and noise; cumulative metrics grow) and
 // optionally blanks cells to NaN with probability pMiss.
-func feedReadings(t *testing.T, s *Streamer, schema []telemetry.Metric, n int, pMiss float64, seed int64) {
+func feedReadings(t *testing.T, s *testChain, schema []telemetry.Metric, n int, pMiss float64, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cum := telemetry.CumulativeFlags(schema)
@@ -42,7 +43,7 @@ func feedReadings(t *testing.T, s *Streamer, schema []telemetry.Metric, n int, p
 			}
 			reading[m] = v
 		}
-		if _, err := s.Push(reading); err != nil {
+		if _, err := s.push(reading); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,28 +76,24 @@ func assertVecsClose(t *testing.T, ctx string, got, want [][]float64, tol float6
 	}
 }
 
-// TestRollingMatchesBatchOnCleanFeed is the stream-level golden test:
+// TestRollingMatchesBatchOnCleanFeed is the chain-level golden test:
 // on a gap-free feed the incremental path must reproduce the batch
 // hold-last path within 1e-9 on every emitted window (with no missing
 // cells the causal and per-window repairs are identical, so the only
 // difference left is rolling-vs-scratch extraction).
 func TestRollingMatchesBatchOnCleanFeed(t *testing.T) {
 	schema := telemetry.BuildSchema(9)
-	build := func(roll bool) (*Streamer, *vecRecorder) {
+	build := func(roll bool) (*testChain, *vecRecorder) {
 		rec := &vecRecorder{}
-		s, err := New(Config{
+		return mustTestChain(t, chainSpec{
 			Schema:    schema,
 			Extractor: rolling.Extractor{},
 			Diagnose:  rec.diagnose,
 			Window:    32,
 			Stride:    8,
-			Gap:       GapHoldLast,
+			Gap:       stream.GapHoldLast,
 			Rolling:   roll,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, rec
+		}), rec
 	}
 	sRoll, recRoll := build(true)
 	sBatch, recBatch := build(false)
@@ -116,19 +113,16 @@ func TestRollingWithGapsMatchesCausalReference(t *testing.T) {
 	schema := telemetry.BuildSchema(6)
 	rec := &vecRecorder{}
 	window, stride := 24, 6
-	s, err := New(Config{
+	s := mustTestChain(t, chainSpec{
 		Schema:    schema,
 		Extractor: rolling.Extractor{},
 		Diagnose:  rec.diagnose,
 		Window:    window,
 		Stride:    stride,
-		Gap:       GapHoldLast,
+		Gap:       stream.GapHoldLast,
 		Rolling:   true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay the same pseudo-random feed twice: once into the streamer,
+	// Replay the same pseudo-random feed twice: once into the chain,
 	// once into the reference preparation below.
 	const n, seed = 150, 1234
 	feedReadings(t, s, schema, n, 0.15, seed)
@@ -195,21 +189,21 @@ func TestRollingWithGapsMatchesCausalReference(t *testing.T) {
 func TestRollingConfigValidation(t *testing.T) {
 	schema := telemetry.BuildSchema(4)
 	diag := func([]float64) (string, float64, error) { return "x", 1, nil }
-	if _, err := New(Config{
+	if _, err := newTestChain(chainSpec{
 		Schema: schema, Extractor: mvts.Extractor{}, Diagnose: diag,
-		Window: 16, Gap: GapHoldLast, Rolling: true,
+		Window: 16, Gap: stream.GapHoldLast, Rolling: true,
 	}); err == nil {
 		t.Fatal("Rolling with a non-incremental extractor must be rejected")
 	}
-	if _, err := New(Config{
+	if _, err := newTestChain(chainSpec{
 		Schema: schema, Extractor: rolling.Extractor{}, Diagnose: diag,
-		Window: 16, Gap: GapInterpolate, Rolling: true,
+		Window: 16, Gap: stream.GapInterpolate, Rolling: true,
 	}); err == nil {
 		t.Fatal("Rolling with GapInterpolate must be rejected")
 	}
-	if _, err := New(Config{
+	if _, err := newTestChain(chainSpec{
 		Schema: schema, Extractor: rolling.Extractor{}, Diagnose: diag,
-		Window: 16, Gap: GapAbstain, Rolling: true,
+		Window: 16, Gap: stream.GapAbstain, Rolling: true,
 	}); err != nil {
 		t.Fatalf("Rolling with GapAbstain should work: %v", err)
 	}
@@ -220,31 +214,28 @@ func TestRollingConfigValidation(t *testing.T) {
 func TestRollingAbstainAndReset(t *testing.T) {
 	schema := telemetry.BuildSchema(4)
 	rec := &vecRecorder{}
-	s, err := New(Config{
+	s := mustTestChain(t, chainSpec{
 		Schema: schema, Extractor: rolling.Extractor{}, Diagnose: rec.diagnose,
-		Window: 16, Stride: 16, Gap: GapAbstain, MaxMissing: 0.3, Rolling: true,
+		Window: 16, Stride: 16, Gap: stream.GapAbstain, MaxMissing: 0.3, Rolling: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reading := make([]float64, len(schema))
 	for i := 0; i < 16; i++ {
 		for m := range reading {
 			reading[m] = math.NaN() // fully missing window
 		}
-		d, derr := s.Push(reading)
+		ds, derr := s.push(reading)
 		if derr != nil {
 			t.Fatal(derr)
 		}
 		if i == 15 {
-			if d == nil || !d.Abstained {
-				t.Fatalf("fully-missing window should abstain, got %+v", d)
+			if len(ds) != 1 || !ds[0].Abstained {
+				t.Fatalf("fully-missing window should abstain, got %+v", ds)
 			}
 		}
 	}
 	s.Reset()
-	if s.Samples() != 0 {
-		t.Fatalf("Samples after Reset = %d", s.Samples())
+	if s.Committed() != 0 {
+		t.Fatalf("Committed after Reset = %d", s.Committed())
 	}
 	feedReadings(t, s, schema, 32, 0, 5)
 	if got := s.Stats().Windows; got != 2 {

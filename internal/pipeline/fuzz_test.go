@@ -1,9 +1,10 @@
-package stream
+package pipeline
 
 import (
 	"math"
 	"testing"
 
+	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 )
 
@@ -29,23 +30,23 @@ func (fuzzExtractor) Extract(s []float64) []float64 {
 
 // FuzzPushAt drives the timestamped ingest path with arbitrary
 // timestamp jumps, reorderings, duplicates and missing values, checking
-// the streamer's accounting invariants instead of exact outputs:
+// the chain's accounting invariants instead of exact outputs:
 // every accepted call lands in exactly one of the pushed/duplicate/
-// late/implausible counters, and the streamer never panics or returns
+// late/implausible counters, and the chain never panics or returns
 // an unexpected error.
 func FuzzPushAt(f *testing.F) {
 	// Each reading is 3 bytes: signed timestamp delta, value seed, flags
 	// (bit 0: NaN the first metric, bit 1: NaN the second).
-	f.Add([]byte{1, 10, 0, 1, 20, 0, 1, 30, 0, 1, 40, 0})          // clean in-order feed
-	f.Add([]byte{1, 10, 0, 0, 11, 0, 1, 12, 0})                    // duplicate timestamp
-	f.Add([]byte{3, 10, 0, 253, 20, 0, 255, 30, 0})                // reorder within horizon
-	f.Add([]byte{1, 10, 0, 120, 20, 0, 1, 30, 0})                  // MaxJump overshoot
-	f.Add([]byte{1, 10, 0, 246, 20, 0})                            // far-backward (late)
-	f.Add([]byte{1, 10, 1, 1, 20, 2, 1, 30, 3, 1, 40, 3})          // missing cells
+	f.Add([]byte{1, 10, 0, 1, 20, 0, 1, 30, 0, 1, 40, 0})            // clean in-order feed
+	f.Add([]byte{1, 10, 0, 0, 11, 0, 1, 12, 0})                      // duplicate timestamp
+	f.Add([]byte{3, 10, 0, 253, 20, 0, 255, 30, 0})                  // reorder within horizon
+	f.Add([]byte{1, 10, 0, 120, 20, 0, 1, 30, 0})                    // MaxJump overshoot
+	f.Add([]byte{1, 10, 0, 246, 20, 0})                              // far-backward (late)
+	f.Add([]byte{1, 10, 1, 1, 20, 2, 1, 30, 3, 1, 40, 3})            // missing cells
 	f.Add([]byte{5, 1, 0, 255, 2, 0, 255, 3, 0, 255, 4, 0, 5, 5, 0}) // gap then backfill
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := New(Config{
+		st := mustTestChain(t, chainSpec{
 			Schema: []telemetry.Metric{
 				{Name: "m0"}, {Name: "m1", Cumulative: true},
 			},
@@ -58,9 +59,6 @@ func FuzzPushAt(f *testing.F) {
 			Reorder: 3,
 			MaxJump: 40,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ts := 0
 		for i := 0; i+2 < len(data); i += 3 {
 			ts += int(int8(data[i]))
@@ -74,7 +72,7 @@ func FuzzPushAt(f *testing.F) {
 			}
 			before := st.Stats()
 			beforeAccounted := before.Pushed + before.Duplicates + before.Late + before.Implausible
-			diags, err := st.PushAt(ts, vals)
+			diags, err := st.pushAt(ts, vals)
 			if err != nil {
 				t.Fatalf("PushAt(%d, %v) after %d readings: %v", ts, vals, i/3, err)
 			}
@@ -85,8 +83,8 @@ func FuzzPushAt(f *testing.F) {
 					ts, afterAccounted-beforeAccounted, before, after)
 			}
 			for _, d := range diags {
-				if d == nil {
-					t.Fatal("nil diagnosis in PushAt result")
+				if d.Abstained != (d.Label == stream.AbstainLabel) {
+					t.Fatalf("abstain flag and label disagree: %+v", d)
 				}
 				if !d.Abstained {
 					if d.Label == "" {

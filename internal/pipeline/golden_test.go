@@ -30,22 +30,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the replay golden 
 // both the live chain and the WAL replay (which must match bitwise
 // before the fixture is even consulted).
 type replayGoldenDoc struct {
-	Description string       `json:"description"`
-	Seed        int64        `json:"seed"`
-	WALRecords  uint64       `json:"wal_records"`
-	Committed   int          `json:"committed"`
-	Pending     int          `json:"pending"`
-	Stats       stream.Stats `json:"stats"`
-	Vectors     [][]float64  `json:"vectors"`
-	Diagnoses   []goldenDiag `json:"diagnoses"`
-}
-
-type goldenDiag struct {
-	Label       string  `json:"label"`
-	Confidence  float64 `json:"confidence"`
-	WindowEnd   int     `json:"window_end"`
-	Abstained   bool    `json:"abstained"`
-	MissingFrac float64 `json:"missing_frac"`
+	Description string             `json:"description"`
+	Seed        int64              `json:"seed"`
+	WALRecords  uint64             `json:"wal_records"`
+	Committed   int                `json:"committed"`
+	Pending     int                `json:"pending"`
+	Stats       stream.Stats       `json:"stats"`
+	Vectors     [][]float64        `json:"vectors"`
+	Diagnoses   []stream.Diagnosis `json:"diagnoses"`
 }
 
 // vecCapturePredict wraps a PredictStage and records every sanitized
@@ -74,18 +66,9 @@ func buildGoldenRun(t *testing.T) *replayGoldenDoc {
 	feed := chaosFeed(t, schema, 600, goldenSeed)
 
 	run := func(journal *wal.Log, replayFrom *wal.Log) (*Collector, *vecCapturePredict, *Chain) {
-		feat, pred, err := StagesFor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &vecCapturePredict{inner: pred}
+		rec := &vecCapturePredict{inner: cfg.Diagnose}
 		sink := &Collector{}
-		c, err := NewChain(ChainConfig{
-			Metrics: len(cfg.Schema), Window: cfg.Window, Stride: cfg.Stride,
-			Reorder: cfg.Reorder, MaxJump: cfg.MaxJump,
-			Gap: cfg.Gap, MaxMissing: cfg.MaxMissing,
-			Features: feat, Predict: rec, Sink: sink, Journal: journal,
-		})
+		c, err := cfg.chain(rec, sink, journal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,12 +116,7 @@ func buildGoldenRun(t *testing.T) *replayGoldenDoc {
 		Pending:     live.PendingDepth(),
 		Stats:       live.Stats(),
 		Vectors:     liveVecs.vecs,
-	}
-	for _, d := range liveSink.Diagnoses {
-		doc.Diagnoses = append(doc.Diagnoses, goldenDiag{
-			Label: d.Label, Confidence: d.Confidence, WindowEnd: d.WindowEnd,
-			Abstained: d.Abstained, MissingFrac: d.MissingFrac,
-		})
+		Diagnoses:   liveSink.Diagnoses,
 	}
 	if len(doc.Diagnoses) == 0 || len(doc.Vectors) == 0 {
 		t.Fatal("golden run emitted nothing; the fixture would be vacuous")

@@ -14,7 +14,7 @@ import (
 
 // synthSeries builds a deterministic multivariate series: trend,
 // periodicity and noise per metric, with cumulative metrics growing
-// monotonically — the same recipe the stream rolling tests use.
+// monotonically — the same recipe the rolling tests use.
 func synthSeries(schema []telemetry.Metric, steps int, seed int64) *ts.Multivariate {
 	rng := rand.New(rand.NewSource(seed))
 	cum := telemetry.CumulativeFlags(schema)
@@ -50,7 +50,7 @@ func chaosFeed(t *testing.T, schema []telemetry.Metric, steps int, seed int64) [
 	return inj.DeliverStream(synthSeries(schema, steps, seed))
 }
 
-// bitPredict is a deterministic PredictStage/DiagnoseFunc whose output
+// bitPredict is a deterministic PredictFunc whose output
 // depends on every bit of the feature vector: any single-ULP
 // divergence between two paths flips the label or the confidence.
 func bitPredict(vec []float64) (string, float64, error) {
@@ -77,8 +77,8 @@ func sameDiag(a, b stream.Diagnosis) bool {
 // streamerCfg is the shared test geometry; rolling selects the
 // incremental path (with its causal gap policy) vs the batch abstain
 // path.
-func streamerCfg(schema []telemetry.Metric, rolling bool) stream.Config {
-	cfg := stream.Config{
+func streamerCfg(schema []telemetry.Metric, rolling bool) chainSpec {
+	cfg := chainSpec{
 		Schema:    schema,
 		Extractor: testExtractor(rolling),
 		Diagnose:  bitPredict,
@@ -94,106 +94,6 @@ func streamerCfg(schema []telemetry.Metric, rolling bool) stream.Config {
 		cfg.MaxMissing = 0.4
 	}
 	return cfg
-}
-
-// runStreamer replays a chaos feed through the fused Streamer.
-func runStreamer(t *testing.T, cfg stream.Config, feed []chaos.Reading) ([]stream.Diagnosis, stream.Stats, int) {
-	t.Helper()
-	s, err := stream.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []stream.Diagnosis
-	for _, r := range feed {
-		ds, err := s.PushAt(r.T, r.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range ds {
-			out = append(out, *d)
-		}
-	}
-	ds, err := s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ds {
-		out = append(out, *d)
-	}
-	return out, s.Stats(), s.Samples()
-}
-
-// buildChain assembles a Chain equivalent to the given stream.Config.
-func buildChain(t *testing.T, cfg stream.Config, sink Sink) *Chain {
-	t.Helper()
-	feat, pred, err := StagesFor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewChain(ChainConfig{
-		Metrics:    len(cfg.Schema),
-		Window:     cfg.Window,
-		Stride:     cfg.Stride,
-		Reorder:    cfg.Reorder,
-		MaxJump:    cfg.MaxJump,
-		Gap:        cfg.Gap,
-		MaxMissing: cfg.MaxMissing,
-		Features:   feat,
-		Predict:    pred,
-		Sink:       sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestChainMatchesStreamerBitwise is the tentpole equivalence gate: on
-// a heavily chaos-perturbed feed, the composed stage chain and the
-// fused Streamer must agree bitwise on every diagnosis, the full Stats
-// accounting, and the committed-sample count — batch and rolling modes
-// both.
-func TestChainMatchesStreamerBitwise(t *testing.T) {
-	schema := telemetry.BuildSchema(8)
-	for _, rolling := range []bool{false, true} {
-		name := "batch"
-		if rolling {
-			name = "rolling"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := streamerCfg(schema, rolling)
-			feed := chaosFeed(t, schema, 400, 77)
-			want, wantStats, wantSamples := runStreamer(t, cfg, feed)
-
-			sink := &Collector{}
-			c := buildChain(t, cfg, sink)
-			for _, r := range feed {
-				if err := c.PushAt(r.T, r.Values); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatal("feed produced no diagnoses; the equivalence check is vacuous")
-			}
-			if len(sink.Diagnoses) != len(want) {
-				t.Fatalf("chain emitted %d diagnoses, streamer %d", len(sink.Diagnoses), len(want))
-			}
-			for i := range want {
-				if !sameDiag(sink.Diagnoses[i], want[i]) {
-					t.Fatalf("diagnosis %d diverged:\nchain    %+v\nstreamer %+v", i, sink.Diagnoses[i], want[i])
-				}
-			}
-			if got := c.Stats(); got != wantStats {
-				t.Fatalf("stats diverged:\nchain    %+v\nstreamer %+v", got, wantStats)
-			}
-			if got := c.Committed(); got != wantSamples {
-				t.Fatalf("committed %d samples, streamer %d", got, wantSamples)
-			}
-		})
-	}
 }
 
 // TestGraphWorkerCountParity runs the same multi-shard source through

@@ -1,12 +1,13 @@
-// Package pipeline decomposes the online diagnosis path into explicit,
-// individually pluggable stages — Source → stream (windowing) →
-// FeatureStage → PredictStage → Sink — where internal/server previously
-// wired ingest, windowing, extraction and serving together concretely.
-// Each stage wraps the exact implementation the fused stream.Streamer
-// uses (stream.Windower, stream.BatchVector, stream.IncrementalState),
-// so a stage chain and a Streamer fed the same arrivals produce
-// bitwise-identical windows, feature vectors and diagnoses; the
-// equivalence tests and the pr9_replay golden fixture gate that.
+// Package pipeline is the online diagnosis path: explicit, individually
+// pluggable stages — Source → stream (windowing) → FeatureStage →
+// PredictStage → Sink — composed by Chain, the repository's ONE
+// window-decision loop (abstain gate → feature vector → sanitation →
+// prediction → non-finite-confidence abstention). Every consumer — the
+// fleet's per-node streams behind /api/ingest and /api/ingest/bulk, the
+// experiments, the examples — runs a Chain over the shared seams in
+// internal/stream (stream.Windower, stream.BatchVector,
+// stream.IncrementalState); the pr9_replay golden fixture pins its
+// output bitwise.
 //
 // A Chain optionally journals every width-valid arrival to a per-shard
 // write-ahead log (internal/wal) BEFORE the row mutates stream state.
@@ -24,6 +25,7 @@ import (
 	"math"
 
 	"albadross/internal/features"
+	"albadross/internal/obs"
 	"albadross/internal/stream"
 	"albadross/internal/wal"
 )
@@ -71,8 +73,8 @@ type Source interface {
 	Feed(shard int, push func(t int, values []float64) error) error
 }
 
-// ChainConfig assembles one shard's stage chain. Window geometry fields
-// mirror the identically named stream.Config knobs.
+// ChainConfig assembles one node stream's stage chain. Window geometry
+// fields are the identically named stream.WindowerConfig knobs.
 type ChainConfig struct {
 	// Metrics is the reading width (number of metrics per row).
 	Metrics int
@@ -105,8 +107,7 @@ type ChainConfig struct {
 
 // Chain is one shard's composed pipeline: windowing, feature
 // extraction, prediction and the sink, with optional write-ahead
-// journaling. Not safe for concurrent use; callers own the locking,
-// matching stream.Streamer.
+// journaling. Not safe for concurrent use; callers own the locking.
 type Chain struct {
 	cfg       ChainConfig
 	win       *stream.Windower
@@ -148,9 +149,15 @@ func NewChain(cfg ChainConfig) (*Chain, error) {
 
 // PushAt delivers one timestamped arrival: journaled first (when a
 // journal is attached and the chain is not replaying), then sequenced
-// through the reordering buffer exactly like stream.Streamer.PushAt. A
-// journal failure refuses the row before any stream state changes —
-// the write-ahead guarantee replay correctness rests on.
+// through the reordering buffer (stream.Windower.PushAt): readings may
+// arrive out of order within the Reorder horizon; duplicates, readings
+// older than the committed frontier and readings claiming a timestamp
+// more than MaxJump ahead of it are dropped with accounting, and the
+// first accepted reading anchors the timestamp origin, so a constant
+// clock skew shifts nothing. A single call can release several buffered
+// readings and so complete several windows. A journal failure refuses
+// the row before any stream state changes — the write-ahead guarantee
+// replay correctness rests on.
 func (c *Chain) PushAt(t int, values []float64) error {
 	if len(values) != c.cfg.Metrics {
 		return fmt.Errorf("pipeline: reading has %d metrics, schema %d", len(values), c.cfg.Metrics)
@@ -169,13 +176,15 @@ func (c *Chain) PushAt(t int, values []float64) error {
 // by flushing after the last record.
 func (c *Chain) Flush() error { return c.win.Flush() }
 
-// window is the Windower's boundary callback: the GapAbstain gate,
-// feature rendering, sanitation, prediction and the non-finite
-// confidence abstention — the exact decision sequence of
-// stream.Streamer.diagnoseWindow.
+// window is the Windower's boundary callback and the decision loop:
+// the GapAbstain gate, feature rendering, sanitation, prediction and
+// the non-finite confidence abstention. Every completed window yields a
+// diagnosis or an explicit abstention; feature vectors are sanitized so
+// degraded windows (all-NaN or constant series) stay finite.
 //
 //albacheck:coldpath per-window work, stride-amortized over pushes
 func (c *Chain) window(rows [][]float64, end int) error {
+	defer obs.StartSpan(windowLatency).End()
 	missing := stream.MissingFraction(rows)
 	if c.cfg.Gap == stream.GapAbstain && missing > c.cfg.MaxMissing {
 		return c.abstain(missing, end)
@@ -216,8 +225,7 @@ func (c *Chain) Committed() int { return c.win.Committed() }
 // reordering buffer — the journal's replay lag for this shard.
 func (c *Chain) PendingDepth() int { return c.win.PendingDepth() }
 
-// Stats returns the chain's delivery and diagnosis accounting, shaped
-// exactly like stream.Streamer.Stats.
+// Stats returns the chain's delivery and diagnosis accounting.
 func (c *Chain) Stats() stream.Stats {
 	st := c.win.Stats()
 	st.Abstained = c.abstained

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 	"albadross/internal/wal"
 )
@@ -111,33 +110,6 @@ func copyDir(t *testing.T, src string) string {
 		}
 	}
 	return dst
-}
-
-// buildChainJournaled is buildChain with a write-ahead journal
-// attached.
-func buildChainJournaled(t *testing.T, cfg stream.Config, sink Sink, journal *wal.Log) *Chain {
-	t.Helper()
-	feat, pred, err := StagesFor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewChain(ChainConfig{
-		Metrics:    len(cfg.Schema),
-		Window:     cfg.Window,
-		Stride:     cfg.Stride,
-		Reorder:    cfg.Reorder,
-		MaxJump:    cfg.MaxJump,
-		Gap:        cfg.Gap,
-		MaxMissing: cfg.MaxMissing,
-		Features:   feat,
-		Predict:    pred,
-		Sink:       sink,
-		Journal:    journal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // assertChainsEqual requires two chains to agree bitwise on emissions,

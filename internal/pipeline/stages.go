@@ -2,7 +2,8 @@ package pipeline
 
 // Concrete stage implementations. Each wraps the single shared
 // implementation in internal/stream — never a reimplementation — so
-// chains and fused Streamers cannot drift apart numerically.
+// chains and the other consumers of those seams cannot drift apart
+// numerically.
 
 import (
 	"errors"
@@ -35,15 +36,26 @@ func (b BatchFeatures) Reset() {}
 
 // RollingFeatures is the incremental path: per-metric rolling state
 // advances once per committed row (it implements CommitObserver) and
-// windows are rendered from that state at each stride boundary,
-// matching stream.Config.Rolling semantics exactly.
+// windows are rendered from that state at each stride boundary, instead
+// of re-extracting every feature from the whole window at each stride.
+//
+// Repair semantics are stream-global hold-last: a missing reading
+// repeats the metric's last delivered value even when that value
+// precedes the current window (0 before the first delivery). The batch
+// path repairs each window in isolation, so the two paths agree exactly
+// on windows without missing cells and differ only in how cells near
+// the edge of a gappy window are filled. Counter differencing is
+// per-step (d = max(0, x[t] - x[t-1])), identical to the batch path's
+// ts.DiffCounters.
 type RollingFeatures struct {
 	state *stream.IncrementalState
 }
 
 // NewRollingFeatures builds rolling state for the schema over windows
 // of the given length; the extractor must implement
-// features.Incremental and the gap policy must be causal.
+// features.Incremental and the gap policy must be causal (GapHoldLast
+// or GapAbstain) — GapInterpolate reads future samples inside the
+// window, which an incremental path cannot do.
 func NewRollingFeatures(ex features.Extractor, schema []telemetry.Metric, window int, gap stream.GapPolicy) (*RollingFeatures, error) {
 	inc, ok := ex.(features.Incremental)
 	if !ok {
@@ -53,6 +65,16 @@ func NewRollingFeatures(ex features.Extractor, schema []telemetry.Metric, window
 		return nil, errors.New("pipeline: rolling features require a causal gap policy (GapHoldLast or GapAbstain)")
 	}
 	return &RollingFeatures{state: stream.NewIncrementalState(inc, schema, window)}, nil
+}
+
+// FeaturesFor picks the feature stage for one extractor: the
+// incremental RollingFeatures when rolling is set, the from-scratch
+// BatchFeatures otherwise.
+func FeaturesFor(ex features.Extractor, schema []telemetry.Metric, window int, gap stream.GapPolicy, rolling bool) (FeatureStage, error) {
+	if rolling {
+		return NewRollingFeatures(ex, schema, window, gap)
+	}
+	return BatchFeatures{Schema: schema, Gap: gap, Extractor: ex}, nil
 }
 
 // Observe advances the rolling state by one committed row.
@@ -67,8 +89,11 @@ func (r *RollingFeatures) Vector([][]float64) ([]float64, error) {
 // Reset empties the rolling state.
 func (r *RollingFeatures) Reset() { r.state.Reset() }
 
-// PredictFunc adapts a bare stream.DiagnoseFunc into a PredictStage.
-type PredictFunc stream.DiagnoseFunc
+// PredictFunc adapts a bare function — turning a sanitized, otherwise
+// untransformed feature vector into a (label, confidence) pair — into a
+// PredictStage; core.Framework.DiagnoseVector and
+// core.Deployment.Diagnose both adapt trivially.
+type PredictFunc func(vec []float64) (label string, confidence float64, err error)
 
 // Predict classifies one sanitized feature vector.
 func (f PredictFunc) Predict(vec []float64) (string, float64, error) { return f(vec) }
@@ -108,26 +133,4 @@ func (s SliceSource) Feed(shard int, push func(t int, values []float64) error) e
 		}
 	}
 	return nil
-}
-
-// StagesFor derives the feature and predict stages a stream.Config
-// describes: the rolling incremental path when cfg.Rolling is set, the
-// batch path otherwise, with cfg.Diagnose as the predictor. A Chain
-// built from these stages and a Streamer built from cfg are
-// numerically interchangeable.
-func StagesFor(cfg stream.Config) (FeatureStage, PredictStage, error) {
-	if cfg.Extractor == nil || cfg.Diagnose == nil {
-		return nil, nil, errors.New("pipeline: Extractor and Diagnose are required")
-	}
-	var feat FeatureStage
-	if cfg.Rolling {
-		rf, err := NewRollingFeatures(cfg.Extractor, cfg.Schema, cfg.Window, cfg.Gap)
-		if err != nil {
-			return nil, nil, err
-		}
-		feat = rf
-	} else {
-		feat = BatchFeatures{Schema: cfg.Schema, Gap: cfg.Gap, Extractor: cfg.Extractor}
-	}
-	return feat, PredictFunc(cfg.Diagnose), nil
 }

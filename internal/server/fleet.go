@@ -1,31 +1,32 @@
-// Fleet-scale ingest: at Eclipse scale (1488 compute nodes) one stream
-// per HTTP shard stops working — the fleet layer multiplexes the whole
-// node population onto a bounded set of shard workers (internal/fleet)
-// behind three endpoints:
+// The ingest subsystem: raw timestamped telemetry flows through one
+// stage chain (internal/pipeline) per monitored node, and the whole
+// node population — 1488 compute nodes at Eclipse scale — is
+// multiplexed onto a bounded set of shard workers (internal/fleet)
+// behind four endpoints:
 //
 //	POST /api/ingest/bulk -> interleaved multi-node LDMS batches,
 //	                         demultiplexed per node and fanned to the
 //	                         shard workers; a full shard queue sheds
 //	                         that shard's rows with 429 + Retry-After
 //	                         while every other shard proceeds
+//	POST /api/ingest      -> the one-node special case (ingest.go)
 //	GET  /api/fleet/topk  -> the k most anomalous nodes right now,
 //	                         served from the rollup heap (no scan)
 //	GET  /api/fleet/apps  -> per-application fleet aggregates
 //
-// Each fleet node runs the same stage chain as a per-shard ingest
-// stream — same feature geometry, same servePredict through the live
-// serving path, same per-node WAL journaling and bitwise crash
-// recovery — so everything docs/REPLAY.md promises carries over; only
-// the node→worker routing and the bulk fan-out are new. See
-// docs/FLEET.md.
+// newNode is the only place a node's chain is built, its write-ahead
+// log opened, or a retained log replayed at start-up: with a WAL
+// directory configured every accepted reading is journaled before it
+// mutates stream state, and a restarted server resumes every node with
+// bitwise-identical windowing and rolling-feature state (recovery
+// classifies directly against the serving snapshot, without re-feeding
+// lifecycle evidence). See docs/FLEET.md and docs/REPLAY.md.
 
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -34,14 +35,10 @@ import (
 	"albadross/internal/wal"
 )
 
-// FleetConfig enables fleet-scale bulk ingest (POST /api/ingest/bulk
-// and the /api/fleet/* rollup endpoints). The embedded IngestConfig
-// supplies the per-node stream geometry and WAL knobs — here Shards is
-// the shard WORKER count nodes are consistent-hashed onto, not a node
-// count, and KeepDiagnoses is ignored (the rollup ring replaces the
-// per-shard diagnosis ring). Active when Shards > 0; requires Schema
-// and Extractor like per-shard ingest. When both subsystems are on,
-// give them distinct WALDir roots.
+// FleetConfig enables the ingest subsystem (POST /api/ingest,
+// POST /api/ingest/bulk and the /api/fleet/* rollup endpoints). The
+// embedded IngestConfig supplies the per-node stream geometry and WAL
+// knobs. Active when Shards > 0; requires Schema and Extractor.
 type FleetConfig struct {
 	IngestConfig
 
@@ -77,17 +74,27 @@ func newFleet(s *Server) (*fleetState, error) {
 		cfg.TopKDefault = 10
 	}
 	if s.cfg.Schema == nil || s.cfg.Extractor == nil {
-		return nil, errors.New("server: fleet ingest requires Schema and Extractor")
+		return nil, errors.New("server: ingest requires Schema and Extractor")
 	}
 	sn := s.serving()
 	if sn == nil {
-		return nil, errors.New("server: fleet ingest requires a trained model")
+		return nil, errors.New("server: ingest requires a trained model")
 	}
+	// Fail fast on a feature-width mismatch instead of erroring per
+	// window: a zero vector of the extractor's width must reach the
+	// model's input space.
 	vecDim := len(s.cfg.Schema) * len(s.cfg.Extractor.FeatureNames())
 	if _, err := s.toModelSpace(make([]float64, vecDim), sn.dim); err != nil {
-		return nil, fmt.Errorf("server: fleet feature width %d does not fit the model: %w", vecDim, err)
+		return nil, fmt.Errorf("server: ingest feature width %d does not fit the model: %w", vecDim, err)
 	}
 	g := &fleetState{s: s, cfg: cfg}
+	// Nodes are built lazily, so compose one throwaway chain now: a bad
+	// stream geometry (window length, reorder/jump bounds, the rolling
+	// prerequisites) must refuse the server, not every later row.
+	probe := &servePredict{s: s}
+	if _, err := g.buildChain(probe, probe, nil); err != nil {
+		return nil, err
+	}
 	g.roll = fleet.NewRollup(fleet.RollupConfig{
 		Recent:       cfg.RollupRecent,
 		HealthyLabel: s.cfg.Data.Classes[s.cfg.HealthyClass],
@@ -125,7 +132,7 @@ func newFleet(s *Server) (*fleetState, error) {
 // configuration or the lock-free serving path. A node with a retained
 // journal is replayed here, before its first live row, with the
 // predict stage in recovery mode (direct snapshot classification, no
-// lifecycle side effects) — the same contract as shard recovery.
+// lifecycle side effects).
 func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, error) {
 	var log *wal.Log
 	if g.cfg.WALDir != "" {
@@ -144,39 +151,47 @@ func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, e
 		}
 		return nil, err
 	}
-	feat, err := g.s.buildFeatureStage(g.cfg.IngestConfig)
-	if err != nil {
-		return fail(err)
-	}
-	pred := &servePredict{s: g.s, evidence: new(uint64)}
-	chain, err := pipeline.NewChain(pipeline.ChainConfig{
-		Metrics:    len(g.s.cfg.Schema),
-		Window:     g.cfg.Window,
-		Stride:     g.cfg.Stride,
-		Reorder:    g.cfg.Reorder,
-		MaxJump:    g.cfg.MaxJump,
-		Gap:        g.cfg.Gap,
-		MaxMissing: g.cfg.MaxMissing,
-		Features:   feat,
-		Predict:    pred,
-		Sink:       sink,
-		Journal:    log,
-	})
+	pred := &servePredict{s: g.s}
+	chain, err := g.buildChain(pred, sink, log)
 	if err != nil {
 		return fail(err)
 	}
 	if log != nil && log.Stats().Records > 0 {
-		pred.recovering = true
+		pred.mode = predictRecovering
 		err := pipeline.Replay(log, chain)
-		pred.recovering = false
+		pred.mode = predictLive
 		if err != nil {
 			return fail(fmt.Errorf("node %d WAL recovery: %w", node, err))
 		}
 	}
-	return &fleet.NodeStream{Chain: chain, Log: log}, nil
+	return &fleet.NodeStream{Chain: chain, Log: log, Aux: pred}, nil
 }
 
-// health summarizes the fleet subsystem for /api/health. Atomics and
+// buildChain composes one stage chain at the fleet's stream geometry
+// over the server's window-mode schema: a node's live chain (newNode),
+// or the fresh journal-less one a shadow-evidence replay runs through.
+func (g *fleetState) buildChain(pred pipeline.PredictStage, sink pipeline.Sink, journal *wal.Log) (*pipeline.Chain, error) {
+	cfg, srv := g.cfg, g.s.cfg
+	feat, err := pipeline.FeaturesFor(srv.Extractor, srv.Schema, cfg.Window, cfg.Gap, cfg.Rolling)
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.NewChain(pipeline.ChainConfig{
+		Metrics:    len(srv.Schema),
+		Window:     cfg.Window,
+		Stride:     cfg.Stride,
+		Reorder:    cfg.Reorder,
+		MaxJump:    cfg.MaxJump,
+		Gap:        cfg.Gap,
+		MaxMissing: cfg.MaxMissing,
+		Features:   feat,
+		Predict:    pred,
+		Sink:       sink,
+		Journal:    journal,
+	})
+}
+
+// health summarizes the ingest subsystem for /api/health. Atomics and
 // one short rollup lock only — it stays responsive even when every
 // shard worker is wedged behind a stuck predict.
 func (g *fleetState) health() map[string]interface{} {
@@ -220,12 +235,11 @@ func (s *Server) handleIngestBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.fl == nil {
-		writeErr(w, http.StatusNotFound, errors.New("fleet ingest is not enabled"))
+		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
 	var req BulkIngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeIngest(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -243,10 +257,7 @@ func (s *Server) handleIngestBulk(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if res.Shed > 0 {
 		status = http.StatusTooManyRequests
-		resp.RetryAfterMs = res.RetryAfter.Milliseconds()
-		// Retry-After is whole seconds on the wire; round up so the
-		// client never comes back before the advised instant.
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(res.RetryAfter.Seconds()))))
+		resp.RetryAfterMs = advertiseRetry(w, res)
 	}
 	writeJSON(w, status, resp)
 }
@@ -267,7 +278,7 @@ func (s *Server) handleFleetTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.fl == nil {
-		writeErr(w, http.StatusNotFound, errors.New("fleet ingest is not enabled"))
+		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
 	k := s.fl.cfg.TopKDefault
@@ -300,7 +311,7 @@ func (s *Server) handleFleetApps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.fl == nil {
-		writeErr(w, http.StatusNotFound, errors.New("fleet ingest is not enabled"))
+		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
 	writeJSON(w, http.StatusOK, FleetAppsResponse{Apps: s.fl.roll.Apps()})

@@ -1,15 +1,14 @@
-// Streaming ingest: raw timestamped telemetry flows through the
-// composable stage graph (internal/pipeline) instead of a concrete
-// fused path. Each shard — one monitored node — owns a Chain
-// (reordering, windowing, feature extraction) whose predict stage runs
-// the window through the REAL serving path (preprocessor transform +
-// coalesced batcher), so ingest-driven diagnoses feed the drift monitor
-// and champion–challenger shadow gate exactly like /api/diagnose
-// traffic. With a WAL directory configured, every accepted reading is
-// journaled before it mutates stream state; server startup replays the
-// retained log so a crashed server resumes with bitwise-identical
-// windowing and rolling-feature state (recovery classifies directly
-// against the serving snapshot, without re-feeding lifecycle evidence).
+// Per-node ingest and its evidence trail. POST /api/ingest is the
+// one-node special case of POST /api/ingest/bulk: the addressed shard IS
+// the fleet node id, the batch is offered to the fleet coordinator
+// (fleet.go) like any other, and the response is filled from that node
+// on its shard worker — the diagnoses the batch completed, the chain's
+// accounting, the journal's. Every node's predict stage runs the window
+// through the REAL serving path (preprocessor transform + coalesced
+// batcher), so ingest-driven diagnoses feed the drift monitor and
+// champion–challenger shadow gate exactly like /api/diagnose traffic,
+// and folds what it served into a per-node evidence fingerprint that
+// WAL replay can reproduce (docs/REPLAY.md).
 
 package server
 
@@ -20,22 +19,23 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
-	"path/filepath"
-	"sync"
+	"strconv"
 
+	"albadross/internal/fleet"
 	"albadross/internal/ml"
 	"albadross/internal/pipeline"
 	"albadross/internal/stream"
 	"albadross/internal/wal"
 )
 
-// IngestConfig enables the streaming ingest subsystem. It requires the
+// IngestConfig is the per-node stream geometry and journaling of the
+// ingest subsystem (embedded in FleetConfig). It requires the
 // window-mode prerequisites on the parent Config: Schema and Extractor
 // (plus Prep when the model was trained on transformed vectors).
 type IngestConfig struct {
-	// Shards is how many independent node streams the server accepts
-	// (shard == node index at this scale; fleet-level consistent hashing
-	// is ROADMAP work).
+	// Shards is the shard WORKER count node ids are consistent-hashed
+	// onto — not a node count; each worker admits up to
+	// FleetConfig.MaxNodesPerShard node streams.
 	Shards int
 	// Window is the diagnosis window length in samples (>= 8).
 	Window int
@@ -53,70 +53,44 @@ type IngestConfig struct {
 	// Rolling selects incremental feature extraction (requires an
 	// extractor implementing features.Incremental and a causal Gap).
 	Rolling bool
-	// WALDir roots the per-shard write-ahead logs; empty disables
-	// journaling (and with it crash recovery and shadow replay).
+	// WALDir roots the per-node write-ahead logs (node-NNNNNN
+	// directories); empty disables journaling (and with it crash
+	// recovery and shadow replay).
 	WALDir string
-	// WALSegmentBytes rotates shard segments at this size (0: 1 MiB).
+	// WALSegmentBytes rotates node segments at this size (0: 1 MiB).
 	WALSegmentBytes int64
-	// WALRetain caps retained segments per shard (0: keep all).
+	// WALRetain caps retained segments per node (0: keep all).
 	WALRetain int
-	// KeepDiagnoses bounds the per-shard ring of recent diagnoses
-	// exposed to ingest responses (default 64).
-	KeepDiagnoses int
 }
 
-// ingestShard is one node stream: a stage chain, its journal, and the
-// recent-diagnosis ring. mu serializes the shard's single-writer stream
-// state; the serving path touched by the predict stage stays lock-free
-// underneath.
-type ingestShard struct {
-	mu       sync.Mutex
-	chain    *pipeline.Chain
-	log      *wal.Log // nil when journaling is off
-	sink     *shardSink
-	predict  *servePredict
-	evidence uint64 // FNV-1a fold of (model-space row, champion label) pairs served
-}
+// predictMode selects what a servePredict does with a window beyond
+// classifying it.
+type predictMode int
 
-// shardSink retains the most recent diagnoses of one shard.
-type shardSink struct {
-	keep   int
-	recent []stream.Diagnosis
-	total  int
-}
+const (
+	// predictLive goes through the coalesced batcher: drift observation
+	// and shadow duplication included.
+	predictLive predictMode = iota
+	// predictRecovering classifies directly against the serving snapshot
+	// — same model, same probabilities, zero lifecycle side effects — so
+	// start-up WAL replay rebuilds stream state without double-feeding
+	// evidence.
+	predictRecovering
+	// predictVetting classifies directly too, but offers every (row,
+	// champion probs) pair to the lifecycle shadow queue — exactly the
+	// evidence shape the live batcher duplicates.
+	predictVetting
+)
 
-// Emit appends one diagnosis, trimming the ring to its bound.
-func (k *shardSink) Emit(d stream.Diagnosis) error {
-	k.recent = append(k.recent, d)
-	if len(k.recent) > k.keep {
-		k.recent = k.recent[len(k.recent)-k.keep:]
-	}
-	k.total++
-	ingestDiagnoses.Inc()
-	return nil
-}
-
-// ingestState is the server's ingest subsystem: per-shard chains plus
-// the shared configuration.
-type ingestState struct {
-	s      *Server
-	cfg    IngestConfig
-	shards []*ingestShard
-}
-
-// servePredict classifies one window's feature vector through the live
-// serving path: preprocessor transform into model space, then the
-// coalesced batcher (drift observation and shadow duplication
-// included). During WAL recovery it flips to a direct snapshot
-// classification — same model, same probabilities, zero lifecycle
-// side effects — so replay rebuilds stream state without double-feeding
-// evidence. evidence points at the owning stream's running fingerprint
-// (an ingest shard's, or a fleet node's); only the stream's single
-// writer touches it.
+// servePredict is every node chain's predict stage: preprocessor
+// transform into model space, classification per its mode, and the
+// running FNV-1a fold of each (model-space row, champion label) pair it
+// served. Only the goroutine driving the chain touches it.
 type servePredict struct {
-	s          *Server
-	evidence   *uint64
-	recovering bool
+	s        *Server
+	mode     predictMode
+	evidence uint64
+	rows     int // pairs folded into evidence
 }
 
 // Predict classifies one raw window vector.
@@ -130,165 +104,31 @@ func (p *servePredict) Predict(vec []float64) (string, float64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if p.recovering {
-		probs := ml.ProbaBatchParallel(sn.model, [][]float64{row}, p.s.cfg.BatchWorkers)
+	var label string
+	var conf float64
+	if p.mode == predictLive {
+		resp, err := p.s.DiagnoseVectors([][]float64{row})
+		if err != nil {
+			return "", 0, err
+		}
+		label, conf = resp[0].Label, resp[0].Confidence
+	} else {
+		rows := [][]float64{row}
+		probs := ml.ProbaBatchParallel(sn.model, rows, p.s.cfg.BatchWorkers)
 		best := ml.Argmax(probs[0])
-		label := sn.classes[best]
-		*p.evidence = evidenceFold(*p.evidence, row, label)
-		return label, probs[0][best], nil
+		label, conf = sn.classes[best], probs[0][best]
+		if p.mode == predictVetting && p.s.lc != nil {
+			p.s.lc.offer(rows, probs, sn)
+		}
 	}
-	resp, err := p.s.DiagnoseVectors([][]float64{row})
-	if err != nil {
-		return "", 0, err
-	}
-	*p.evidence = evidenceFold(*p.evidence, row, resp[0].Label)
-	return resp[0].Label, resp[0].Confidence, nil
+	p.evidence = evidenceFold(p.evidence, row, label)
+	p.rows++
+	return label, conf, nil
 }
 
-// buildFeatureStage derives a stream feature stage from one ingest
-// geometry (the per-shard /api/ingest config, or the fleet's embedded
-// copy) and the server's window-mode schema.
-func (s *Server) buildFeatureStage(cfg IngestConfig) (pipeline.FeatureStage, error) {
-	if cfg.Rolling {
-		return pipeline.NewRollingFeatures(s.cfg.Extractor, s.cfg.Schema, cfg.Window, cfg.Gap)
-	}
-	return pipeline.BatchFeatures{Schema: s.cfg.Schema, Gap: cfg.Gap, Extractor: s.cfg.Extractor}, nil
-}
-
-// newIngest validates the configuration, builds one chain per shard,
-// and replays any retained write-ahead logs so a restarted server
-// resumes where the crashed one stopped.
-func newIngest(s *Server) (*ingestState, error) {
-	cfg := s.cfg.Ingest
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("server: ingest needs a positive shard count, got %d", cfg.Shards)
-	}
-	if s.cfg.Schema == nil || s.cfg.Extractor == nil {
-		return nil, errors.New("server: ingest requires Schema and Extractor")
-	}
-	if cfg.KeepDiagnoses <= 0 {
-		cfg.KeepDiagnoses = 64
-	}
-	// Fail fast on a feature-width mismatch instead of erroring per
-	// window: a zero vector of the extractor's width must reach the
-	// model's input space.
-	sn := s.serving()
-	if sn == nil {
-		return nil, errors.New("server: ingest requires a trained model")
-	}
-	vecDim := len(s.cfg.Schema) * len(s.cfg.Extractor.FeatureNames())
-	if _, err := s.toModelSpace(make([]float64, vecDim), sn.dim); err != nil {
-		return nil, fmt.Errorf("server: ingest feature width %d does not fit the model: %w", vecDim, err)
-	}
-	ing := &ingestState{s: s, cfg: cfg}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &ingestShard{sink: &shardSink{keep: cfg.KeepDiagnoses}}
-		sh.predict = &servePredict{s: s, evidence: &sh.evidence}
-		if cfg.WALDir != "" {
-			l, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%04d", i)), wal.Options{
-				SegmentBytes: cfg.WALSegmentBytes,
-				Retain:       cfg.WALRetain,
-			})
-			if err != nil {
-				ing.closeLogs()
-				return nil, err
-			}
-			sh.log = l
-		}
-		feat, err := s.buildFeatureStage(cfg)
-		if err != nil {
-			ing.closeLogs()
-			return nil, err
-		}
-		chain, err := pipeline.NewChain(pipeline.ChainConfig{
-			Metrics:    len(s.cfg.Schema),
-			Window:     cfg.Window,
-			Stride:     cfg.Stride,
-			Reorder:    cfg.Reorder,
-			MaxJump:    cfg.MaxJump,
-			Gap:        cfg.Gap,
-			MaxMissing: cfg.MaxMissing,
-			Features:   feat,
-			Predict:    sh.predict,
-			Sink:       sh.sink,
-			Journal:    sh.log,
-		})
-		if err != nil {
-			ing.closeLogs()
-			return nil, err
-		}
-		sh.chain = chain
-		ing.shards = append(ing.shards, sh)
-		if sh.log != nil && sh.log.Stats().Records > 0 {
-			sh.predict.recovering = true
-			err := pipeline.Replay(sh.log, sh.chain)
-			sh.predict.recovering = false
-			if err != nil {
-				ing.closeLogs()
-				return nil, fmt.Errorf("server: shard %d WAL recovery: %w", i, err)
-			}
-			s.cfg.Log.Printf("server: shard %d recovered %d journaled readings (%d committed, %d pending)",
-				i, sh.log.Stats().Records, sh.chain.Committed(), sh.chain.PendingDepth())
-		}
-	}
-	return ing, nil
-}
-
-// closeLogs closes every opened shard journal (partial-init cleanup and
-// Server.Close).
-func (g *ingestState) closeLogs() {
-	for _, sh := range g.shards {
-		if sh.log != nil {
-			if err := sh.log.Close(); err != nil {
-				g.s.cfg.Log.Printf("server: closing shard journal: %v", err)
-			}
-			sh.log = nil
-		}
-	}
-}
-
-// health summarizes the ingest subsystem for /api/health: per-server
-// aggregates of WAL segment state, journaled records, quarantined
-// bytes, and replay lag (accepted rows still in reordering buffers).
-func (g *ingestState) health() map[string]interface{} {
-	var agg wal.Stats
-	committed, windows, lag, walShards := 0, 0, 0, 0
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-		st := sh.chain.Stats()
-		committed += sh.chain.Committed()
-		windows += st.Windows
-		lag += sh.chain.PendingDepth()
-		if sh.log != nil {
-			ls := sh.log.Stats()
-			walShards++
-			agg.Segments += ls.Segments
-			agg.Bytes += ls.Bytes
-			agg.Records += ls.Records
-			agg.QuarantinedBytes += ls.QuarantinedBytes
-			agg.Retired += ls.Retired
-		}
-		sh.mu.Unlock()
-	}
-	ingestWALLag.Set(float64(lag))
-	out := map[string]interface{}{
-		"shards":    len(g.shards),
-		"committed": committed,
-		"windows":   windows,
-		"lag":       lag,
-	}
-	if walShards > 0 {
-		out["wal"] = map[string]interface{}{
-			"shards":            walShards,
-			"segments":          agg.Segments,
-			"bytes":             agg.Bytes,
-			"records":           agg.Records,
-			"quarantined_bytes": agg.QuarantinedBytes,
-			"retired_segments":  agg.Retired,
-		}
-	}
-	return out
-}
+// Emit lets a servePredict double as the sink of a chain that is
+// replayed for its evidence, not its diagnoses.
+func (p *servePredict) Emit(stream.Diagnosis) error { return nil }
 
 // IngestReading is one timestamped raw metric row.
 type IngestReading struct {
@@ -296,239 +136,197 @@ type IngestReading struct {
 	T int `json:"t"`
 	// Values is the reading; NaN cells mark missing metrics and travel
 	// as JSON null.
-	Values []float64 `json:"values"`
-}
-
-// ingestReadingWire is the JSON shape of a reading: null cells stand in
-// for NaN, which JSON cannot carry.
-type ingestReadingWire struct {
-	T      int        `json:"t"`
-	Values []*float64 `json:"values"`
-}
-
-// MarshalJSON encodes missing (NaN) cells as null.
-func (r IngestReading) MarshalJSON() ([]byte, error) {
-	w := ingestReadingWire{T: r.T, Values: make([]*float64, len(r.Values))}
-	for i := range r.Values {
-		if !math.IsNaN(r.Values[i]) {
-			v := r.Values[i]
-			w.Values[i] = &v
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes null cells as NaN (missing).
-func (r *IngestReading) UnmarshalJSON(b []byte) error {
-	var w ingestReadingWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	r.T = w.T
-	r.Values = make([]float64, len(w.Values))
-	for i, p := range w.Values {
-		if p == nil {
-			r.Values[i] = math.NaN()
-		} else {
-			r.Values[i] = *p
-		}
-	}
-	return nil
+	Values fleet.Values `json:"values"`
 }
 
 // IngestRequest is /api/ingest's body: a batch of readings for one
-// shard, in arrival order.
+// node, in arrival order.
 type IngestRequest struct {
-	// Shard addresses the node stream.
+	// Shard addresses the node stream: it is the fleet node id (the
+	// name predates the fleet; any non-negative id the coordinator's
+	// MaxNodesPerShard admission accepts is valid).
 	Shard int `json:"shard"`
-	// Readings are delivered in order through the shard's chain.
+	// Readings are delivered in order through the node's chain.
 	Readings []IngestReading `json:"readings"`
 }
 
-// IngestDiagnosis is one window diagnosis produced by ingest.
-type IngestDiagnosis struct {
-	Label       string  `json:"label"`
-	Confidence  float64 `json:"confidence"`
-	WindowEnd   int     `json:"window_end"`
-	Abstained   bool    `json:"abstained"`
-	MissingFrac float64 `json:"missing_frac"`
-}
-
-// IngestResponse reports what one ingest batch did.
+// IngestResponse reports what one ingest batch did: always
+// len(readings) == Accepted + Rejected + Shed. Accepted readings are
+// journaled, applied and synced before the reply; Diagnoses are the
+// windows they completed. Stats, Committed, Pending and WAL snapshot
+// the node right after the batch (zero when nothing reached it). The
+// status is 200 when anything was accepted, 429 (with Retry-After and
+// RetryAfterMs) when the node's shard queue was full and the batch was
+// shed, and 400 with Error when every reading was refused.
 type IngestResponse struct {
-	Shard     int               `json:"shard"`
-	Accepted  int               `json:"accepted"`
-	Diagnoses []IngestDiagnosis `json:"diagnoses,omitempty"`
-	Stats     stream.Stats      `json:"stats"`
-	Committed int               `json:"committed"`
-	Pending   int               `json:"pending"`
-	WAL       *wal.Stats        `json:"wal,omitempty"`
+	Shard        int                `json:"shard"`
+	Accepted     int                `json:"accepted"`
+	Rejected     int                `json:"rejected,omitempty"`
+	Shed         int                `json:"shed,omitempty"`
+	RetryAfterMs int64              `json:"retry_after_ms,omitempty"`
+	Error        string             `json:"error,omitempty"`
+	Diagnoses    []stream.Diagnosis `json:"diagnoses,omitempty"`
+	Stats        stream.Stats       `json:"stats"`
+	Committed    int                `json:"committed"`
+	Pending      int                `json:"pending"`
+	WAL          *wal.Stats         `json:"wal,omitempty"`
 }
 
-// handleIngest serves POST /api/ingest: journal (when configured) and
-// sequence one batch of timestamped readings through the shard's stage
-// chain, returning any diagnoses the batch completed.
+// maxIngestBody bounds one ingest request body, on both endpoints. It
+// is sized from the paper's geometry: one Eclipse tick is 1488 nodes ×
+// 806 values × ~20.6 B of JSON ≈ 25 MB, so 64 MiB fits two ticks of
+// backlog in one bulk batch while a client can no longer make the
+// server buffer an unbounded body.
+const maxIngestBody = 64 << 20
+
+// decodeIngest decodes one size-bounded JSON ingest body into v. On
+// failure it answers 413 (body over maxIngestBody) or 400 itself and
+// returns false.
+func decodeIngest(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
+}
+
+// advertiseRetry sets the Retry-After header for a shed batch and
+// returns the same advice in milliseconds for the body. Retry-After is
+// whole seconds on the wire; round up so the client never comes back
+// before the advised instant.
+func advertiseRetry(w http.ResponseWriter, res *fleet.BatchResult) int64 {
+	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(res.RetryAfter.Seconds()))))
+	return res.RetryAfter.Milliseconds()
+}
+
+// handleIngest serves POST /api/ingest: offer one node's batch of
+// timestamped readings to the fleet coordinator and report what it did
+// to that node. Overload sheds with 429 + Retry-After like bulk; the
+// request never queues behind a lock.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	if s.ing == nil {
+	if s.fl == nil {
 		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeIngest(w, r, &req) {
 		return
 	}
-	if req.Shard < 0 || req.Shard >= len(s.ing.shards) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("shard %d outside [0,%d)", req.Shard, len(s.ing.shards)))
+	if req.Shard < 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative shard %d", req.Shard))
 		return
 	}
 	if len(req.Readings) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("no readings"))
 		return
 	}
-	sh := s.ing.shards[req.Shard]
-	sh.mu.Lock()
-	before := sh.sink.total
-	var pushErr error
-	for _, rd := range req.Readings {
-		//albacheck:ignore locksafe the shard lock serializes ONE node's single-writer stream state, not the serving path; window work under it is stride-amortized and the serving snapshot stays lock-free for every other request
-		if pushErr = sh.chain.PushAt(rd.T, rd.Values); pushErr != nil {
-			break
-		}
+	rows := make([]fleet.Row, len(req.Readings))
+	for i, rd := range req.Readings {
+		rows[i] = fleet.Row{T: rd.T, Values: rd.Values}
 	}
-	if pushErr == nil && sh.log != nil {
-		//albacheck:ignore locksafe one fsync per accepted batch is the WAL durability point; it covers only this shard's lock
-		pushErr = sh.log.Sync()
+	res, node, err := s.fl.coord.OfferNode(req.Shard, rows)
+	if err != nil {
+		// The batch was screened non-empty above, so the offer only fails
+		// when the coordinator is shutting down.
+		writeErr(w, http.StatusServiceUnavailable, err)
+		return
 	}
 	resp := IngestResponse{
 		Shard:     req.Shard,
-		Stats:     sh.chain.Stats(),
-		Committed: sh.chain.Committed(),
-		Pending:   sh.chain.PendingDepth(),
+		Accepted:  res.Accepted,
+		Rejected:  res.Rejected,
+		Shed:      res.Shed,
+		Diagnoses: node.Diagnoses,
+		Stats:     node.Stats,
+		Committed: node.Committed,
+		Pending:   node.Pending,
+		WAL:       node.WAL,
 	}
-	emitted := sh.sink.total - before
-	if emitted > len(sh.sink.recent) {
-		emitted = len(sh.sink.recent)
+	if len(res.PerShard) > 0 {
+		// One node, so at most one shard slice; its last refusal cause.
+		resp.Error = res.PerShard[0].Error
 	}
-	for _, d := range sh.sink.recent[len(sh.sink.recent)-emitted:] {
-		resp.Diagnoses = append(resp.Diagnoses, IngestDiagnosis{
-			Label: d.Label, Confidence: d.Confidence, WindowEnd: d.WindowEnd,
-			Abstained: d.Abstained, MissingFrac: d.MissingFrac,
-		})
+	status := http.StatusOK
+	switch {
+	case res.Shed > 0:
+		status = http.StatusTooManyRequests
+		resp.RetryAfterMs = advertiseRetry(w, res)
+	case res.Accepted == 0:
+		status = http.StatusBadRequest
+		if resp.Error == "" {
+			resp.Error = "no reading has the schema's width"
+		}
 	}
-	if sh.log != nil {
-		st := sh.log.Stats()
-		resp.WAL = &st
-	}
-	sh.mu.Unlock()
-	if pushErr != nil {
-		writeErr(w, http.StatusBadRequest, pushErr)
-		return
-	}
-	resp.Accepted = len(req.Readings)
-	ingestRows.Add(uint64(len(req.Readings)))
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, status, resp)
 }
 
-// EvidenceHash returns the shard's running FNV-1a fold over every
-// (model-space row, champion label) evidence pair its ingest traffic
-// delivered to the serving path — the fingerprint the shadow-replay
-// vetting is checked against.
-func (s *Server) EvidenceHash(shard int) (uint64, error) {
-	if s.ing == nil {
-		return 0, errors.New("server: ingest is not enabled")
+// visitNode runs fn on the shard worker that owns one existing fleet
+// node, so fn reads the node's stream with its single writer paused.
+func (s *Server) visitNode(node int, fn func(ns *fleet.NodeStream) error) error {
+	if s.fl == nil {
+		return errors.New("server: ingest is not enabled")
 	}
-	if shard < 0 || shard >= len(s.ing.shards) {
-		return 0, fmt.Errorf("server: shard %d outside [0,%d)", shard, len(s.ing.shards))
+	var err error
+	if verr := s.fl.coord.Visit(node, func(ns *fleet.NodeStream) {
+		if ns == nil {
+			err = fmt.Errorf("server: node %d has no stream", node)
+			return
+		}
+		err = fn(ns)
+	}); verr != nil {
+		return verr
 	}
-	sh := s.ing.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.evidence, nil
+	return err
 }
 
-// ReplayShadowEvidence replays one shard's retained write-ahead log
+// EvidenceHash returns one node's running FNV-1a fold over every
+// (model-space row, champion label) evidence pair its ingest traffic —
+// through either endpoint — delivered to the serving path: the
+// fingerprint the shadow-replay vetting is checked against.
+func (s *Server) EvidenceHash(node int) (uint64, error) {
+	var hash uint64
+	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
+		hash = ns.Aux.(*servePredict).evidence
+		return nil
+	})
+	return hash, err
+}
+
+// ReplayShadowEvidence replays one node's retained write-ahead log
 // through a FRESH stage chain and re-delivers the resulting
 // (model-space row, champion label) evidence to the lifecycle shadow
 // gate — so a challenger under trial is vetted on the exact slice the
 // champion served, not merely on whatever traffic arrives next. It
 // returns the number of evidence rows delivered and their FNV-1a hash;
 // with an unchanged champion the hash equals EvidenceHash for the
-// shard. The shard is locked for the duration to freeze the log.
-func (s *Server) ReplayShadowEvidence(shard int) (int, uint64, error) {
-	if s.ing == nil {
-		return 0, 0, errors.New("server: ingest is not enabled")
-	}
-	if shard < 0 || shard >= len(s.ing.shards) {
-		return 0, 0, fmt.Errorf("server: shard %d outside [0,%d)", shard, len(s.ing.shards))
-	}
-	sh := s.ing.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.log == nil {
-		return 0, 0, errors.New("server: shard has no write-ahead log")
-	}
-	feat, err := s.buildFeatureStage(s.cfg.Ingest)
-	if err != nil {
-		return 0, 0, err
-	}
-	ep := &evidencePredict{s: s}
-	chain, err := pipeline.NewChain(pipeline.ChainConfig{
-		Metrics:    len(s.cfg.Schema),
-		Window:     s.cfg.Ingest.Window,
-		Stride:     s.cfg.Ingest.Stride,
-		Reorder:    s.cfg.Ingest.Reorder,
-		MaxJump:    s.cfg.Ingest.MaxJump,
-		Gap:        s.cfg.Ingest.Gap,
-		MaxMissing: s.cfg.Ingest.MaxMissing,
-		Features:   feat,
-		Predict:    ep,
-		Sink:       &shardSink{keep: 1},
+// node. The replay runs on the node's shard worker, which freezes the
+// log against appends (and holds that shard's ingest) for its duration.
+func (s *Server) ReplayShadowEvidence(node int) (int, uint64, error) {
+	ep := &servePredict{s: s, mode: predictVetting}
+	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
+		if ns.Log == nil {
+			return errors.New("server: node has no write-ahead log")
+		}
+		chain, err := s.fl.buildChain(ep, ep, nil)
+		if err != nil {
+			return err
+		}
+		return pipeline.Replay(ns.Log, chain)
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	//albacheck:ignore locksafe the shard lock freezes this shard's journal against concurrent appends while the replay walks it; evidence inference reads only immutable snapshots
-	if err := pipeline.Replay(sh.log, chain); err != nil {
-		return 0, 0, err
-	}
-	return ep.rows, ep.hash, nil
-}
-
-// evidencePredict renders shadow evidence during WAL replay vetting: it
-// classifies against the current champion and offers every (row,
-// champion probs) pair to the lifecycle queue, exactly the evidence
-// shape the live batcher duplicates.
-type evidencePredict struct {
-	s    *Server
-	hash uint64
-	rows int
-}
-
-// Predict transforms, classifies against the champion, and offers the
-// evidence to the shadow gate.
-func (p *evidencePredict) Predict(vec []float64) (string, float64, error) {
-	sn := p.s.serving()
-	if sn == nil {
-		return "", 0, errors.New("server: no model serving")
-	}
-	row, err := p.s.toModelSpace(append([]float64(nil), vec...), sn.dim)
-	if err != nil {
-		return "", 0, err
-	}
-	probs := ml.ProbaBatchParallel(sn.model, [][]float64{row}, p.s.cfg.BatchWorkers)
-	best := ml.Argmax(probs[0])
-	label := sn.classes[best]
-	if p.s.lc != nil {
-		p.s.lc.offer([][]float64{row}, probs, sn)
-	}
-	p.hash = evidenceFold(p.hash, row, label)
-	p.rows++
-	return label, probs[0][best], nil
+	return ep.rows, ep.evidence, nil
 }
 
 // evidenceFold extends an FNV-1a evidence fingerprint by one

@@ -7,6 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +18,7 @@ import (
 	"albadross/internal/dataset"
 	"albadross/internal/features"
 	"albadross/internal/features/mvts"
+	"albadross/internal/fleet"
 	"albadross/internal/ml/forest"
 	"albadross/internal/stream"
 	"albadross/internal/telemetry"
@@ -64,11 +69,11 @@ func ingestProblem(t *testing.T) (*dataset.Dataset, *dataset.ALSplit, []telemetr
 	return d, split, schema
 }
 
-// newIngestServer builds an ingest-enabled window-mode server training
+// ingestTestServer builds an ingest-enabled window-mode server training
 // on the full labeled pool (deterministically, so repeated calls serve
-// identical champions). walDir roots the shard journals; empty disables
+// identical champions). walDir roots the node journals; empty disables
 // the WAL.
-func newIngestServer(t *testing.T, walDir string, mutate func(*Config)) *Server {
+func ingestTestServer(t *testing.T, walDir string, mutate func(*Config)) *Server {
 	t.Helper()
 	d, split, schema := ingestProblem(t)
 	cfg := Config{
@@ -79,7 +84,7 @@ func newIngestServer(t *testing.T, walDir string, mutate func(*Config)) *Server 
 		Seed:      4,
 		Schema:    schema,
 		Extractor: mvts.Extractor{},
-		Ingest: IngestConfig{
+		Fleet: FleetConfig{IngestConfig: IngestConfig{
 			Shards:          2,
 			Window:          32,
 			Stride:          16,
@@ -88,7 +93,7 @@ func newIngestServer(t *testing.T, walDir string, mutate func(*Config)) *Server 
 			MaxMissing:      0.5,
 			WALDir:          walDir,
 			WALSegmentBytes: 4 << 10,
-		},
+		}},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -128,7 +133,9 @@ func ingestFeed(metrics, steps int, seed int64) []IngestReading {
 	return feed
 }
 
-// postIngest runs one /api/ingest request directly against the handler.
+// postIngest runs one /api/ingest request directly against the handler
+// and decodes the response whatever the status (refusals before the
+// offer carry only an error string, which decodes into Error).
 func postIngest(t *testing.T, srv *Server, shard int, readings []IngestReading) (IngestResponse, int) {
 	t.Helper()
 	raw, err := json.Marshal(IngestRequest{Shard: shard, Readings: readings})
@@ -138,12 +145,26 @@ func postIngest(t *testing.T, srv *Server, shard int, readings []IngestReading) 
 	rec := httptest.NewRecorder()
 	srv.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", bytes.NewReader(raw)))
 	var resp IngestResponse
-	if rec.Code == http.StatusOK {
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("status %d, undecodable body %q: %v", rec.Code, rec.Body, err)
 	}
 	return resp, rec.Code
+}
+
+// nodeInfo snapshots one fleet node through the inventory walk.
+func nodeInfo(t *testing.T, srv *Server, node int) fleet.NodeInfo {
+	t.Helper()
+	infos, err := srv.FleetNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ni := range infos {
+		if ni.Node == node {
+			return ni
+		}
+	}
+	t.Fatalf("node %d has no stream (inventory: %+v)", node, infos)
+	return fleet.NodeInfo{}
 }
 
 // feedIngest streams a feed through /api/ingest in fixed-size chunks
@@ -172,7 +193,7 @@ func feedIngest(t *testing.T, srv *Server, shard int, feed []IngestReading) Inge
 // diagnoses and WAL accounting out, health reporting, and the error
 // paths.
 func TestIngestHTTPRoundTrip(t *testing.T) {
-	srv := newIngestServer(t, t.TempDir(), nil)
+	srv := ingestTestServer(t, t.TempDir(), nil)
 	final := feedIngest(t, srv, 0, ingestFeed(3, 300, 9))
 
 	if final.Committed == 0 || final.Stats.Windows == 0 {
@@ -191,26 +212,27 @@ func TestIngestHTTPRoundTrip(t *testing.T) {
 	defer hts.Close()
 	var health map[string]interface{}
 	getJSON(t, hts, "/api/health", &health)
-	ing, ok := health["ingest"].(map[string]interface{})
+	if _, ok := health["ingest"]; ok {
+		t.Fatalf("health still has a separate ingest section: %v", health)
+	}
+	fl, ok := health["fleet"].(map[string]interface{})
 	if !ok {
-		t.Fatalf("health has no ingest section: %v", health)
+		t.Fatalf("health has no fleet section: %v", health)
 	}
-	if ing["shards"].(float64) != 2 || ing["committed"].(float64) == 0 {
-		t.Fatalf("health ingest section = %v", ing)
-	}
-	if _, ok := ing["wal"].(map[string]interface{}); !ok {
-		t.Fatalf("health ingest section missing wal stats: %v", ing)
+	if fl["shards"].(float64) != 2 || fl["nodes"].(float64) != 1 || fl["accepted"].(float64) == 0 {
+		t.Fatalf("health fleet section = %v", fl)
 	}
 
 	// Error paths.
-	if _, code := postIngest(t, srv, 7, ingestFeed(3, 2, 1)); code != http.StatusBadRequest {
-		t.Fatalf("out-of-range shard: status %d", code)
+	if resp, code := postIngest(t, srv, -1, ingestFeed(3, 2, 1)); code != http.StatusBadRequest || resp.Error == "" {
+		t.Fatalf("negative shard: status %d, %+v", code, resp)
 	}
 	if _, code := postIngest(t, srv, 0, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d", code)
 	}
-	if _, code := postIngest(t, srv, 0, []IngestReading{{T: 1001, Values: []float64{1, 2}}}); code != http.StatusBadRequest {
-		t.Fatalf("width mismatch: status %d", code)
+	if resp, code := postIngest(t, srv, 0, []IngestReading{{T: 1001, Values: []float64{1, 2}}}); code != http.StatusBadRequest ||
+		resp.Accepted != 0 || resp.Rejected != 1 || resp.Error == "" {
+		t.Fatalf("width mismatch: status %d, %+v", code, resp)
 	}
 	resp, err := http.Get(hts.URL + "/api/ingest")
 	if err != nil {
@@ -234,7 +256,7 @@ func TestIngestHTTPRoundTrip(t *testing.T) {
 		t.Fatal("ReplayShadowEvidence on plain server accepted")
 	}
 	if _, err := srv.EvidenceHash(99); err == nil {
-		t.Fatal("EvidenceHash out-of-range shard accepted")
+		t.Fatal("EvidenceHash of a node without a stream accepted")
 	}
 }
 
@@ -251,15 +273,15 @@ func TestIngestConfigValidation(t *testing.T) {
 	}
 	cases := map[string]func(*Config){
 		"no schema": func(c *Config) {
-			c.Ingest = IngestConfig{Shards: 1, Window: 32}
+			c.Fleet.IngestConfig = IngestConfig{Shards: 1, Window: 32}
 		},
 		"window too small": func(c *Config) {
 			c.Schema, c.Extractor = schema, mvts.Extractor{}
-			c.Ingest = IngestConfig{Shards: 1, Window: 2}
+			c.Fleet.IngestConfig = IngestConfig{Shards: 1, Window: 2}
 		},
 		"rolling without incremental extractor": func(c *Config) {
 			c.Schema, c.Extractor = schema, mvts.Extractor{}
-			c.Ingest = IngestConfig{Shards: 1, Window: 32, Rolling: true}
+			c.Fleet.IngestConfig = IngestConfig{Shards: 1, Window: 32, Rolling: true}
 		},
 	}
 	for name, mut := range cases {
@@ -271,14 +293,10 @@ func TestIngestConfigValidation(t *testing.T) {
 		}
 	}
 
-	// WAL-less ingest still reports health, just without a wal section.
-	noWAL := newIngestServer(t, "", nil)
-	h := noWAL.ing.health()
-	if _, ok := h["wal"]; ok {
-		t.Fatalf("WAL-less health has a wal section: %v", h)
-	}
-	if _, ok := h["lag"]; !ok {
-		t.Fatalf("health missing lag: %v", h)
+	// WAL-less ingest still answers, just without a wal section.
+	noWAL := ingestTestServer(t, "", nil)
+	if resp := feedIngest(t, noWAL, 0, ingestFeed(3, 40, 1)); resp.WAL != nil || resp.Committed == 0 {
+		t.Fatalf("WAL-less ingest response = %+v", resp)
 	}
 }
 
@@ -293,7 +311,7 @@ func TestIngestCrashRecoveryResumes(t *testing.T) {
 	feed := ingestFeed(3, 400, 31)
 	half := len(feed) / 2
 
-	ref := newIngestServer(t, t.TempDir(), nil)
+	ref := ingestTestServer(t, t.TempDir(), nil)
 	refFinal := feedIngest(t, ref, 0, feed)
 	refHash, err := ref.EvidenceHash(0)
 	if err != nil {
@@ -301,7 +319,7 @@ func TestIngestCrashRecoveryResumes(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	a := newIngestServer(t, dir, nil)
+	a := ingestTestServer(t, dir, nil)
 	aResp := feedIngest(t, a, 0, feed[:half])
 	aHash, err := a.EvidenceHash(0)
 	if err != nil {
@@ -309,15 +327,15 @@ func TestIngestCrashRecoveryResumes(t *testing.T) {
 	}
 	a.Close() // the "crash": journals are synced per request
 
-	b := newIngestServer(t, dir, nil)
-	bsh := b.ing.shards[0]
-	if got := bsh.chain.Stats(); got != aResp.Stats {
+	b := ingestTestServer(t, dir, nil)
+	bNode := nodeInfo(t, b, 0)
+	if got := bNode.Stats; got != aResp.Stats {
 		t.Fatalf("recovered stats diverged:\ncrashed   %+v\nrecovered %+v", aResp.Stats, got)
 	}
-	if got := bsh.chain.Committed(); got != aResp.Committed {
+	if got := bNode.Committed; got != aResp.Committed {
 		t.Fatalf("recovered committed %d, crashed server had %d", got, aResp.Committed)
 	}
-	if got := bsh.chain.PendingDepth(); got != aResp.Pending {
+	if got := bNode.Pending; got != aResp.Pending {
 		t.Fatalf("recovered pending %d, crashed server had %d", got, aResp.Pending)
 	}
 	bHash, err := b.EvidenceHash(0)
@@ -353,7 +371,7 @@ func TestIngestCrashRecoveryResumes(t *testing.T) {
 // agreement gate sees identical (row, champion label) evidence), and
 // the challenger's trial must actually absorb the replayed rows.
 func TestIngestShadowReplayVetting(t *testing.T) {
-	srv := newIngestServer(t, t.TempDir(), func(c *Config) {
+	srv := ingestTestServer(t, t.TempDir(), func(c *Config) {
 		c.Lifecycle = true
 		c.ShadowMinRows = 1 << 20 // keep the trial open for the whole test
 		c.ShadowMaxWait = time.Hour
@@ -414,10 +432,209 @@ func TestIngestShadowReplayVetting(t *testing.T) {
 
 	// Errors.
 	if _, _, err := srv.ReplayShadowEvidence(99); err == nil {
-		t.Fatal("out-of-range shard accepted")
+		t.Fatal("shadow replay of a node without a stream accepted")
 	}
-	noWAL := newIngestServer(t, "", nil)
+	noWAL := ingestTestServer(t, "", nil)
+	feedIngest(t, noWAL, 0, ingestFeed(3, 8, 1))
 	if _, _, err := noWAL.ReplayShadowEvidence(0); err == nil {
 		t.Fatal("shadow replay without a WAL accepted")
+	}
+}
+
+// TestIngestPartialBatch pins the unified path's batch semantics: a
+// refused reading no longer stops the batch — every other reading is
+// journaled, applied and counted, the response carries accepted and
+// rejected, and 400 is reserved for a batch nothing of which landed.
+// Admission is the coordinator's: any non-negative id until the shard
+// worker's node capacity is reached.
+func TestIngestPartialBatch(t *testing.T) {
+	srv := ingestTestServer(t, t.TempDir(), func(c *Config) {
+		c.Fleet.Shards = 1
+		c.Fleet.MaxNodesPerShard = 2
+	})
+	feed := ingestFeed(3, 4, 7)[:4]
+	bad := IngestReading{T: 2, Values: []float64{1, 2}} // wrong width, mid-batch
+	batch := []IngestReading{feed[0], feed[1], bad, feed[2], feed[3]}
+
+	resp, code := postIngest(t, srv, 41, batch)
+	if code != http.StatusOK {
+		t.Fatalf("partial batch: status %d, %+v", code, resp)
+	}
+	if resp.Shard != 41 || resp.Accepted != 4 || resp.Rejected != 1 || resp.Shed != 0 {
+		t.Fatalf("partial batch accounting = %+v", resp)
+	}
+	// The readings after the refused one were journaled and applied.
+	if resp.WAL == nil || resp.WAL.Records != 4 || resp.Stats.Pushed+resp.Stats.Duplicates+resp.Stats.Late != 4 {
+		t.Fatalf("accepted readings not all journaled and applied: %+v", resp)
+	}
+	if st := srv.FleetStats(); st.Offered != 5 || st.Accepted != 4 || st.Rejected != 1 {
+		t.Fatalf("coordinator accounting = %+v", st)
+	}
+
+	// Nothing accepted: 400, still with the counts and a cause.
+	resp, code = postIngest(t, srv, 41, []IngestReading{bad, bad})
+	if code != http.StatusBadRequest || resp.Accepted != 0 || resp.Rejected != 2 || resp.Error == "" {
+		t.Fatalf("all-refused batch: status %d, %+v", code, resp)
+	}
+
+	// A second node is admitted, a third exceeds the worker's capacity.
+	if resp, code = postIngest(t, srv, 1000003, feed); code != http.StatusOK || resp.Accepted != 4 {
+		t.Fatalf("second node: status %d, %+v", code, resp)
+	}
+	resp, code = postIngest(t, srv, 7, feed)
+	if code != http.StatusBadRequest || resp.Accepted != 0 || resp.Rejected != 4 || !strings.Contains(resp.Error, "capacity") {
+		t.Fatalf("node beyond MaxNodesPerShard: status %d, %+v", code, resp)
+	}
+}
+
+// TestIngestBodyLimit checks both ingest endpoints stop reading at
+// maxIngestBody and answer 413 instead of buffering whatever a client
+// sends: one byte over the limit — of JSON whitespace, so nothing else
+// about the body can be what is refused — is too many.
+func TestIngestBodyLimit(t *testing.T) {
+	srv := ingestTestServer(t, "", nil)
+	body := strings.Repeat(" ", maxIngestBody+1)
+	for path, handler := range map[string]http.HandlerFunc{
+		"/api/ingest":      srv.handleIngest,
+		"/api/ingest/bulk": srv.handleIngestBulk,
+	} {
+		rec := httptest.NewRecorder()
+		handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d body %s", path, len(body), rec.Code, rec.Body)
+		}
+	}
+}
+
+// walBytes reads one node's journal directory: segment name -> bytes.
+func walBytes(t *testing.T, root string, node int) map[string][]byte {
+	t.Helper()
+	dir := fleet.NodeWALDir(root, node)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = raw
+	}
+	return out
+}
+
+// TestIngestEqualsOneNodeBulk is the collapse's equivalence contract:
+// /api/ingest is the one-node special case of /api/ingest/bulk, so the
+// same readings through either endpoint must leave the node with
+// identical stream accounting, evidence fingerprint, rollup entry and
+// journal bytes. The bulk-only node also closes the evidence loop —
+// live hash == replayed hash — which the per-shard subsystem could
+// never offer a fleet node.
+func TestIngestEqualsOneNodeBulk(t *testing.T) {
+	const node = 23
+	feed := ingestFeed(3, 300, 77)
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a := ingestTestServer(t, dirA, nil)
+	b := ingestTestServer(t, dirB, nil)
+
+	var viaIngest IngestResponse
+	for start := 0; start < len(feed); start += 40 {
+		end := min(start+40, len(feed))
+		viaIngest = feedIngest(t, a, node, feed[start:end])
+		rows := make([]fleet.Row, 0, end-start)
+		for _, rd := range feed[start:end] {
+			rows = append(rows, fleet.Row{Node: node, T: rd.T, Values: rd.Values})
+		}
+		if resp, rec := postBulk(t, b, rows); rec.Code != http.StatusOK || resp.Accepted != end-start {
+			t.Fatalf("bulk chunk [%d:%d): status %d, %+v", start, end, rec.Code, resp.BatchResult)
+		}
+	}
+	if viaIngest.Stats.Windows == 0 {
+		t.Fatal("feed completed no windows; the equivalence check is vacuous")
+	}
+
+	ia, ib := nodeInfo(t, a, node), nodeInfo(t, b, node)
+	if ia.Stats != ib.Stats || ia.Committed != ib.Committed || ia.Pending != ib.Pending || ia.Emitted != ib.Emitted {
+		t.Fatalf("node state diverged:\n/api/ingest      %+v\n/api/ingest/bulk %+v", ia, ib)
+	}
+	if ia.Stats != viaIngest.Stats || ia.Committed != viaIngest.Committed || ia.Pending != viaIngest.Pending {
+		t.Fatalf("ingest response %+v disagrees with the inventory %+v", viaIngest, ia)
+	}
+	if *ia.WAL != *ib.WAL || *ia.WAL != *viaIngest.WAL {
+		t.Fatalf("journal accounting diverged: %+v vs %+v (response %+v)", ia.WAL, ib.WAL, viaIngest.WAL)
+	}
+	ha, err := a.EvidenceHash(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := b.EvidenceHash(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ha == 0 || ha != hb {
+		t.Fatalf("evidence hash %x via /api/ingest, %x via bulk", ha, hb)
+	}
+	if ra, rb := topkSansApp(t, a, 4), topkSansApp(t, b, 4); !bytes.Equal(ra, rb) {
+		t.Fatalf("rollup diverged:\n/api/ingest      %s\n/api/ingest/bulk %s", ra, rb)
+	}
+	wa, wb := walBytes(t, dirA, node), walBytes(t, dirB, node)
+	if len(wa) == 0 || len(wa) != len(wb) {
+		t.Fatalf("journal segments: %d via /api/ingest, %d via bulk", len(wa), len(wb))
+	}
+	for name, raw := range wa {
+		if !bytes.Equal(raw, wb[name]) {
+			t.Fatalf("journal segment %s differs between the endpoints", name)
+		}
+	}
+
+	rows, replayed, err := b.ReplayShadowEvidence(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows == 0 || replayed != hb {
+		t.Fatalf("bulk-fed node: replayed %d rows to hash %x, live hash %x", rows, replayed, hb)
+	}
+}
+
+// TestIngestEndpointsConcurrently hammers one coordinator through both
+// endpoints and the evidence hook at once (run under -race): each
+// goroutine owns its nodes, every request lands or is shed with 429,
+// and the coordinator's accounting identity holds at the end.
+func TestIngestEndpointsConcurrently(t *testing.T) {
+	srv := ingestTestServer(t, t.TempDir(), nil)
+	const workers, rounds, chunk = 4, 6, 16
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(single, bulk int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				readings := make([]IngestReading, chunk)
+				rows := make([]fleet.Row, chunk)
+				for i := range readings {
+					readings[i] = IngestReading{T: r*chunk + i, Values: fleet.Values{1 + 0.01*float64(i), 2, 0.5}}
+					rows[i] = fleet.Row{Node: bulk, T: readings[i].T, Values: readings[i].Values}
+				}
+				if resp, code := postIngest(t, srv, single, readings); code != http.StatusOK && code != http.StatusTooManyRequests {
+					t.Errorf("/api/ingest node %d round %d: status %d, %+v", single, r, code, resp)
+				}
+				if resp, rec := postBulk(t, srv, rows); rec.Code != http.StatusOK && rec.Code != http.StatusTooManyRequests {
+					t.Errorf("/api/ingest/bulk node %d round %d: status %d, %+v", bulk, r, rec.Code, resp.BatchResult)
+				}
+				if _, err := srv.EvidenceHash(bulk); err != nil && srv.FleetStats().Shed == 0 {
+					t.Errorf("EvidenceHash(%d): %v", bulk, err)
+				}
+			}
+		}(100+g, 200+g)
+	}
+	wg.Wait()
+	if err := srv.FleetQuiesce(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.FleetStats()
+	if st.Offered != workers*rounds*chunk*2 || st.Offered != st.Accepted+st.Rejected+st.Shed || st.Rejected != 0 {
+		t.Fatalf("accounting after the storm: %+v", st)
 	}
 }

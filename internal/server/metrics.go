@@ -124,24 +124,6 @@ var (
 		Help: "Unix time of the last successful model publication (promotion or rollback).",
 		Unit: "seconds",
 	})
-
-	// Streaming ingest metrics (Config.Ingest): raw readings entering
-	// the stage chains and the diagnoses they produce.
-	ingestRows = obs.NewCounter(obs.Opts{
-		Name: "ingest_rows_total",
-		Help: "Raw telemetry readings accepted by /api/ingest across all shards.",
-		Unit: "rows",
-	})
-	ingestDiagnoses = obs.NewCounter(obs.Opts{
-		Name: "ingest_diagnoses_total",
-		Help: "Window diagnoses emitted by the ingest stage chains.",
-		Unit: "diagnoses",
-	})
-	ingestWALLag = obs.NewGauge(obs.Opts{
-		Name: "ingest_wal_lag",
-		Help: "Accepted readings still waiting in reordering buffers (journaled but not yet committed to windows), summed over shards at last health probe.",
-		Unit: "rows",
-	})
 )
 
 // statusWriter captures the status code a handler writes.

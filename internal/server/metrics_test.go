@@ -10,10 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"albadross/internal/features/mvts"
 	"albadross/internal/obs"
-	"albadross/internal/stream"
-	"albadross/internal/telemetry"
 )
 
 // metricsJSON mirrors the /api/metrics JSON shape (obs.Snapshot).
@@ -156,57 +153,55 @@ func TestMetricsEndpointReflectsTraffic(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointIncludesStream pushes telemetry through a Streamer
-// and asserts its accounting is visible on /api/metrics — the server
-// exports the process-wide registry, so the streaming stage's families
-// appear next to the HTTP ones.
+// TestMetricsEndpointIncludesStream pushes telemetry through the ingest
+// endpoint and asserts the stream accounting — the delivery counters
+// and the decision loop's per-window families — is visible on
+// /api/metrics for the SERVING path: the server exports the
+// process-wide registry, so the streaming families appear next to the
+// HTTP ones.
 func TestMetricsEndpointIncludesStream(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv := ingestTestServer(t, "", nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	var before metricsJSON
 	getJSON(t, ts, "/api/metrics", &before)
 
-	schema := []telemetry.Metric{{Name: "cpu.user"}, {Name: "mem.active"}}
-	st, err := stream.New(stream.Config{
-		Schema:    schema,
-		Extractor: mvts.Extractor{},
-		Diagnose: func(x []float64) (string, float64, error) {
-			return "healthy", 1, nil
-		},
-		Window:  8,
-		Reorder: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
+	var feed []IngestReading
+	for i := 0; i < 60; i++ {
 		if i == 5 {
 			continue // a dropped reading: the gap is synthesized
 		}
-		if _, err := st.PushAt(i, []float64{float64(i), 1}); err != nil {
-			t.Fatal(err)
-		}
+		feed = append(feed, IngestReading{T: i, Values: []float64{float64(i), 1, 0.5}})
 	}
-	if _, err := st.Flush(); err != nil {
-		t.Fatal(err)
+	final := feedIngest(t, srv, 0, feed)
+	if final.Stats.Windows < 2 {
+		t.Fatalf("feed completed %d windows, want >= 2", final.Stats.Windows)
 	}
 
 	var after metricsJSON
 	getJSON(t, ts, "/api/metrics", &after)
 
-	if got := after.counterValue("stream_pushed_total", nil) - before.counterValue("stream_pushed_total", nil); got != 19 {
-		t.Errorf("stream_pushed_total: delta %v, want 19", got)
+	if got := after.counterValue("stream_pushed_total", nil) - before.counterValue("stream_pushed_total", nil); got != 59 {
+		t.Errorf("stream_pushed_total: delta %v, want 59", got)
 	}
 	if got := after.counterValue("stream_gaps_filled_total", nil) - before.counterValue("stream_gaps_filled_total", nil); got != 1 {
 		t.Errorf("stream_gaps_filled_total: delta %v, want 1", got)
 	}
-	if got := after.counterValue("stream_windows_total", nil) - before.counterValue("stream_windows_total", nil); got < 2 {
-		t.Errorf("stream_windows_total: delta %v, want >= 2", got)
+	windows := float64(final.Stats.Windows)
+	if got := after.counterValue("stream_windows_total", nil) - before.counterValue("stream_windows_total", nil); got != windows {
+		t.Errorf("stream_windows_total: delta %v, want %v", got, windows)
 	}
-	if got := after.histCount("stream_window_seconds", nil) - before.histCount("stream_window_seconds", nil); got < 2 {
-		t.Errorf("stream_window_seconds: delta %d, want >= 2", got)
+	if got := after.histCount("stream_window_seconds", nil) - before.histCount("stream_window_seconds", nil); float64(got) != windows {
+		t.Errorf("stream_window_seconds: delta %d, want %v", got, windows)
+	}
+	if got := after.counterValue("stream_abstained_total", nil) - before.counterValue("stream_abstained_total", nil); got != float64(final.Stats.Abstained) {
+		t.Errorf("stream_abstained_total: delta %v, want %d", got, final.Stats.Abstained)
+	}
+	for _, f := range after.Families {
+		if f.Name == "pipeline_abstained_total" {
+			t.Error("abstentions are counted in a second family next to stream_abstained_total")
+		}
 	}
 }
 

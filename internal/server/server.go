@@ -11,12 +11,14 @@
 //	                      annotation, retrains, and re-scores
 //	GET  /api/status   -> trajectory so far (F1/FAR/AMR per query)
 //	GET  /api/diagnose -> POST a feature vector, get a diagnosis
-//	POST /api/ingest   -> stream timestamped raw readings through the
-//	                      per-shard stage chains (Config.Ingest), with
-//	                      write-ahead journaling and crash recovery
-//	POST /api/ingest/bulk -> interleaved multi-node batches routed onto
-//	                      the fleet shard workers (Config.Fleet), with
-//	                      back-pressure (429 + Retry-After) on overload
+//	POST /api/ingest/bulk -> interleaved multi-node batches of raw
+//	                      timestamped readings, routed onto the fleet
+//	                      shard workers' per-node stage chains
+//	                      (Config.Fleet) with write-ahead journaling,
+//	                      crash recovery and back-pressure (429 +
+//	                      Retry-After) on overload
+//	POST /api/ingest   -> the same path for one node's batch, answering
+//	                      with the diagnoses it completed
 //	GET  /api/fleet/topk  -> most-anomalous nodes from the fleet rollup
 //	GET  /api/fleet/apps  -> per-application fleet aggregates
 //	GET  /api/health   -> liveness/readiness probe
@@ -156,19 +158,14 @@ type Config struct {
 	// insufficient evidence (default 60s).
 	ShadowMaxWait time.Duration
 
-	// Ingest enables the streaming ingest subsystem (POST /api/ingest):
-	// per-shard stage chains with an optional write-ahead window log and
-	// crash recovery (see ingest.go and docs/REPLAY.md). Active when
-	// Ingest.Shards > 0; requires Schema and Extractor (plus Prep when
-	// the model was trained on transformed vectors).
-	Ingest IngestConfig
-
-	// Fleet enables fleet-scale bulk ingest (POST /api/ingest/bulk and
-	// the /api/fleet/* rollup endpoints): the whole node population
-	// consistent-hashed onto Fleet.Shards shard workers, with bounded
-	// queues and explicit back-pressure (see fleet.go and
-	// docs/FLEET.md). Active when Fleet.Shards > 0; same window-mode
-	// prerequisites as Ingest.
+	// Fleet enables the ingest subsystem (POST /api/ingest,
+	// POST /api/ingest/bulk and the /api/fleet/* rollup endpoints): one
+	// stage chain per node with an optional write-ahead window log and
+	// crash recovery, the whole node population consistent-hashed onto
+	// Fleet.Shards shard workers with bounded queues and explicit
+	// back-pressure (see fleet.go, docs/FLEET.md and docs/REPLAY.md).
+	// Active when Fleet.Shards > 0; requires Schema and Extractor (plus
+	// Prep when the model was trained on transformed vectors).
 	Fleet FleetConfig
 }
 
@@ -191,7 +188,6 @@ type Server struct {
 	reg       *registry.Registry[*snapshot]
 	batch     *batcher
 	lc        *lifecycle   // nil unless Config.Lifecycle
-	ing       *ingestState // nil unless Config.Ingest.Shards > 0
 	fl        *fleetState  // nil unless Config.Fleet.Shards > 0
 	lastTrain atomic.Int64 // unix seconds of the last successful publication
 
@@ -317,20 +313,10 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.lc = lc
 	}
-	if cfg.Ingest.Shards > 0 {
-		// Ingest comes last: WAL recovery replays journaled readings
-		// through the serving path, so the initial model (and, when on,
-		// the lifecycle) must already exist.
-		ing, err := newIngest(s)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.ing = ing
-	}
 	if cfg.Fleet.Shards > 0 {
-		// Same ordering rationale as ingest: preloaded fleet nodes replay
-		// their WALs through the serving path at construction.
+		// Ingest comes last: preloaded nodes replay their journaled
+		// readings through the serving path at construction, so the
+		// initial model (and, when on, the lifecycle) must already exist.
 		fl, err := newFleet(s)
 		if err != nil {
 			s.Close()
@@ -341,8 +327,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the batching and shadow-scoring layers and closes any
-// per-shard write-ahead logs. In-flight coalesced requests are drained
+// Close stops the batching, shadow-scoring and ingest layers (closing
+// every node's write-ahead log). In-flight coalesced requests are drained
 // and answered; later /api/diagnose calls fall back to the direct
 // per-request path, so Close never fails a client. Safe to call more
 // than once.
@@ -352,9 +338,6 @@ func (s *Server) Close() {
 	}
 	if s.lc != nil {
 		s.lc.close()
-	}
-	if s.ing != nil {
-		s.ing.closeLogs()
 	}
 	if s.fl != nil {
 		if err := s.fl.coord.Close(); err != nil {
@@ -911,9 +894,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		if ready && st.Drifted {
 			body["status"] = "drifted" // still serving, but the champion is stale
 		}
-	}
-	if s.ing != nil {
-		body["ingest"] = s.ing.health()
 	}
 	if s.fl != nil {
 		body["fleet"] = s.fl.health()

@@ -1,11 +1,12 @@
 package stream
 
-// Window feature extraction, shared between the fused Streamer facade
-// and the composable stage graph (internal/pipeline). Both paths must
-// produce bitwise-identical vectors for the same committed rows — the
-// record/replay golden fixture gates that — so the batch repair
-// pipeline and the incremental rolling state live here, in exactly one
-// place, instead of being reimplemented per consumer.
+// Window feature extraction, shared by every consumer of completed
+// windows (the internal/pipeline feature stages, the benchmark's traced
+// replay). All of them must produce bitwise-identical vectors for the
+// same committed rows — the record/replay golden fixture gates that —
+// so the batch repair pipeline and the incremental rolling state live
+// here, in exactly one place, instead of being reimplemented per
+// consumer.
 
 import (
 	"math"
@@ -36,7 +37,7 @@ func MissingFraction(rows [][]float64) float64 {
 // window from scratch: the gap policy fills missing cells (GapAbstain
 // repairs like GapInterpolate — the abstention decision belongs to the
 // caller), cumulative counters are differenced, and the extractor runs
-// over every metric. This is the Streamer's non-rolling window path.
+// over every metric. This is the non-rolling window path.
 // The result is NOT sanitized; callers apply features.Sanitize so
 // degraded windows stay finite.
 func BatchVector(rows [][]float64, schema []telemetry.Metric, gap GapPolicy, ex features.Extractor) ([]float64, error) {

@@ -2,17 +2,14 @@ package stream
 
 import "albadross/internal/obs"
 
-// Streaming-stage metrics, registered on the default obs registry at
-// import time and documented in docs/OBSERVABILITY.md. They mirror the
-// per-streamer Stats counters but aggregate across every Streamer in
+// Delivery metrics, registered on the default obs registry at import
+// time and documented in docs/OBSERVABILITY.md. They mirror the
+// per-Windower Stats counters but aggregate across every Windower in
 // the process (Stats stays the per-instance view and is reset by Reset;
-// the metrics are cumulative).
+// the metrics are cumulative). The per-window families of the same
+// stream_ namespace (stream_window_seconds, stream_abstained_total) are
+// owned by the decision loop in internal/pipeline.
 var (
-	windowLatency = obs.NewHistogram(obs.Opts{
-		Name: "stream_window_seconds",
-		Help: "Wall time to repair, extract and diagnose one completed window.",
-		Unit: "seconds",
-	})
 	reorderDepth = obs.NewGauge(obs.Opts{
 		Name: "stream_reorder_depth",
 		Help: "Readings currently held in the reordering buffer (last PushAt).",
@@ -46,11 +43,6 @@ var (
 	windowsTotal = obs.NewCounter(obs.Opts{
 		Name: "stream_windows_total",
 		Help: "Completed windows (diagnosed plus abstained).",
-		Unit: "windows",
-	})
-	abstainedTotal = obs.NewCounter(obs.Opts{
-		Name: "stream_abstained_total",
-		Help: "Windows refused under GapAbstain or on a non-finite classifier confidence.",
 		Unit: "windows",
 	})
 )

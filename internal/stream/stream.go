@@ -1,48 +1,33 @@
-// Package stream provides online, sliding-window anomaly diagnosis — the
-// deployment mode of the paper's future work (Sec. VI): instead of
-// diagnosing a completed application run, a deployed instance consumes
-// the node's telemetry as it arrives and emits a diagnosis every stride
-// while the application is still running.
-//
-// A Streamer buffers per-timestep metric readings; once a full window is
-// available it applies the same preparation the offline pipeline uses on
-// whole runs (repair of missing readings and differencing of cumulative
-// counters — there are no init/teardown transients to trim inside a
-// steady-state window), extracts features, and hands the vector to the
-// diagnosing function (usually core.Deployment.Diagnose composed with
-// the preprocessor).
+// Package stream holds the shared seams of online, sliding-window
+// anomaly diagnosis — the deployment mode of the paper's future work
+// (Sec. VI): instead of diagnosing a completed application run, a
+// deployed instance consumes the node's telemetry as it arrives and
+// emits a diagnosis every stride while the application is still
+// running.
 //
 // Production telemetry does not arrive clean: samples are lost, delivered
-// twice, or delivered out of order. Two hardening layers make the
-// streamer safe on such input. PushAt accepts timestamped readings
-// through a bounded reordering buffer that re-sequences late arrivals,
-// drops duplicates, and synthesizes explicit gap rows for samples that
-// never arrive. A GapPolicy then decides how a window with missing data
-// is repaired — interpolated, held at the last reading, or refused with
-// an explicit abstain diagnosis — so every completed window is accounted
-// for: diagnosed or abstained, never dropped and never NaN.
+// twice, or delivered out of order. The Windower (window.go) accepts
+// timestamped readings through a bounded reordering buffer that
+// re-sequences late arrivals, drops duplicates, and synthesizes explicit
+// gap rows for samples that never arrive. The extraction layer
+// (extract.go) then applies the same preparation the offline pipeline
+// uses on whole runs (repair of missing readings under a GapPolicy and
+// differencing of cumulative counters — there are no init/teardown
+// transients to trim inside a steady-state window) and extracts
+// features, from scratch (BatchVector) or incrementally
+// (IncrementalState).
+//
+// The decision loop that composes them — abstain gate, feature vector,
+// sanitation, prediction, non-finite-confidence abstention — lives in
+// exactly one place, internal/pipeline.Chain; this package keeps only
+// the pieces every consumer of that loop (the chain, the benchmark's
+// traced replay) must share to stay bitwise identical, plus the result
+// types they exchange.
 package stream
 
-import (
-	"errors"
-	"fmt"
-	"math"
+import "fmt"
 
-	"albadross/internal/features"
-	"albadross/internal/obs"
-	"albadross/internal/telemetry"
-	"albadross/internal/ts"
-)
-
-// The Streamer is a facade over two exported seams shared with the
-// composable stage graph (internal/pipeline): a Windower (delivery,
-// reordering, gap synthesis, ring, stride boundaries — see window.go)
-// and the extraction layer (BatchVector / IncrementalState — see
-// extract.go). Keeping exactly one implementation of each is what makes
-// write-ahead-log replay through the stage graph bitwise-identical to a
-// live Streamer run.
-
-// AbstainLabel is the label of a window the streamer declined to
+// AbstainLabel is the label of a window the decision loop declined to
 // diagnose because too much telemetry was missing (GapAbstain policy) or
 // the classifier returned a non-finite confidence.
 const AbstainLabel = "abstain"
@@ -78,85 +63,24 @@ func (g GapPolicy) String() string {
 	}
 }
 
-// Diagnosis is the minimal result surface the streamer forwards.
+// Diagnosis is the result of one completed window; the JSON shape is
+// the one /api/ingest answers with and the replay golden fixture pins.
 type Diagnosis struct {
 	// Label is the diagnosed class, or AbstainLabel.
-	Label string
+	Label string `json:"label"`
 	// Confidence is the winning class probability (0 when abstained).
-	Confidence float64
+	Confidence float64 `json:"confidence"`
 	// WindowEnd is the timestep index (since stream start) of the last
 	// sample in the diagnosed window.
-	WindowEnd int
-	// Abstained marks a window the streamer refused to classify.
-	Abstained bool
+	WindowEnd int `json:"window_end"`
+	// Abstained marks a window the decision loop refused to classify.
+	Abstained bool `json:"abstained"`
 	// MissingFrac is the fraction of window cells that were missing
 	// before repair.
-	MissingFrac float64
+	MissingFrac float64 `json:"missing_frac"`
 }
 
-// DiagnoseFunc turns a raw (extracted, untransformed) feature vector
-// into a (label, confidence) pair; core.Framework.DiagnoseVector and
-// core.Deployment.Diagnose both adapt trivially.
-type DiagnoseFunc func(features []float64) (label string, confidence float64, err error)
-
-// Config assembles a Streamer.
-type Config struct {
-	// Schema describes the incoming metric vector (order matters).
-	Schema []telemetry.Metric
-	// Extractor computes per-metric features on each window.
-	Extractor features.Extractor
-	// Diagnose classifies each window's feature vector.
-	Diagnose DiagnoseFunc
-	// Window is the diagnosis window length in samples (e.g. 300 at
-	// 1 Hz = 5 minutes).
-	Window int
-	// Stride is the hop between diagnoses; 0 defaults to Window (tumbling
-	// windows).
-	Stride int
-	// Reorder is the reordering-buffer horizon for PushAt: a reading may
-	// arrive up to Reorder positions after a newer timestamp and still
-	// be sequenced correctly; once the buffer spans more than Reorder
-	// timestamps the oldest missing slot is declared lost and filled
-	// with an explicit all-NaN gap row. 0 disables buffering (readings
-	// commit immediately in arrival order).
-	Reorder int
-	// MaxJump bounds how far past the commit frontier a claimed
-	// timestamp may plausibly sit. A reading jumping further ahead is
-	// dropped with accounting (Stats.Implausible) instead of trusted —
-	// a single corrupt timestamp must not trigger one synthesized gap
-	// row per skipped timestep all the way to it. 0 defaults to
-	// 4*Window+Reorder; an explicit value must be >= Reorder. The cap
-	// trades outage length for corruption immunity: a feed resuming
-	// after a real gap longer than MaxJump keeps being dropped (visible
-	// as a growing Implausible count) until the caller Resets the
-	// streamer or configures a larger cap.
-	MaxJump int
-	// Gap selects the missing-data repair policy (default
-	// GapInterpolate).
-	Gap GapPolicy
-	// MaxMissing is the largest fraction of missing cells GapAbstain
-	// tolerates before abstaining; 0 defaults to 0.5.
-	MaxMissing float64
-	// Rolling switches feature extraction to the incremental
-	// sliding-window path: instead of re-extracting every feature from
-	// the whole window at each stride, per-metric rolling state is
-	// updated once per committed sample. Requires an Extractor that
-	// implements features.Incremental and a causal gap policy
-	// (GapHoldLast or GapAbstain) — GapInterpolate reads future samples
-	// inside the window, which an incremental path cannot do.
-	//
-	// Repair semantics under Rolling are stream-global hold-last: a
-	// missing reading repeats the metric's last delivered value even
-	// when that value precedes the current window (0 before the first
-	// delivery). The batch path repairs each window in isolation, so
-	// the two paths agree exactly on windows without missing cells and
-	// differ only in how cells near the edge of a gappy window are
-	// filled. Counter differencing is per-step (d = max(0, x[t] -
-	// x[t-1])), identical to the batch path's ts.DiffCounters.
-	Rolling bool
-}
-
-// Stats counts what the streamer absorbed from an imperfect feed.
+// Stats counts what one node stream absorbed from an imperfect feed.
 type Stats struct {
 	// Pushed counts readings accepted into the sequence (gap fills not
 	// included).
@@ -169,7 +93,11 @@ type Stats struct {
 	Late int
 	// Implausible counts readings dropped because their claimed
 	// timestamp jumped more than MaxJump past the commit frontier
-	// (corrupt clock or bit-flipped timestamp).
+	// (corrupt clock or bit-flipped timestamp). The cap trades outage
+	// length for corruption immunity: a feed resuming after a real gap
+	// longer than MaxJump keeps being dropped (visible as a growing
+	// Implausible count) until the stream is Reset or configured with a
+	// larger cap.
 	Implausible int
 	// GapsFilled counts all-NaN rows synthesized for timestamps that
 	// never arrived.
@@ -180,207 +108,3 @@ type Stats struct {
 	// non-finite classifier confidence.
 	Abstained int
 }
-
-// Streamer consumes one node's telemetry readings.
-type Streamer struct {
-	cfg Config
-	// win owns delivery, the reordering buffer, the window ring and
-	// stride boundaries.
-	win *Windower
-	// inc is the rolling-extraction state (cfg.Rolling), nil on the
-	// batch path.
-	inc *IncrementalState
-
-	// emitted collects the diagnoses produced by the current
-	// Push/PushAt/Flush call via the window callback; ownership passes
-	// to the caller on return.
-	emitted []*Diagnosis
-
-	abstained int // windows refused (merged into Stats)
-}
-
-// New validates the configuration and returns a Streamer.
-func New(cfg Config) (*Streamer, error) {
-	if len(cfg.Schema) == 0 {
-		return nil, errors.New("stream: empty schema")
-	}
-	if cfg.Extractor == nil || cfg.Diagnose == nil {
-		return nil, errors.New("stream: Extractor and Diagnose are required")
-	}
-	if cfg.MaxMissing < 0 || cfg.MaxMissing > 1 {
-		return nil, fmt.Errorf("stream: MaxMissing %v outside [0,1]", cfg.MaxMissing)
-	}
-	if cfg.MaxMissing == 0 {
-		cfg.MaxMissing = 0.5
-	}
-	s := &Streamer{cfg: cfg}
-	if cfg.Rolling {
-		inc, ok := cfg.Extractor.(features.Incremental)
-		if !ok {
-			return nil, fmt.Errorf("stream: extractor %q does not implement features.Incremental; Rolling needs an incremental extractor", cfg.Extractor.Name())
-		}
-		if cfg.Gap == GapInterpolate {
-			return nil, errors.New("stream: Rolling requires a causal gap policy (GapHoldLast or GapAbstain); GapInterpolate reads future samples")
-		}
-		s.inc = NewIncrementalState(inc, cfg.Schema, cfg.Window)
-	}
-	var onCommit func(row []float64)
-	if s.inc != nil {
-		onCommit = s.inc.Observe
-	}
-	win, err := NewWindower(WindowerConfig{
-		Metrics: len(cfg.Schema),
-		Window:  cfg.Window,
-		Stride:  cfg.Stride,
-		Reorder: cfg.Reorder,
-		MaxJump: cfg.MaxJump,
-	}, onCommit, func(rows [][]float64, end int) error {
-		d, err := s.diagnoseWindow(rows, end)
-		if err != nil {
-			return err
-		}
-		s.emitted = append(s.emitted, d) //albacheck:ignore hotalloc diagnosis fan-out is 0 or 1 per push at steady state; the slice only grows on reorder flushes
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.win = win
-	// Reflect the resolved defaults back into the visible config.
-	s.cfg.Stride = win.Config().Stride
-	s.cfg.MaxJump = win.Config().MaxJump
-	return s, nil
-}
-
-// Push appends one timestep's readings in arrival order (NaN marks
-// missing metrics). When a window boundary is crossed it returns a
-// diagnosis; otherwise it returns nil. Push bypasses the reordering
-// buffer — use PushAt for feeds with claimed timestamps.
-func (s *Streamer) Push(values []float64) (*Diagnosis, error) {
-	s.emitted = nil
-	if err := s.win.Push(values); err != nil {
-		return nil, err
-	}
-	if len(s.emitted) == 0 {
-		return nil, nil
-	}
-	return s.emitted[0], nil
-}
-
-// PushAt delivers one timestamped reading through the bounded reordering
-// buffer. Readings may arrive out of order within the Reorder horizon;
-// duplicates (same timestamp), readings older than the already-committed
-// frontier, and readings claiming a timestamp more than MaxJump ahead of
-// it (implausible clocks) are dropped with accounting. A single call can
-// release several buffered readings, so it returns every diagnosis
-// produced. The first accepted reading anchors the timestamp origin, so
-// a constant clock skew shifts nothing.
-func (s *Streamer) PushAt(t int, values []float64) ([]*Diagnosis, error) {
-	s.emitted = nil
-	err := s.win.PushAt(t, values)
-	return s.emitted, err
-}
-
-// Flush drains the reordering buffer at end-of-stream, filling any
-// remaining gaps, and returns the diagnoses released by the tail.
-func (s *Streamer) Flush() ([]*Diagnosis, error) {
-	s.emitted = nil
-	err := s.win.Flush()
-	return s.emitted, err
-}
-
-// diagnoseWindow repairs, prepares and classifies one completed window.
-// Every completed window yields a diagnosis or an explicit abstention;
-// feature vectors are sanitized so degraded windows (all-NaN or constant
-// series) stay finite.
-//
-//albacheck:coldpath per-window work, stride-amortized over pushes; the BENCH_5 gate holds the end-to-end rows/s floor
-func (s *Streamer) diagnoseWindow(rows [][]float64, end int) (*Diagnosis, error) {
-	defer obs.StartSpan(windowLatency).End()
-	missing := MissingFraction(rows)
-	if s.cfg.Gap == GapAbstain && missing > s.cfg.MaxMissing {
-		s.abstained++
-		abstainedTotal.Inc()
-		return &Diagnosis{
-			Label: AbstainLabel, Abstained: true,
-			MissingFrac: missing, WindowEnd: end,
-		}, nil
-	}
-	var vec []float64
-	if s.inc != nil {
-		vec = s.inc.Vector()
-	} else {
-		var err error
-		vec, err = BatchVector(rows, s.cfg.Schema, s.cfg.Gap, s.cfg.Extractor)
-		if err != nil {
-			return nil, err
-		}
-	}
-	features.Sanitize(vec)
-	label, conf, err := s.cfg.Diagnose(vec)
-	if err != nil {
-		return nil, err
-	}
-	if math.IsNaN(conf) || math.IsInf(conf, 0) {
-		s.abstained++
-		abstainedTotal.Inc()
-		return &Diagnosis{
-			Label: AbstainLabel, Abstained: true,
-			MissingFrac: missing, WindowEnd: end,
-		}, nil
-	}
-	return &Diagnosis{
-		Label: label, Confidence: conf,
-		WindowEnd: end, MissingFrac: missing,
-	}, nil
-}
-
-// Samples reports how many readings have been committed to the window
-// sequence.
-func (s *Streamer) Samples() int { return s.win.Committed() }
-
-// Stats returns the delivery/diagnosis accounting so far.
-func (s *Streamer) Stats() Stats {
-	st := s.win.Stats()
-	st.Abstained = s.abstained
-	return st
-}
-
-// Reset clears all buffers and accounting (e.g. between application
-// runs on the node).
-func (s *Streamer) Reset() {
-	s.win.Reset()
-	if s.inc != nil {
-		s.inc.Reset()
-	}
-	s.emitted = nil
-	s.abstained = 0
-}
-
-// Replay feeds a completed node sample through the streamer sample by
-// sample and collects every emitted diagnosis — useful for validating a
-// deployment against recorded telemetry.
-func Replay(s *Streamer, data *ts.Multivariate) ([]*Diagnosis, error) {
-	if err := data.Validate(); err != nil {
-		return nil, err
-	}
-	steps := data.Steps()
-	reading := make([]float64, len(data.Metrics))
-	var out []*Diagnosis
-	for t := 0; t < steps; t++ {
-		for m := range data.Metrics {
-			reading[m] = data.Metrics[m][t]
-		}
-		d, err := s.Push(reading)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil {
-			out = append(out, d)
-		}
-	}
-	return out, nil
-}
-
-// NaN is a convenience for building readings with missing metrics.
-func NaN() float64 { return math.NaN() }

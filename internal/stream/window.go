@@ -1,13 +1,11 @@
 package stream
 
-// Windower is the delivery half of a Streamer, extracted so the
-// composable stage graph (internal/pipeline) and the fused streaming
-// facade (Streamer) share one implementation of the delicate parts:
-// the bounded reordering buffer, duplicate/late/implausible filtering,
-// gap-row synthesis, the window ring, and stride boundaries. A Windower
-// knows nothing about features or models — it turns an arrival sequence
-// into committed rows and completed raw windows, delivered synchronously
-// through two callbacks:
+// Windower is the delivery half of online diagnosis: the one
+// implementation of the delicate parts — the bounded reordering buffer,
+// duplicate/late/implausible filtering, gap-row synthesis, the window
+// ring, and stride boundaries. A Windower knows nothing about features
+// or models — it turns an arrival sequence into committed rows and
+// completed raw windows, delivered synchronously through two callbacks:
 //
 //   - onCommit fires once per committed row (synthesized gap rows
 //     included), in commit order, before any window that row completes;
@@ -28,21 +26,29 @@ import (
 	"math"
 )
 
-// WindowerConfig sizes a Windower. The fields mirror the identically
-// named Config knobs on the Streamer; see Config for the full
-// semantics.
+// WindowerConfig sizes a Windower.
 type WindowerConfig struct {
 	// Metrics is the reading width (number of metrics per row).
 	Metrics int
-	// Window is the diagnosis window length in samples (>= 8).
+	// Window is the diagnosis window length in samples (>= 8; e.g. 300
+	// at 1 Hz = 5 minutes).
 	Window int
 	// Stride is the hop between window completions; 0 defaults to
 	// Window (tumbling windows).
 	Stride int
-	// Reorder is the reordering-buffer horizon for PushAt.
+	// Reorder is the reordering-buffer horizon for PushAt: a reading may
+	// arrive up to Reorder positions after a newer timestamp and still
+	// be sequenced correctly; once the buffer spans more than Reorder
+	// timestamps the oldest missing slot is declared lost and filled
+	// with an explicit all-NaN gap row. 0 disables buffering (readings
+	// commit immediately in arrival order).
 	Reorder int
-	// MaxJump bounds the plausible forward timestamp jump; 0 defaults
-	// to 4*Window+Reorder.
+	// MaxJump bounds how far past the commit frontier a claimed
+	// timestamp may plausibly sit. A reading jumping further ahead is
+	// dropped with accounting (Stats.Implausible) instead of trusted —
+	// a single corrupt timestamp must not trigger one synthesized gap
+	// row per skipped timestep all the way to it. 0 defaults to
+	// 4*Window+Reorder; an explicit value must be >= Reorder.
 	MaxJump int
 }
 
@@ -98,17 +104,6 @@ func NewWindower(cfg WindowerConfig, onCommit func(row []float64), onWindow func
 
 // Config returns the validated configuration (defaults resolved).
 func (w *Windower) Config() WindowerConfig { return w.cfg }
-
-// Push appends one row in arrival order (NaN marks missing metrics),
-// bypassing the reordering buffer. The row is copied.
-func (w *Windower) Push(values []float64) error {
-	if len(values) != w.cfg.Metrics {
-		return fmt.Errorf("stream: reading has %d metrics, schema %d", len(values), w.cfg.Metrics)
-	}
-	w.stats.Pushed++
-	pushedTotal.Inc()
-	return w.commit(append([]float64{}, values...))
-}
 
 // PushAt delivers one timestamped row through the bounded reordering
 // buffer: duplicates, late arrivals and implausible timestamp jumps are

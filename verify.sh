@@ -6,7 +6,8 @@
 #   ./verify.sh          # the standard gate
 #   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
 #                        # stream ingest, rolling extractor, WAL record
-#                        # decoder), the serving
+#                        # decoder, ingest-body values scanner), the
+#                        # serving
 #                        # benchmark against BENCH_4.json, the experiment-
 #                        # engine benchmark against BENCH_5.json, the
 #                        # fleet-scale ingest benchmark against
@@ -57,7 +58,10 @@ if [ "$deep" -eq 1 ]; then
   go test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/ldms/
 
   echo "== fuzz smoke: FuzzPushAt (10s)"
-  go test -fuzz=FuzzPushAt -fuzztime=10s ./internal/stream/
+  go test -fuzz=FuzzPushAt -fuzztime=10s ./internal/pipeline/
+
+  echo "== fuzz smoke: FuzzValuesDecode (10s)"
+  go test -fuzz=FuzzValuesDecode -fuzztime=10s ./internal/fleet/
 
   echo "== fuzz smoke: FuzzRollerEquivalence (10s)"
   go test -fuzz=FuzzRollerEquivalence -fuzztime=10s ./internal/features/rolling/
