@@ -12,9 +12,9 @@ import (
 // close, select, range-over-channel), or a context cancellation check
 // (ctx.Done / ctx.Err). Such a goroutine cannot be waited on or told to
 // stop; under shutdown it either leaks or races teardown. The
-// concurrency surface this guards grew across PRs 4–6 (the
-// request-coalescing batcher, the runner fan-out, the lifecycle shadow
-// worker), and every one of those loops is joinable by construction —
+// concurrency surface this guards grew across PRs 5–10 (the runner
+// fan-out, the lifecycle shadow worker, the fleet shard workers), and
+// every one of those loops is joinable by construction —
 // this keeps the next one honest.
 //
 // Spawns whose callee cannot be resolved statically (interface methods,

@@ -8,11 +8,11 @@ import (
 
 // hotallocAnalyzer makes PR 7's zero-alloc claims compile-time-checked:
 // every function reachable from a declared hot root (the flat batch
-// kernels, rolling.Roller.Push, stream.Windower.PushAt, the batcher
-// loop) or annotated //albacheck:hotpath is scanned for allocation
-// sources — append growth, make/new, slice and map literals, closures
-// and go/defer inside loops, and interface boxing at in-loop call
-// sites. Reachability follows the cross-package call graph and stops at
+// kernels, rolling.Roller.Push, stream.Windower.PushAt, the server's
+// classify call) or annotated //albacheck:hotpath is scanned for
+// allocation sources — append growth, make/new, slice and map literals,
+// closures and go/defer inside loops, and interface boxing at in-loop
+// call sites. Reachability follows the cross-package call graph and stops at
 // //albacheck:coldpath annotations, which must carry a reason (an
 // unreasoned coldpath is itself a finding, like an unreasoned ignore).
 //
@@ -34,7 +34,7 @@ var hotRoots = []string{
 	"albadross/internal/ml/flat.GBM.PredictProbaInto",
 	"albadross/internal/features/rolling.Roller.Push",
 	"albadross/internal/stream.Windower.PushAt",
-	"albadross/internal/server.batcher.run",
+	"albadross/internal/server.Server.classify",
 }
 
 func runHotalloc(g *GlobalPass) {

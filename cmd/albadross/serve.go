@@ -61,8 +61,7 @@ func serve(args []string) {
 		reqTimeo = fs.Duration("request-timeout", 30*time.Second, "per-request read/write timeout")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (see docs/OBSERVABILITY.md)")
-		batchMax = fs.Int("batch-max", 64, "max rows per coalesced /api/diagnose inference pass (<=1 disables batching)")
-		batchWai = fs.Duration("batch-wait", 0, "extra time a forming batch waits for stragglers (0 = adaptive only)")
+		batchMax = fs.Int("batch-max", 64, "max rows (or raw windows) one /api/diagnose request may carry")
 
 		lifecycle = fs.Bool("lifecycle", false, "enable the drift-aware model lifecycle (see docs/LIFECYCLE.md)")
 		regKeep   = fs.Int("registry-keep", 5, "model versions retained for rollback")
@@ -164,7 +163,6 @@ func serve(args []string) {
 		Log:          logger,
 		EnablePprof:  *pprofOn,
 		BatchMaxSize: *batchMax,
-		BatchMaxWait: *batchWai,
 		Prep:         prep,
 		Lifecycle:    *lifecycle,
 		RegistryKeep: *regKeep,

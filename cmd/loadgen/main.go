@@ -9,11 +9,11 @@
 //	loadgen -selfcheck [-out BENCH_4.json] [-baseline BENCH_4.json]
 //
 // runs the fully self-contained serving benchmark: it builds the
-// synthetic dataset, starts the real server in-process, measures the
-// serial (single-vector, no coalescing) baseline against the batched
-// path, and either writes the report or compares it with a committed
-// baseline (non-zero exit on regression). verify.sh --deep runs the
-// comparison form.
+// synthetic dataset, starts the real server in-process, measures bulk
+// {"batch": …} request throughput plus the model-level micro numbers,
+// and either writes the report or compares it with a committed baseline
+// (non-zero exit on regression). verify.sh --deep runs the comparison
+// form.
 //
 // A third mode drives fleet-scale bulk ingest instead of diagnosis:
 //
@@ -43,18 +43,17 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "", "base URL of a live server to drive (live mode)")
-		duration  = flag.Duration("duration", 5*time.Second, "load duration (per phase in selfcheck mode)")
+		duration  = flag.Duration("duration", 5*time.Second, "load duration (per trial in selfcheck mode)")
 		conc      = flag.Int("c", 8, "concurrent request loops")
 		qps       = flag.Float64("qps", 0, "target aggregate request rate; 0 = closed loop (live mode)")
-		rows      = flag.Int("rows", 1, "feature vectors per request (live mode; selfcheck batched phase uses -selfcheck-rows)")
+		rows      = flag.Int("rows", 1, "feature vectors per request (live mode; selfcheck uses -selfcheck-rows)")
 		seed      = flag.Int64("seed", 1, "seed for generated traffic")
-		selfcheck = flag.Bool("selfcheck", false, "run the in-process serial-vs-batched benchmark")
-		scRows    = flag.Int("selfcheck-rows", 64, "rows per request in the selfcheck batched phase")
-		trials    = flag.Int("trials", 1, "trials per selfcheck phase; best is reported")
+		selfcheck = flag.Bool("selfcheck", false, "run the in-process serving benchmark")
+		scRows    = flag.Int("selfcheck-rows", 64, "rows per request in selfcheck mode")
+		trials    = flag.Int("trials", 1, "selfcheck trials; best is reported")
 		out       = flag.String("out", "", "write the selfcheck report (BENCH_4.json) here")
 		baseline  = flag.String("baseline", "", "compare the selfcheck report against this committed baseline")
 		tolerance = flag.Float64("tolerance", 0.20, "allowed fractional regression vs the baseline")
-		minSpeed  = flag.Float64("min-speedup", 3.0, "required batched/serial throughput ratio")
 		quiet     = flag.Bool("q", false, "suppress progress logging")
 
 		fleetNodes  = flag.Int("fleet", 0, "drive bulk ingest across this many logical nodes instead of /api/diagnose")
@@ -139,13 +138,13 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if bad := loadgen.Compare(report, base, *tolerance, *minSpeed); len(bad) > 0 {
+			if bad := loadgen.Compare(report, base, *tolerance); len(bad) > 0 {
 				for _, b := range bad {
 					fmt.Fprintln(os.Stderr, "loadgen: FAIL:", b)
 				}
 				os.Exit(1)
 			}
-			logf("within %.0f%% of baseline, speedup %.2fx >= %.1fx", *tolerance*100, report.Speedup, *minSpeed)
+			logf("within %.0f%% of baseline", *tolerance*100)
 		}
 		if *out == "" && *baseline == "" {
 			emit(report)

@@ -171,12 +171,14 @@ func benchBlobs(seed int64, n, dim, k int) ([][]float64, []int) {
 	return x, y
 }
 
-// runPoolBench micro-benchmarks pool scoring over a fitted forest.
+// runPoolBench micro-benchmarks pool scoring over a fitted forest,
+// pinned to one worker so the committed alloc floor (3, taken at
+// GOMAXPROCS 1) does not count a per-core goroutine fan-out.
 func runPoolBench(seed int64) (PoolBench, error) {
 	var pb PoolBench
 	const dim, k = 32, 3
 	x, y := benchBlobs(seed, 512, dim, k)
-	f := forest.New(forest.Config{NEstimators: 20, MaxDepth: 8, Seed: seed})
+	f := forest.New(forest.Config{NEstimators: 20, MaxDepth: 8, Seed: seed, Workers: 1})
 	if err := f.Fit(x, y, k); err != nil {
 		return pb, err
 	}

@@ -428,9 +428,6 @@ type bench4Doc struct {
 		SerialNsPerRow float64 `json:"forest_serial_ns_per_row"`
 		BatchNsPerRow  float64 `json:"forest_batch_ns_per_row"`
 	} `json:"micro"`
-	Serial struct {
-		RowsPerSec float64 `json:"rows_per_sec"`
-	} `json:"serial"`
 	Batched struct {
 		RowsPerSec float64 `json:"rows_per_sec"`
 	} `json:"batched"`

@@ -99,7 +99,7 @@ func TestFetchSchemaDiscovery(t *testing.T) {
 }
 
 func TestFetchMetricsErrorsWithoutWindowMode(t *testing.T) {
-	srv, err := newBenchServer(3, 1) // feature-space server: no raw schema
+	srv, err := newBenchServer(3) // feature-space server: no raw schema
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,8 @@ func Warm(c Classifier) {
 // across workers goroutines (workers <= 0 uses runtime.NumCPU()). Row
 // order is preserved and the result is deterministic regardless of the
 // worker count.
+//
+//albacheck:coldpath dispatch only: a native batch predictor is reached through the BatchPredictor interface (the flat kernels behind it are hot roots themselves); the per-row fallback serves models without one and allocates its output matrix by contract
 func ProbaBatchParallel(c Classifier, x [][]float64, workers int) [][]float64 {
 	if bp, ok := c.(BatchPredictor); ok {
 		return bp.PredictProbaBatch(x)

@@ -12,13 +12,21 @@ import (
 	"albadross/internal/telemetry"
 )
 
-// vecRecorder captures every feature vector handed to Diagnose.
+// vecRecorder captures every feature vector handed to Diagnose. It
+// keeps the previous vector itself — the predict stage owns what it is
+// handed — and notes when the next one shares its backing array.
 type vecRecorder struct {
-	vecs [][]float64
+	vecs    [][]float64
+	last    []float64
+	aliased bool
 }
 
 func (r *vecRecorder) diagnose(v []float64) (string, float64, error) {
 	r.vecs = append(r.vecs, append([]float64(nil), v...))
+	if r.last != nil && &r.last[0] == &v[0] {
+		r.aliased = true
+	}
+	r.last = v
 	return "healthy", 0.9, nil
 }
 
@@ -103,6 +111,10 @@ func TestRollingMatchesBatchOnCleanFeed(t *testing.T) {
 		t.Fatal("no windows emitted")
 	}
 	assertVecsClose(t, "clean feed", recRoll.vecs, recBatch.vecs, 1e-9)
+	// FeatureStage.Vector's ownership contract, for both stage kinds.
+	if recRoll.aliased || recBatch.aliased {
+		t.Fatalf("consecutive Vector calls share a backing array (rolling %v, batch %v)", recRoll.aliased, recBatch.aliased)
+	}
 }
 
 // TestRollingWithGapsMatchesCausalReference checks the gappy case

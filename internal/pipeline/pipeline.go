@@ -36,6 +36,9 @@ import (
 type FeatureStage interface {
 	// Vector renders the feature vector for the window whose raw rows
 	// are given; rows is the live window ring and must not be retained.
+	// The returned slice is freshly allocated on every call and owned by
+	// the caller: the chain sanitizes it in place and hands it to the
+	// predict stage, which may keep it.
 	Vector(rows [][]float64) ([]float64, error)
 	// Reset clears any accumulated state.
 	Reset()
@@ -52,7 +55,10 @@ type CommitObserver interface {
 // PredictStage classifies one feature vector.
 type PredictStage interface {
 	// Predict returns the diagnosed label and its confidence for a
-	// sanitized feature vector.
+	// sanitized feature vector. Ownership of vec passes to the stage: the
+	// chain never touches it again, so the stage may keep it (the
+	// server's lifecycle queue does, when no preprocessor copies it into
+	// model space first).
 	Predict(vec []float64) (label string, confidence float64, err error)
 }
 

@@ -16,7 +16,8 @@ import (
 
 // BatchFeatures is the from-scratch window path: each completed window
 // is repaired under the gap policy, counter-differenced and extracted
-// whole via stream.BatchVector. It holds no state between windows.
+// whole via stream.BatchVector (stream.BlockVector over the ring's
+// rows). It holds no state between windows.
 type BatchFeatures struct {
 	// Schema describes the incoming metric vector (order matters).
 	Schema []telemetry.Metric

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -101,27 +102,30 @@ func TestDiagnoseRequestValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
+	// Bodies are bounded and must parse, on /api/label as on
+	// /api/diagnose: one byte of JSON whitespace over maxBody is 413,
+	// malformed JSON is 400.
+	oversize := strings.Repeat(" ", maxBody+1)
+	for path, handler := range map[string]http.HandlerFunc{
+		"/api/diagnose": srv.handleDiagnose,
+		"/api/label":    srv.handleLabel,
+	} {
+		for body, want := range map[string]int{
+			oversize:         http.StatusRequestEntityTooLarge,
+			`{"features": [`: http.StatusBadRequest,
+		} {
+			rec := httptest.NewRecorder()
+			handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != want {
+				t.Errorf("%s with a %d-byte body: status %d, want %d", path, len(body), rec.Code, want)
+			}
+		}
+	}
 	// A bad request must not poison the server for the next good one.
 	var ok DiagnoseResponse
 	if code := postDiagnose(t, ts.URL, DiagnoseRequest{Features: d.X[0]}, &ok); code != http.StatusOK {
 		t.Fatalf("diagnose after rejected requests: status %d", code)
 	}
-}
-
-func TestDiagnoseInlineAfterClose(t *testing.T) {
-	srv, d := newTestServer(t)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	srv.Close() // batcher gone: run() must fall back to the inline path
-	var resp DiagnoseResponse
-	if code := postDiagnose(t, ts.URL, DiagnoseRequest{Features: d.X[0]}, &resp); code != http.StatusOK {
-		t.Fatalf("diagnose after Close: status %d", code)
-	}
-	if resp.Label == "" {
-		t.Fatal("empty label from inline path")
-	}
-	srv.Close() // idempotent
 }
 
 func TestSchemaEndpoint(t *testing.T) {
@@ -372,33 +376,4 @@ func TestDiagnoseRawWindows(t *testing.T) {
 	if code := postDiagnose(t, hts.URL, DiagnoseRequest{Windows: short}, nil); code != http.StatusBadRequest {
 		t.Fatalf("short window: status %d, want 400", code)
 	}
-}
-
-// TestBatcherCoalesces proves concurrent requests actually share passes:
-// with a slow model the pile-up must produce at least one multi-request
-// batch, observable through serve_batch_requests' samples.
-func TestBatcherCoalesces(t *testing.T) {
-	srv, d := newTestServer(t)
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const n = 24
-	var wg sync.WaitGroup
-	var failed sync.Map
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var resp DiagnoseResponse
-			if code := postDiagnose(t, ts.URL, DiagnoseRequest{Features: d.X[i%len(d.X)]}, &resp); code != http.StatusOK {
-				failed.Store(i, code)
-			}
-		}(i)
-	}
-	wg.Wait()
-	failed.Range(func(k, v interface{}) bool {
-		t.Errorf("request %v failed with status %v", k, v)
-		return true
-	})
 }

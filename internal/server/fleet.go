@@ -84,7 +84,11 @@ func newFleet(s *Server) (*fleetState, error) {
 	// window: a zero vector of the extractor's width must reach the
 	// model's input space.
 	vecDim := len(s.cfg.Schema) * len(s.cfg.Extractor.FeatureNames())
-	if _, err := s.toModelSpace(make([]float64, vecDim), sn.dim); err != nil {
+	row, err := s.toModelSpace(make([]float64, vecDim))
+	if err == nil && len(row) != sn.dim {
+		err = fmt.Errorf("extracted %d features, model expects %d", len(row), sn.dim)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("server: ingest feature width %d does not fit the model: %w", vecDim, err)
 	}
 	g := &fleetState{s: s, cfg: cfg}
@@ -131,8 +135,8 @@ func newFleet(s *Server) (*fleetState, error) {
 // distinct nodes); everything it touches on the server is immutable
 // configuration or the lock-free serving path. A node with a retained
 // journal is replayed here, before its first live row, with the
-// predict stage in recovery mode (direct snapshot classification, no
-// lifecycle side effects).
+// predict stage in recovery mode (same classification, no lifecycle
+// side effects).
 func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, error) {
 	var log *wal.Log
 	if g.cfg.WALDir != "" {
@@ -157,9 +161,9 @@ func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, e
 		return fail(err)
 	}
 	if log != nil && log.Stats().Records > 0 {
-		pred.mode = predictRecovering
+		pred.recovering = true
 		err := pipeline.Replay(log, chain)
-		pred.mode = predictLive
+		pred.recovering = false
 		if err != nil {
 			return fail(fmt.Errorf("node %d WAL recovery: %w", node, err))
 		}
@@ -239,7 +243,7 @@ func (s *Server) handleIngestBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BulkIngestRequest
-	if !decodeIngest(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {

@@ -254,9 +254,6 @@ func TestFleetWedgedShardSheds429(t *testing.T) {
 		c.Factory = func() ml.Classifier {
 			return &gatedModel{Classifier: base(), armed: &armed, calls: &calls, release: release}
 		}
-		// Inline diagnosis: a wedged prediction must pin only its own
-		// shard worker, not a shared coalescing pass.
-		c.BatchMaxSize = 1
 		c.Fleet.QueueDepth = 1
 	})
 

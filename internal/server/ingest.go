@@ -4,8 +4,9 @@
 // (fleet.go) like any other, and the response is filled from that node
 // on its shard worker — the diagnoses the batch completed, the chain's
 // accounting, the journal's. Every node's predict stage runs the window
-// through the REAL serving path (preprocessor transform + coalesced
-// batcher), so ingest-driven diagnoses feed the drift monitor and
+// through the REAL serving path (preprocessor transform + the same
+// classify call /api/diagnose makes, on the shard worker's goroutine),
+// so ingest-driven diagnoses feed the drift monitor and
 // champion–challenger shadow gate exactly like /api/diagnose traffic,
 // and folds what it served into a per-node evidence fingerprint that
 // WAL replay can reproduce (docs/REPLAY.md).
@@ -13,7 +14,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -63,64 +63,35 @@ type IngestConfig struct {
 	WALRetain int
 }
 
-// predictMode selects what a servePredict does with a window beyond
-// classifying it.
-type predictMode int
-
-const (
-	// predictLive goes through the coalesced batcher: drift observation
-	// and shadow duplication included.
-	predictLive predictMode = iota
-	// predictRecovering classifies directly against the serving snapshot
-	// — same model, same probabilities, zero lifecycle side effects — so
-	// start-up WAL replay rebuilds stream state without double-feeding
-	// evidence.
-	predictRecovering
-	// predictVetting classifies directly too, but offers every (row,
-	// champion probs) pair to the lifecycle shadow queue — exactly the
-	// evidence shape the live batcher duplicates.
-	predictVetting
-)
-
 // servePredict is every node chain's predict stage: preprocessor
-// transform into model space, classification per its mode, and the
+// transform into model space, the server's one classify call, and the
 // running FNV-1a fold of each (model-space row, champion label) pair it
 // served. Only the goroutine driving the chain touches it.
 type servePredict struct {
-	s        *Server
-	mode     predictMode
-	evidence uint64
-	rows     int // pairs folded into evidence
+	s *Server
+	// recovering is set while start-up WAL replay rebuilds stream state:
+	// same model, same probabilities, but nothing is fed to the lifecycle,
+	// so journaled rows are not double-counted as drift or shadow
+	// evidence. Live traffic and shadow-evidence replay both feed it.
+	recovering bool
+	evidence   uint64
+	rows       int // pairs folded into evidence
 }
 
-// Predict classifies one raw window vector.
+// Predict classifies one sanitized raw window vector. The model-space
+// row it builds (vec itself when the server has no preprocessor) is
+// handed to the lifecycle queue, which keeps it.
 func (p *servePredict) Predict(vec []float64) (string, float64, error) {
-	sn := p.s.serving()
-	if sn == nil {
-		return "", 0, errors.New("server: no model serving")
-	}
-	// toModelSpace scales in place; the chain may reuse vec's backing.
-	row, err := p.s.toModelSpace(append([]float64(nil), vec...), sn.dim)
+	row, err := p.s.toModelSpace(vec)
 	if err != nil {
 		return "", 0, err
 	}
-	var label string
-	var conf float64
-	if p.mode == predictLive {
-		resp, err := p.s.DiagnoseVectors([][]float64{row})
-		if err != nil {
-			return "", 0, err
-		}
-		label, conf = resp[0].Label, resp[0].Confidence
-	} else {
-		rows := [][]float64{row}
-		probs := ml.ProbaBatchParallel(sn.model, rows, p.s.cfg.BatchWorkers)
-		best := ml.Argmax(probs[0])
-		label, conf = sn.classes[best], probs[0][best]
-		if p.mode == predictVetting && p.s.lc != nil {
-			p.s.lc.offer(rows, probs, sn)
-		}
+	probs, sn, err := p.s.classify([][]float64{row}, !p.recovering)
+	if err != nil {
+		return "", 0, err
 	}
+	best := ml.Argmax(probs[0])
+	label, conf := sn.classes[best], probs[0][best]
 	p.evidence = evidenceFold(p.evidence, row, label)
 	p.rows++
 	return label, conf, nil
@@ -172,30 +143,6 @@ type IngestResponse struct {
 	WAL          *wal.Stats         `json:"wal,omitempty"`
 }
 
-// maxIngestBody bounds one ingest request body, on both endpoints. It
-// is sized from the paper's geometry: one Eclipse tick is 1488 nodes ×
-// 806 values × ~20.6 B of JSON ≈ 25 MB, so 64 MiB fits two ticks of
-// backlog in one bulk batch while a client can no longer make the
-// server buffer an unbounded body.
-const maxIngestBody = 64 << 20
-
-// decodeIngest decodes one size-bounded JSON ingest body into v. On
-// failure it answers 413 (body over maxIngestBody) or 400 itself and
-// returns false.
-func decodeIngest(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(v)
-	if err == nil {
-		return true
-	}
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeErr(w, status, err)
-	return false
-}
-
 // advertiseRetry sets the Retry-After header for a shed batch and
 // returns the same advice in milliseconds for the body. Retry-After is
 // whole seconds on the wire; round up so the client never comes back
@@ -219,7 +166,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if !decodeIngest(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Shard < 0 {
@@ -312,7 +259,7 @@ func (s *Server) EvidenceHash(node int) (uint64, error) {
 // node. The replay runs on the node's shard worker, which freezes the
 // log against appends (and holds that shard's ingest) for its duration.
 func (s *Server) ReplayShadowEvidence(node int) (int, uint64, error) {
-	ep := &servePredict{s: s, mode: predictVetting}
+	ep := &servePredict{s: s}
 	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
 		if ns.Log == nil {
 			return errors.New("server: node has no write-ahead log")

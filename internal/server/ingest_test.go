@@ -488,12 +488,12 @@ func TestIngestPartialBatch(t *testing.T) {
 }
 
 // TestIngestBodyLimit checks both ingest endpoints stop reading at
-// maxIngestBody and answer 413 instead of buffering whatever a client
+// maxBody and answer 413 instead of buffering whatever a client
 // sends: one byte over the limit — of JSON whitespace, so nothing else
 // about the body can be what is refused — is too many.
 func TestIngestBodyLimit(t *testing.T) {
 	srv := ingestTestServer(t, "", nil)
-	body := strings.Repeat(" ", maxIngestBody+1)
+	body := strings.Repeat(" ", maxBody+1)
 	for path, handler := range map[string]http.HandlerFunc{
 		"/api/ingest":      srv.handleIngest,
 		"/api/ingest/bulk": srv.handleIngestBulk,
@@ -502,6 +502,70 @@ func TestIngestBodyLimit(t *testing.T) {
 		handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s with a %d-byte body: status %d body %s", path, len(body), rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestDiagnoseWindowEqualsIngestWindow pins the single window → model
+// space path: one window posted to /api/diagnose {"windows": …} and the
+// same rows pushed through /api/ingest under GapInterpolate yield the
+// bitwise-identical label and confidence, clean and with missing cells.
+// Both go through stream.BlockVector, sanitation, toModelSpace and
+// classify; a second copy of any of those steps would have to match to
+// the last bit to keep this green.
+func TestDiagnoseWindowEqualsIngestWindow(t *testing.T) {
+	srv := ingestTestServer(t, "", func(c *Config) {
+		c.Fleet.Gap = stream.GapInterpolate
+		c.Fleet.Stride, c.Fleet.Reorder = 32, 0
+	})
+	for node, gappy := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(int64(31 + node)))
+		win := makeWindow(rng, 3, 32, 1+node) // metric-major
+		if gappy {
+			for _, cell := range [][2]int{{0, 0}, {1, 7}, {1, 8}, {2, 31}} {
+				win[cell[0]][cell[1]] = math.NaN()
+			}
+		}
+		readings := make([]IngestReading, 32)
+		for s := range readings {
+			readings[s] = IngestReading{T: s, Values: fleet.Values{win[0][s], win[1][s], win[2][s]}}
+		}
+		resp, code := postIngest(t, srv, node, readings)
+		if code != http.StatusOK || len(resp.Diagnoses) != 1 || resp.Diagnoses[0].Abstained {
+			t.Fatalf("gappy=%v ingest: status %d, %+v", gappy, code, resp)
+		}
+		want := resp.Diagnoses[0]
+
+		var got DiagnoseResponse
+		req := DiagnoseRequest{Windows: [][][]float64{win}}
+		if gappy {
+			// A plain JSON float array cannot carry NaN (null decodes as
+			// 0), so the gappy window enters one step past the decoder.
+			rows, err := srv.requestRows(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probs, sn, err := srv.classify(rows, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = diagnoses(probs, sn)[0]
+		} else {
+			raw, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			srv.handleDiagnose(rec, httptest.NewRequest(http.MethodPost, "/api/diagnose", bytes.NewReader(raw)))
+			var batch BatchDiagnoseResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || len(batch.Results) != 1 {
+				t.Fatalf("diagnose: status %d body %s", rec.Code, rec.Body)
+			}
+			got = batch.Results[0]
+		}
+		if got.Label != want.Label || math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
+			t.Fatalf("gappy=%v: /api/diagnose says %q %v, /api/ingest %q %v",
+				gappy, got.Label, got.Confidence, want.Label, want.Confidence)
 		}
 	}
 }

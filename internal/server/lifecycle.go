@@ -94,11 +94,13 @@ func newLifecycle(s *Server, refX [][]float64) (*lifecycle, error) {
 	return lc, nil
 }
 
-// offer duplicates one processed pass onto the shadow queue without
+// offer duplicates one classify call onto the shadow queue without
 // ever blocking: the hot path pays one slice copy, one argmax sweep and
 // one non-blocking send. A full queue sheds the batch (counted) —
 // losing shadow rows under overload is the design, losing champion
-// latency is not.
+// latency is not. The row vectors are kept, not copied.
+//
+//albacheck:coldpath lifecycle tap, only with Config.Lifecycle on: two small slices per classify call (a row-pointer copy and the champion labels) that the shadow worker owns afterwards; BENCHMARK.json's diagnose_batch ops_per_s and eclipse_1hz cpu_us_per_op bound the end-to-end cost
 func (lc *lifecycle) offer(rows [][]float64, probs [][]float64, sn *snapshot) {
 	lc.closeMu.RLock()
 	defer lc.closeMu.RUnlock()
@@ -450,47 +452,6 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"active_version": v})
-}
-
-// DiagnoseVectors classifies model-space feature rows through the same
-// coalesced serving path as /api/diagnose, chunked to the configured
-// batch size. It exists for in-process drivers (experiments, chaos
-// tests) that want real serving semantics — snapshot consistency per
-// chunk, drift observation, shadow duplication — without HTTP.
-func (s *Server) DiagnoseVectors(rows [][]float64) ([]DiagnoseResponse, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("server: no rows")
-	}
-	chunk := s.cfg.BatchMaxSize
-	if chunk < 1 {
-		chunk = 1
-	}
-	out := make([]DiagnoseResponse, 0, len(rows))
-	for start := 0; start < len(rows); start += chunk {
-		end := start + chunk
-		if end > len(rows) {
-			end = len(rows)
-		}
-		j := jobPool.Get().(*job)
-		j.rows = append(j.rows[:0], rows[start:end]...)
-		j.blocks = j.blocks[:0]
-		j.enqueued = time.Now()
-		res := s.run(j)
-		jobPool.Put(j)
-		if res.err != nil {
-			return nil, res.err
-		}
-		for _, p := range res.probs {
-			best := ml.Argmax(p)
-			out = append(out, DiagnoseResponse{
-				Label:        res.snap.classes[best],
-				Confidence:   p[best],
-				Probs:        p,
-				ModelVersion: res.snap.version,
-			})
-		}
-	}
-	return out, nil
 }
 
 // hashTraining fingerprints a training set: FNV-1a over the float bit

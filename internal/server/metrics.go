@@ -39,32 +39,16 @@ var (
 		Help: "Backoff delay before the retry in progress; 0 when retraining is not backing off.",
 		Unit: "seconds",
 	})
-	batchRequests = obs.NewHistogram(obs.Opts{
-		Name:    "serve_batch_requests",
-		Help:    "Requests coalesced into each batched inference pass.",
-		Unit:    "requests",
-		Buckets: obs.SizeBuckets,
-	})
 	batchRows = obs.NewHistogram(obs.Opts{
 		Name:    "serve_batch_rows",
-		Help:    "Feature rows classified per batched inference pass.",
+		Help:    "Feature rows classified per classify call (one request, or one ingest window).",
 		Unit:    "rows",
 		Buckets: obs.SizeBuckets,
 	})
-	batchWait = obs.NewHistogram(obs.Opts{
-		Name: "serve_batch_wait_seconds",
-		Help: "Time a request spent queued before its batch was processed.",
-		Unit: "seconds",
-	})
 	batchLatency = obs.NewHistogram(obs.Opts{
 		Name: "serve_batch_pass_seconds",
-		Help: "Wall time of one coalesced extract+predict pass.",
+		Help: "Wall time of one classify call: validation, prediction, lifecycle offer.",
 		Unit: "seconds",
-	})
-	batchQueueDepth = obs.NewGauge(obs.Opts{
-		Name: "serve_queue_depth",
-		Help: "Jobs waiting in the batching queue at last sample.",
-		Unit: "jobs",
 	})
 	snapshotSwaps = obs.NewCounter(obs.Opts{
 		Name: "serve_snapshot_swaps_total",

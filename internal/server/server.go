@@ -35,9 +35,10 @@
 // concurrent clients. The diagnosis hot path is lock-free: reads go
 // through an atomically swapped immutable snapshot (model + feature
 // schema + preprocessor behind one atomic.Pointer, RCU-style), so a
-// retrain never blocks inference, and concurrent /api/diagnose calls
-// are coalesced by a batching layer into single ExtractBatch +
-// PredictProbaBatch passes (see batch.go).
+// retrain never blocks inference, and every diagnosis — a posted
+// vector, batch or window, or a window an ingest chain completed — is
+// one direct classify call against that snapshot on the caller's own
+// goroutine (see diagnose.go).
 package server
 
 import (
@@ -95,19 +96,13 @@ type Config struct {
 	// /debug/pprof/ on the handler tree (off by default).
 	EnablePprof bool
 
-	// BatchMaxSize caps how many feature rows one coalesced inference
-	// pass may carry (default 64). Values <= 1 disable coalescing:
-	// every request runs its own serial PredictProba, the pre-batching
-	// behavior the BENCH_4.json serial baseline measures.
+	// BatchMaxSize caps how many rows (or raw windows) one
+	// /api/diagnose request may carry (default 64) — a bound on outside
+	// input, like the request body limit.
 	BatchMaxSize int
-	// BatchMaxWait is how long a forming batch may hold for more
-	// arrivals once at least one request is queued. The default 0 is
-	// pure adaptive batching: a pass starts as soon as the previous one
-	// finishes, carrying whatever accumulated meanwhile, so an idle
-	// server adds no latency.
-	BatchMaxWait time.Duration
-	// BatchWorkers bounds the extract/predict parallelism inside one
-	// pass (default runtime.NumCPU() via the ml and features helpers).
+	// BatchWorkers bounds the per-row fan-out of one classification for
+	// models without a native batch predictor (default runtime.NumCPU()
+	// via ml.ProbaBatchParallel).
 	BatchWorkers int
 
 	// Schema optionally describes raw telemetry windows (order
@@ -186,7 +181,6 @@ type snapshot struct {
 type Server struct {
 	cfg       Config
 	reg       *registry.Registry[*snapshot]
-	batch     *batcher
 	lc        *lifecycle   // nil unless Config.Lifecycle
 	fl        *fleetState  // nil unless Config.Fleet.Shards > 0
 	lastTrain atomic.Int64 // unix seconds of the last successful publication
@@ -244,7 +238,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
-	if cfg.BatchMaxSize == 0 {
+	if cfg.BatchMaxSize <= 0 {
 		cfg.BatchMaxSize = 64
 	}
 	if cfg.Schema != nil && cfg.Extractor == nil {
@@ -292,9 +286,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.publish(m, x, y, "initial")
 	s.score()
-	if cfg.BatchMaxSize > 1 {
-		s.batch = newBatcher(s, cfg.BatchMaxSize, cfg.BatchMaxWait)
-	}
 	if cfg.Lifecycle {
 		// The drift reference is the whole training universe, not just
 		// the labeled rows: the AL initial set is anomalies-only by
@@ -327,15 +318,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the batching, shadow-scoring and ingest layers (closing
-// every node's write-ahead log). In-flight coalesced requests are drained
-// and answered; later /api/diagnose calls fall back to the direct
-// per-request path, so Close never fails a client. Safe to call more
-// than once.
+// Close stops the shadow-scoring and ingest layers (closing every
+// node's write-ahead log). /api/diagnose holds no background state, so
+// it keeps answering after Close. Safe to call more than once.
 func (s *Server) Close() {
-	if s.batch != nil {
-		s.batch.close()
-	}
 	if s.lc != nil {
 		s.lc.close()
 	}
@@ -616,6 +602,30 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBody bounds one JSON request body, on every endpoint that reads
+// one. It is sized from the paper's geometry: one Eclipse tick is 1488
+// nodes × 806 values × ~20.6 B of JSON ≈ 25 MB, so 64 MiB fits two
+// ticks of backlog in one bulk batch while a client can no longer make
+// the server buffer an unbounded body.
+const maxBody = 64 << 20
+
+// decodeBody decodes one size-bounded JSON request body into v. On
+// failure it answers 413 (body over maxBody) or 400 itself and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
+}
+
 // handleNext picks (or re-serves) the sample to annotate.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -694,8 +704,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LabelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -759,65 +768,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"strategy":  s.cfg.Strategy.Name(),
 		"test_size": len(s.cfg.Split.Test),
 	})
-}
-
-// handleDiagnose classifies posted feature vectors or raw windows. The
-// handler takes no locks: it resolves the request into model-space rows
-// and hands them to the batching layer, which coalesces concurrent
-// requests into one ExtractBatch + PredictProbaBatch pass against a
-// single atomically loaded snapshot. With batching disabled
-// (BatchMaxSize <= 1) the same work runs inline per request.
-func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req DiagnoseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.newJob(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	res := s.run(j)
-	jobPool.Put(j) // result rows live in the pass's own matrix, not the job
-	if res.err != nil {
-		writeErr(w, http.StatusBadRequest, res.err)
-		return
-	}
-	results := make([]DiagnoseResponse, len(res.probs))
-	for i, p := range res.probs {
-		best := ml.Argmax(p)
-		results[i] = DiagnoseResponse{
-			Label:        res.snap.classes[best],
-			Confidence:   p[best],
-			Probs:        p,
-			ModelVersion: res.snap.version,
-		}
-	}
-	if req.Features != nil {
-		writeJSON(w, http.StatusOK, results[0])
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchDiagnoseResponse{
-		Results:      results,
-		ModelVersion: res.snap.version,
-	})
-}
-
-// run executes one diagnosis job through the batching layer, falling
-// back to the inline path when batching is disabled or closed. Either
-// way the result is taken from the job's channel — process always
-// delivers there, and leaving a buffered result behind would poison the
-// job for its next pooled reuse.
-func (s *Server) run(j *job) jobResult {
-	if s.batch == nil || !s.batch.enqueue(j) {
-		s.process([]*job{j})
-	}
-	return <-j.out
 }
 
 // handleSchema describes the diagnosis contract (classes, feature

@@ -1,8 +1,8 @@
 package stream
 
 // Window feature extraction, shared by every consumer of completed
-// windows (the internal/pipeline feature stages, the benchmark's traced
-// replay). All of them must produce bitwise-identical vectors for the
+// windows (the internal/pipeline feature stages, the server's
+// /api/diagnose window mode, the benchmark's traced replay). All of them must produce bitwise-identical vectors for the
 // same committed rows — the record/replay golden fixture gates that —
 // so the batch repair pipeline and the incremental rolling state live
 // here, in exactly one place, instead of being reimplemented per
@@ -33,21 +33,15 @@ func MissingFraction(rows [][]float64) float64 {
 	return float64(nan) / float64(len(rows)*len(rows[0]))
 }
 
-// BatchVector repairs, differences and feature-extracts one completed
-// window from scratch: the gap policy fills missing cells (GapAbstain
+// BlockVector is the one window → raw feature vector step: it repairs,
+// differences and feature-extracts one completed window held as a
+// metric-major block. The gap policy fills missing cells (GapAbstain
 // repairs like GapInterpolate — the abstention decision belongs to the
 // caller), cumulative counters are differenced, and the extractor runs
-// over every metric. This is the non-rolling window path.
-// The result is NOT sanitized; callers apply features.Sanitize so
-// degraded windows stay finite.
-func BatchVector(rows [][]float64, schema []telemetry.Metric, gap GapPolicy, ex features.Extractor) ([]float64, error) {
-	nM := len(schema)
-	block := ts.NewMultivariate(nM, len(rows))
-	for t, row := range rows {
-		for m := 0; m < nM; m++ {
-			block.Metrics[m][t] = row[m]
-		}
-	}
+// over every metric. block is consumed: repair and differencing rewrite
+// its series. The result is freshly allocated and NOT sanitized; callers
+// apply features.Sanitize so degraded windows stay finite.
+func BlockVector(block *ts.Multivariate, schema []telemetry.Metric, gap GapPolicy, ex features.Extractor) ([]float64, error) {
 	if gap == GapHoldLast {
 		ts.HoldLastAll(block)
 	} else {
@@ -57,6 +51,19 @@ func BatchVector(rows [][]float64, schema []telemetry.Metric, gap GapPolicy, ex 
 		return nil, err
 	}
 	return features.ExtractSample(ex, block), nil
+}
+
+// BatchVector is BlockVector over the time-major rows of a window ring:
+// the non-rolling window path. rows is only read.
+func BatchVector(rows [][]float64, schema []telemetry.Metric, gap GapPolicy, ex features.Extractor) ([]float64, error) {
+	nM := len(schema)
+	block := ts.NewMultivariate(nM, len(rows))
+	for t, row := range rows {
+		for m := 0; m < nM; m++ {
+			block.Metrics[m][t] = row[m]
+		}
+	}
+	return BlockVector(block, schema, gap, ex)
 }
 
 // IncrementalState is the rolling-extraction state of one shard's

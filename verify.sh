@@ -71,7 +71,7 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== serving benchmark vs BENCH_4.json (see docs/TESTING.md)"
   go run ./cmd/loadgen -selfcheck -duration 2s -trials 2 \
-    -baseline BENCH_4.json -tolerance 0.20 -min-speedup 2.5
+    -baseline BENCH_4.json -tolerance 0.20
 
   echo "== experiment-engine benchmark vs BENCH_5.json (see docs/TESTING.md)"
   go run ./cmd/experiments -bench -bench-trials 2 \
