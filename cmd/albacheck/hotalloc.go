@@ -8,11 +8,11 @@ import (
 
 // hotallocAnalyzer makes PR 7's zero-alloc claims compile-time-checked:
 // every function reachable from a declared hot root (the flat batch
-// kernels, rolling.Roller.Push, stream.Windower.PushAt, the server's
-// classify call) or annotated //albacheck:hotpath is scanned for
-// allocation sources — append growth, make/new, slice and map literals,
-// closures and go/defer inside loops, and interface boxing at in-loop
-// call sites. Reachability follows the cross-package call graph and stops at
+// kernels, stream.Windower.PushAt, the server's classify call) or
+// annotated //albacheck:hotpath is scanned for allocation sources —
+// append growth, make/new, slice and map literals, closures and go/defer
+// inside loops, and interface boxing at in-loop call sites.
+// Reachability follows the cross-package call graph and stops at
 // //albacheck:coldpath annotations, which must carry a reason (an
 // unreasoned coldpath is itself a finding, like an unreasoned ignore).
 //
@@ -32,7 +32,6 @@ var hotallocAnalyzer = &Analyzer{
 var hotRoots = []string{
 	"albadross/internal/ml/flat.Forest.PredictProbaInto",
 	"albadross/internal/ml/flat.GBM.PredictProbaInto",
-	"albadross/internal/features/rolling.Roller.Push",
 	"albadross/internal/stream.Windower.PushAt",
 	"albadross/internal/server.Server.classify",
 }
@@ -224,8 +223,7 @@ func assignTarget(call *ast.CallExpr, stack []ast.Node) ast.Expr {
 
 // uncappedLocals collects local slice variables declared with no
 // capacity: var s []T, s := []T{}, s := make([]T, 0). Appending to
-// these grows from zero — the anti-pattern the rolling window rewrite
-// removed.
+// these grows from zero.
 func uncappedLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	mark := func(id *ast.Ident) {

@@ -18,7 +18,6 @@ import (
 	"albadross/internal/drift"
 	"albadross/internal/features"
 	"albadross/internal/features/mvts"
-	"albadross/internal/features/rolling"
 	"albadross/internal/features/tsfresh"
 	"albadross/internal/ml/forest"
 	"albadross/internal/ml/tree"
@@ -35,10 +34,8 @@ func serveExtractor(name string) (features.Extractor, error) {
 		return mvts.Extractor{}, nil
 	case "tsfresh":
 		return tsfresh.Extractor{}, nil
-	case "rolling":
-		return rolling.Extractor{}, nil
 	default:
-		return nil, fmt.Errorf("unknown extractor %q (mvts, tsfresh, or rolling)", name)
+		return nil, fmt.Errorf("unknown extractor %q (mvts or tsfresh)", name)
 	}
 }
 
@@ -74,11 +71,10 @@ func serve(args []string) {
 
 		ingShards  = fs.Int("ingest-shards", 0, "ingest shard workers: node streams from POST /api/ingest and /api/ingest/bulk are hashed onto them, plus /api/fleet rollup serving (0 disables ingest; see docs/FLEET.md and docs/REPLAY.md)")
 		ingMetrics = fs.Int("ingest-metrics", 0, "raw metrics per ingest reading (builds the telemetry schema; required with -ingest-shards)")
-		ingExtract = fs.String("ingest-extractor", "mvts", "ingest feature extractor: mvts, tsfresh, or rolling")
+		ingExtract = fs.String("ingest-extractor", "mvts", "ingest feature extractor: mvts or tsfresh")
 		ingWindow  = fs.Int("ingest-window", 64, "ingest diagnosis window length (samples)")
 		ingStride  = fs.Int("ingest-stride", 0, "ingest window hop (0 = window length)")
 		ingReorder = fs.Int("ingest-reorder", 8, "ingest reordering-buffer horizon (samples)")
-		ingRolling = fs.Bool("ingest-rolling", false, "incremental rolling features on the ingest path (requires -ingest-extractor rolling)")
 		walDir     = fs.String("wal-dir", "", "write-ahead window log directory (empty disables journaling and crash recovery)")
 		walSegment = fs.Int64("wal-segment", 1<<20, "WAL segment rotation size in bytes")
 		walRetain  = fs.Int("wal-retain", 0, "WAL segments retained per node (0 keeps all)")
@@ -125,19 +121,13 @@ func serve(args []string) {
 		if ext, err = serveExtractor(*ingExtract); err != nil {
 			fatal(err)
 		}
-		gap := stream.GapAbstain
-		if *ingRolling {
-			// The incremental path needs a causal repair policy.
-			gap = stream.GapHoldLast
-		}
 		flcfg = server.FleetConfig{
 			IngestConfig: server.IngestConfig{
 				Shards:          *ingShards,
 				Window:          *ingWindow,
 				Stride:          *ingStride,
 				Reorder:         *ingReorder,
-				Gap:             gap,
-				Rolling:         *ingRolling,
+				Gap:             stream.GapAbstain,
 				WALSegmentBytes: *walSegment,
 				WALRetain:       *walRetain,
 			},

@@ -106,7 +106,7 @@ func main() {
 		benchSpeed = flag.Float64("bench-min-speedup", 2.5, "required sweep speedup at full parallelism (scaled down on hosts with fewer cores)")
 		benchTry   = flag.Int("bench-trials", 1, "trials per sweep configuration; best is reported")
 
-		bench7      = flag.Bool("bench7", false, "run the raw-speed benchmark (BENCH_7.json): flat SoA batch inference, rolling stream features")
+		bench7      = flag.Bool("bench7", false, "run the raw-speed benchmark (BENCH_7.json): flat SoA batch inference")
 		bench7Out   = flag.String("bench7-out", "", "write the raw-speed report (BENCH_7.json) here")
 		bench7Base  = flag.String("bench7-baseline", "", "compare the raw-speed report against this committed baseline")
 		bench7Speed = flag.Float64("bench7-min-speedup", 3.0, "required forest flat-vs-pointer batch speedup (same-run ratio)")
@@ -124,7 +124,7 @@ func main() {
 		return
 	}
 	if *bench7 {
-		runBench7(*bench7Out, *bench7Base, *benchTol, *bench7Speed, *benchTry, *seed, *markdown)
+		runBench7(*bench7Out, *bench7Base, *benchTol, *bench7Speed, *seed, *markdown)
 		return
 	}
 	if *bench {
@@ -261,14 +261,11 @@ func runBench(out, baseline string, tolerance, minSpeedup float64, trials int, s
 
 // runBench7 runs the raw-speed benchmark (committed as BENCH_7.json;
 // verify.sh --deep runs the comparison form).
-func runBench7(out, baseline string, tolerance, minSpeedup float64, trials int, seed int64, markdown bool) {
+func runBench7(out, baseline string, tolerance, minSpeedup float64, seed int64, markdown bool) {
 	logf := func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	}
-	report, err := experiments.RunBench7(experiments.Bench7Config{
-		Trials: trials,
-		Seed:   seed,
-	}, runtime.GOMAXPROCS(0), logf)
+	report, err := experiments.RunBench7(seed, runtime.GOMAXPROCS(0), logf)
 	if err != nil {
 		fatal(err)
 	}
@@ -293,9 +290,8 @@ func runBench7(out, baseline string, tolerance, minSpeedup float64, trials int, 
 			}
 			os.Exit(1)
 		}
-		logf("forest flat batch %.2fx (floor %.2fx), gbm %.2fx, rolling max err %.2e, stream %.2fx (gomaxprocs %d)",
-			report.Forest.Speedup, minSpeedup, report.GBM.Speedup,
-			report.Rolling.MaxRelErr, report.Stream.Speedup, report.GoMaxProcs)
+		logf("forest flat batch %.2fx (floor %.2fx), gbm %.2fx (gomaxprocs %d)",
+			report.Forest.Speedup, minSpeedup, report.GBM.Speedup, report.GoMaxProcs)
 	}
 	if markdown {
 		printTrajectory(report)

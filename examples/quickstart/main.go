@@ -6,12 +6,8 @@
 // path — the minimal end-to-end tour of the public API.
 //
 // For continuous diagnosis at ingest rates see examples/stream_replay;
-// at fleet scale, train with features/rolling and build the chain with
-// pipeline.NewRollingFeatures, which swaps per-window recomputation for
-// incremental push/evict updates. Healthy throughput on one CPU is
-// roughly 35-45k 16-metric readings/s (window 32, stride 8) — the
-// committed BENCH_7.json and docs/PERFORMANCE.md record the reference
-// numbers.
+// docs/PERFORMANCE.md and benchmark/MEASURED.md record what the ingest
+// path costs per row.
 //
 //	go run ./examples/quickstart
 package main

@@ -78,10 +78,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The extractor must match the one the model was trained with. For
-	// fleet-scale ingest, train with features/rolling instead and use
-	// pipeline.NewRollingFeatures for incremental per-sample feature
-	// updates (see docs/PERFORMANCE.md for expected throughput).
+	// The extractor must match the one the model was trained with (see
+	// docs/PERFORMANCE.md for expected throughput).
 	sink := &pipeline.Collector{}
 	chain, err := pipeline.NewChain(pipeline.ChainConfig{
 		Metrics:  len(sys.Metrics),

@@ -206,8 +206,6 @@ func (f bench6MeanFeatures) Vector(rows [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-func (bench6MeanFeatures) Reset() {}
-
 // runOverloadBench storms an undersized coordinator and verifies that
 // overload degrades by explicit partial accept.
 func runOverloadBench() (FleetOverloadBench, error) {

@@ -19,7 +19,6 @@ import (
 	"albadross/internal/dataset"
 	"albadross/internal/features"
 	"albadross/internal/features/mvts"
-	"albadross/internal/features/rolling"
 	"albadross/internal/features/tsfresh"
 	"albadross/internal/ml"
 	"albadross/internal/ml/forest"
@@ -156,12 +155,8 @@ func (c Config) extractor() (features.Extractor, error) {
 		return mvts.Extractor{}, nil
 	case "tsfresh":
 		return tsfresh.Extractor{}, nil
-	case "rolling":
-		// The stream path's incremental extractor; offline it behaves like
-		// a leaner tsfresh (same statistic families, from-scratch Extract).
-		return rolling.Extractor{}, nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown extractor %q (mvts, tsfresh, or rolling)", name)
+		return nil, fmt.Errorf("experiments: unknown extractor %q (mvts or tsfresh)", name)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package features defines the statistical feature-extraction stage of the
 // ALBADross pipeline (Sec. III-A of the paper) and utilities for applying
-// an extractor to whole multivariate samples in parallel.
+// an extractor to whole multivariate samples.
 //
 // The paper uses two open-source toolkits — MVTS (48 features per metric)
 // and TSFRESH (794 features per metric) — re-implemented here as the
@@ -10,8 +10,6 @@ package features
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"albadross/internal/obs"
 	"albadross/internal/ts"
@@ -28,38 +26,6 @@ type Extractor interface {
 	// Extract computes the features of one series. The result always has
 	// len(FeatureNames()) entries; undefined features are NaN.
 	Extract(s []float64) []float64
-}
-
-// Rolling is incremental per-series extraction state: a sliding window
-// that accepts one sample at a time and can render the feature vector
-// of its current contents on demand. It exists for the streaming path,
-// where recomputing every feature from scratch per emitted window
-// dominates per-sample cost. Implementations are not safe for
-// concurrent use; callers own the locking.
-type Rolling interface {
-	// Push appends one sample, evicting the oldest once the window is
-	// full. It must run in amortized O(1) with no steady-state
-	// allocations.
-	Push(v float64)
-	// Features renders the feature vector of the current window into
-	// dst (allocating when dst has the wrong length) and returns it.
-	// The result must match the parent Extractor's Extract over the
-	// same values to within 1e-9 of the window's value scale.
-	Features(dst []float64) []float64
-	// Len reports how many samples the window currently holds.
-	Len() int
-	// Reset empties the window without releasing buffers.
-	Reset()
-}
-
-// Incremental is an Extractor that can also extract incrementally over
-// a sliding window. The stream layer upgrades to the rolling path when
-// its configured extractor implements this interface.
-type Incremental interface {
-	Extractor
-	// NewRolling returns fresh rolling state over a trailing window of
-	// the given length, with Features consistent with Extract.
-	NewRolling(window int) Rolling
 }
 
 // VectorNames returns the feature names of a full sample vector: the cross
@@ -109,37 +75,5 @@ func ExtractSample(e Extractor, m *ts.Multivariate) []float64 {
 		}
 		out = append(out, v...)
 	}
-	return out
-}
-
-// ExtractBatch computes feature vectors for many samples concurrently,
-// preserving input order. workers <= 0 uses GOMAXPROCS.
-func ExtractBatch(e Extractor, blocks []*ts.Multivariate, workers int) [][]float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	out := make([][]float64, len(blocks))
-	if len(blocks) == 0 {
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = ExtractSample(e, blocks[i])
-			}
-		}()
-	}
-	for i := range blocks {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out
 }

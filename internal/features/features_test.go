@@ -40,38 +40,6 @@ func TestExtractSampleConcatenates(t *testing.T) {
 	}
 }
 
-func TestExtractBatchMatchesSequentialAndOrder(t *testing.T) {
-	e := tsfresh.Extractor{}
-	blocks := make([]*ts.Multivariate, 9)
-	for i := range blocks {
-		s1 := make([]float64, 64)
-		s2 := make([]float64, 64)
-		for j := range s1 {
-			s1[j] = float64(i*j) * 0.1
-			s2[j] = float64(j%5) + float64(i)
-		}
-		blocks[i] = block(s1, s2)
-	}
-	want := make([][]float64, len(blocks))
-	for i, bl := range blocks {
-		want[i] = ExtractSample(e, bl)
-	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := ExtractBatch(e, blocks, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: got %d rows, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			for j := range want[i] {
-				a, b := got[i][j], want[i][j]
-				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-					t.Fatalf("workers=%d: row %d col %d: %v != %v", workers, i, j, a, b)
-				}
-			}
-		}
-	}
-}
-
 func TestSanitize(t *testing.T) {
 	v := []float64{1, math.NaN(), math.Inf(1), math.Inf(-1), -2.5}
 	if n := Sanitize(v); n != 3 {
@@ -110,12 +78,5 @@ func TestSanitizeDegradedWindows(t *testing.T) {
 				t.Fatalf("%s: non-finite feature %d after Sanitize", e.Name(), i)
 			}
 		}
-	}
-}
-
-func TestExtractBatchEmpty(t *testing.T) {
-	out := ExtractBatch(mvts.Extractor{}, nil, 4)
-	if len(out) != 0 {
-		t.Fatal("empty batch should return empty")
 	}
 }

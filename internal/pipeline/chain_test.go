@@ -60,6 +60,10 @@ func TestChainEmitsPerStride(t *testing.T) {
 	if cd.dims[0] != 48*len(schema) {
 		t.Fatalf("feature dim = %d", cd.dims[0])
 	}
+	// FeatureStage.Vector's ownership contract: fresh per call.
+	if cd.aliased {
+		t.Fatal("consecutive Vector calls share a backing array")
+	}
 }
 
 func TestChainTumblingDefault(t *testing.T) {

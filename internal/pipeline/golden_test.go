@@ -20,13 +20,13 @@ import (
 //	go test ./internal/pipeline -run TestGoldenReplay -update-golden
 //
 // Review the diff before committing — every change to the chaos
-// injector, windowing, repair, rolling extraction or the WAL codec
+// injector, windowing, repair, mvts extraction or the WAL codec
 // shows up here, and that is the point.
 var updateGolden = flag.Bool("update-golden", false, "rewrite the replay golden fixture")
 
 // replayGoldenDoc is the committed fixture: everything a fixed-seed
 // chaos-perturbed record/replay run produces — delivery stats, the
-// rolling feature vector of every window, and every diagnosis — for
+// sanitized feature vector of every window, and every diagnosis — for
 // both the live chain and the WAL replay (which must match bitwise
 // before the fixture is even consulted).
 type replayGoldenDoc struct {
@@ -56,13 +56,13 @@ func (p *vecCapturePredict) Predict(vec []float64) (string, float64, error) {
 const goldenSeed = 90210
 
 // buildGoldenRun records a fixed-seed chaos run to a WAL through a
-// rolling chain, replays the log through a fresh chain, asserts the
+// hold-last mvts chain, replays the log through a fresh chain, asserts the
 // two agree bitwise, and returns the live side as the fixture
 // candidate.
 func buildGoldenRun(t *testing.T) *replayGoldenDoc {
 	t.Helper()
 	schema := telemetry.BuildSchema(8)
-	cfg := streamerCfg(schema, true)
+	cfg := streamerCfg(schema, stream.GapHoldLast)
 	feed := chaosFeed(t, schema, 600, goldenSeed)
 
 	run := func(journal *wal.Log, replayFrom *wal.Log) (*Collector, *vecCapturePredict, *Chain) {
@@ -109,7 +109,7 @@ func buildGoldenRun(t *testing.T) *replayGoldenDoc {
 	}
 
 	doc := &replayGoldenDoc{
-		Description: "Fixed-seed chaos record/replay fixture: chaos feed -> journaled rolling chain -> WAL replay, live and replayed runs asserted bitwise-equal. Refresh with: go test ./internal/pipeline -run TestGoldenReplay -update-golden",
+		Description: "Fixed-seed chaos record/replay fixture: chaos feed -> journaled hold-last mvts chain -> WAL replay, live and replayed runs asserted bitwise-equal. Refresh with: go test ./internal/pipeline -run TestGoldenReplay -update-golden",
 		Seed:        goldenSeed,
 		WALRecords:  log.Stats().Records,
 		Committed:   live.Committed(),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"albadross/internal/chaos"
+	"albadross/internal/features/mvts"
 	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 	"albadross/internal/ts"
@@ -14,7 +15,7 @@ import (
 
 // synthSeries builds a deterministic multivariate series: trend,
 // periodicity and noise per metric, with cumulative metrics growing
-// monotonically — the same recipe the rolling tests use.
+// monotonically.
 func synthSeries(schema []telemetry.Metric, steps int, seed int64) *ts.Multivariate {
 	rng := rand.New(rand.NewSource(seed))
 	cum := telemetry.CumulativeFlags(schema)
@@ -74,23 +75,20 @@ func sameDiag(a, b stream.Diagnosis) bool {
 		math.Float64bits(a.MissingFrac) == math.Float64bits(b.MissingFrac)
 }
 
-// streamerCfg is the shared test geometry; rolling selects the
-// incremental path (with its causal gap policy) vs the batch abstain
-// path.
-func streamerCfg(schema []telemetry.Metric, rolling bool) chainSpec {
+// streamerCfg is the shared test geometry under one of the two gap
+// policies the replay and parity tests alternate: causal GapHoldLast
+// repair, or GapAbstain refusing windows more than 40% missing.
+func streamerCfg(schema []telemetry.Metric, gap stream.GapPolicy) chainSpec {
 	cfg := chainSpec{
 		Schema:    schema,
-		Extractor: testExtractor(rolling),
+		Extractor: mvts.Extractor{},
 		Diagnose:  bitPredict,
 		Window:    32,
 		Stride:    8,
 		Reorder:   6,
-		Rolling:   rolling,
+		Gap:       gap,
 	}
-	if rolling {
-		cfg.Gap = stream.GapHoldLast
-	} else {
-		cfg.Gap = stream.GapAbstain
+	if gap == stream.GapAbstain {
 		cfg.MaxMissing = 0.4
 	}
 	return cfg
@@ -114,7 +112,11 @@ func TestGraphWorkerCountParity(t *testing.T) {
 		chains := make([]*Chain, shards)
 		for i := range chains {
 			sinks[i] = &Collector{}
-			chains[i] = buildChain(t, streamerCfg(schema, i%2 == 1), sinks[i])
+			gap := stream.GapAbstain
+			if i%2 == 1 {
+				gap = stream.GapHoldLast
+			}
+			chains[i] = buildChain(t, streamerCfg(schema, gap), sinks[i])
 		}
 		if err := NewGraph(chains...).Run(src, workers); err != nil {
 			t.Fatal(err)

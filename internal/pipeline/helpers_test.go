@@ -6,26 +6,13 @@ import (
 	"testing"
 
 	"albadross/internal/features"
-	"albadross/internal/features/mvts"
-	"albadross/internal/features/rolling"
 	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 	"albadross/internal/wal"
 )
 
-// testExtractor picks the extractor for a test mode: the incremental
-// rolling extractor when the rolling path is under test, the richer
-// mvts extractor for the batch path.
-func testExtractor(rollingMode bool) features.Extractor {
-	if rollingMode {
-		return rolling.Extractor{}
-	}
-	return mvts.Extractor{}
-}
-
 // chainSpec describes one test chain: schema, extractor and predictor,
-// the window geometry, and whether features are rolled incrementally
-// or extracted per window.
+// and the window geometry.
 type chainSpec struct {
 	Schema     []telemetry.Metric
 	Extractor  features.Extractor
@@ -36,16 +23,11 @@ type chainSpec struct {
 	MaxJump    int
 	Gap        stream.GapPolicy
 	MaxMissing float64
-	Rolling    bool
 }
 
 // chain composes the spec into a Chain with the given sink and
 // (optional) journal; pred overrides the spec's Diagnose when non-nil.
 func (cs chainSpec) chain(pred PredictStage, sink Sink, journal *wal.Log) (*Chain, error) {
-	feat, err := FeaturesFor(cs.Extractor, cs.Schema, cs.Window, cs.Gap, cs.Rolling)
-	if err != nil {
-		return nil, err
-	}
 	if pred == nil && cs.Diagnose != nil {
 		pred = cs.Diagnose
 	}
@@ -57,7 +39,7 @@ func (cs chainSpec) chain(pred PredictStage, sink Sink, journal *wal.Log) (*Chai
 		MaxJump:    cs.MaxJump,
 		Gap:        cs.Gap,
 		MaxMissing: cs.MaxMissing,
-		Features:   feat,
+		Features:   BatchFeatures{Schema: cs.Schema, Gap: cs.Gap, Extractor: cs.Extractor},
 		Predict:    pred,
 		Sink:       sink,
 		Journal:    journal,
@@ -136,15 +118,23 @@ func (c *testChain) flush() ([]stream.Diagnosis, error) {
 	return c.emittedBy(c.Flush)
 }
 
-// countingDiagnoser records calls and returns a fixed label.
+// countingDiagnoser records calls and returns a fixed label. It keeps
+// the previous vector itself — the predict stage owns what it is handed
+// — and notes when the next one shares its backing array.
 type countingDiagnoser struct {
-	calls int
-	dims  []int
+	calls   int
+	dims    []int
+	last    []float64
+	aliased bool
 }
 
 func (c *countingDiagnoser) diagnose(v []float64) (string, float64, error) {
 	c.calls++
 	c.dims = append(c.dims, len(v))
+	if c.last != nil && &c.last[0] == &v[0] {
+		c.aliased = true
+	}
+	c.last = v
 	for _, x := range v {
 		if math.IsInf(x, 0) {
 			return "", 0, errors.New("inf feature")

@@ -5,18 +5,17 @@
 // prediction → non-finite-confidence abstention). Every consumer — the
 // fleet's per-node streams behind /api/ingest and /api/ingest/bulk, the
 // experiments, the examples — runs a Chain over the shared seams in
-// internal/stream (stream.Windower, stream.BatchVector,
-// stream.IncrementalState); the pr9_replay golden fixture pins its
-// output bitwise.
+// internal/stream (stream.Windower, stream.BatchVector); the pr9_replay
+// golden fixture pins its output bitwise.
 //
 // A Chain optionally journals every width-valid arrival to a per-shard
 // write-ahead log (internal/wal) BEFORE the row mutates stream state.
 // Replay feeds a recovered log back through a fresh chain, rebuilding
-// reordering buffers, window rings and rolling feature state
-// bitwise-identically — crash recovery, shadow-model replay and
-// record/replay debugging all reduce to the same operation. Graph runs
-// one chain per shard under the internal/runner determinism contract,
-// so any worker count yields byte-identical per-shard outputs.
+// reordering buffers and window rings bitwise-identically — crash
+// recovery, shadow-model replay and record/replay debugging all reduce
+// to the same operation. Graph runs one chain per shard under the
+// internal/runner determinism contract, so any worker count yields
+// byte-identical per-shard outputs.
 package pipeline
 
 import (
@@ -31,8 +30,7 @@ import (
 )
 
 // FeatureStage renders one completed window into a raw (unsanitized)
-// feature vector. Implementations that also want every committed row —
-// the incremental rolling path — additionally implement CommitObserver.
+// feature vector.
 type FeatureStage interface {
 	// Vector renders the feature vector for the window whose raw rows
 	// are given; rows is the live window ring and must not be retained.
@@ -40,16 +38,6 @@ type FeatureStage interface {
 	// the caller: the chain sanitizes it in place and hands it to the
 	// predict stage, which may keep it.
 	Vector(rows [][]float64) ([]float64, error)
-	// Reset clears any accumulated state.
-	Reset()
-}
-
-// CommitObserver is implemented by feature stages that maintain
-// incremental state: Observe is called once per committed row (gap rows
-// included), in commit order, before any window the row completes.
-type CommitObserver interface {
-	// Observe advances the stage's state by one committed row.
-	Observe(row []float64)
 }
 
 // PredictStage classifies one feature vector.
@@ -133,17 +121,13 @@ func NewChain(cfg ChainConfig) (*Chain, error) {
 		cfg.MaxMissing = 0.5
 	}
 	c := &Chain{cfg: cfg}
-	var onCommit func(row []float64)
-	if co, ok := cfg.Features.(CommitObserver); ok {
-		onCommit = co.Observe
-	}
 	win, err := stream.NewWindower(stream.WindowerConfig{
 		Metrics: cfg.Metrics,
 		Window:  cfg.Window,
 		Stride:  cfg.Stride,
 		Reorder: cfg.Reorder,
 		MaxJump: cfg.MaxJump,
-	}, onCommit, c.window)
+	}, nil, c.window)
 	if err != nil {
 		return nil, err
 	}
@@ -238,10 +222,9 @@ func (c *Chain) Stats() stream.Stats {
 	return st
 }
 
-// Reset clears windowing, feature state and accounting. The journal is
-// left untouched.
+// Reset clears windowing and accounting. The journal is left
+// untouched.
 func (c *Chain) Reset() {
 	c.win.Reset()
-	c.cfg.Features.Reset()
 	c.abstained = 0
 }

@@ -8,10 +8,9 @@ import "albadross/internal/wal"
 // width-valid arrival in its original order — journaled before any
 // state change — a fresh chain ends bitwise-identical to the chain
 // that wrote the log: same reordering buffer, same window ring, same
-// rolling feature state, same Stats, same emitted diagnoses. The
-// reordering buffer is deliberately NOT flushed: a recovered server
-// keeps waiting for in-horizon stragglers exactly like the crashed one
-// was.
+// Stats, same emitted diagnoses. The reordering buffer is deliberately
+// NOT flushed: a recovered server keeps waiting for in-horizon
+// stragglers exactly like the crashed one was.
 func Replay(log *wal.Log, c *Chain) error {
 	c.replaying = true
 	defer func() { c.replaying = false }()

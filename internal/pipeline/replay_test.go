@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 	"albadross/internal/wal"
 )
@@ -14,17 +15,13 @@ import (
 // replays the log and must match the live one bitwise — not just on
 // emitted diagnoses and Stats, but on internal state, proven by
 // feeding both chains the same post-recovery tail and requiring
-// continued agreement (reordering buffer, window ring and rolling
-// state all have to be identical for that to hold).
+// continued agreement (reordering buffer and window ring both have to
+// be identical for that to hold), under both gap policies.
 func TestReplayReconstructsStateBitwise(t *testing.T) {
 	schema := telemetry.BuildSchema(8)
-	for _, rolling := range []bool{false, true} {
-		name := "batch"
-		if rolling {
-			name = "rolling"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := streamerCfg(schema, rolling)
+	for _, gap := range []stream.GapPolicy{stream.GapAbstain, stream.GapHoldLast} {
+		t.Run(gap.String(), func(t *testing.T) {
+			cfg := streamerCfg(schema, gap)
 			feed := chaosFeed(t, schema, 500, 1234)
 			half := len(feed) / 2
 
@@ -64,8 +61,7 @@ func TestReplayReconstructsStateBitwise(t *testing.T) {
 
 			// Continuation: the recovered chain must track the live chain
 			// bitwise through the feed's tail and the final flush — only
-			// possible if reordering buffer, ring and feature state all
-			// came back identical.
+			// possible if reordering buffer and ring came back identical.
 			for _, r := range feed[half:] {
 				if err := live.PushAt(r.T, r.Values); err != nil {
 					t.Fatal(err)
@@ -139,7 +135,7 @@ func assertChainsEqual(t *testing.T, ctx string, a, b *Chain, sa, sb *Collector)
 // a log through a chain that journals to the SAME log must not grow it.
 func TestReplayedJournalIsNotReappended(t *testing.T) {
 	schema := telemetry.BuildSchema(8)
-	cfg := streamerCfg(schema, false)
+	cfg := streamerCfg(schema, stream.GapAbstain)
 	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +162,7 @@ func TestReplayedJournalIsNotReappended(t *testing.T) {
 // written.
 func TestChainWidthMismatchNotJournaled(t *testing.T) {
 	schema := telemetry.BuildSchema(8)
-	cfg := streamerCfg(schema, false)
+	cfg := streamerCfg(schema, stream.GapAbstain)
 	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@
 // log opened, or a retained log replayed at start-up: with a WAL
 // directory configured every accepted reading is journaled before it
 // mutates stream state, and a restarted server resumes every node with
-// bitwise-identical windowing and rolling-feature state (recovery
-// classifies directly against the serving snapshot, without re-feeding
-// lifecycle evidence). See docs/FLEET.md and docs/REPLAY.md.
+// bitwise-identical windowing state (recovery classifies directly
+// against the serving snapshot, without re-feeding lifecycle evidence).
+// See docs/FLEET.md and docs/REPLAY.md.
 
 package server
 
@@ -93,8 +93,8 @@ func newFleet(s *Server) (*fleetState, error) {
 	}
 	g := &fleetState{s: s, cfg: cfg}
 	// Nodes are built lazily, so compose one throwaway chain now: a bad
-	// stream geometry (window length, reorder/jump bounds, the rolling
-	// prerequisites) must refuse the server, not every later row.
+	// stream geometry (window length, reorder/jump bounds) must refuse
+	// the server, not every later row.
 	probe := &servePredict{s: s}
 	if _, err := g.buildChain(probe, probe, nil); err != nil {
 		return nil, err
@@ -176,10 +176,6 @@ func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, e
 // or the fresh journal-less one a shadow-evidence replay runs through.
 func (g *fleetState) buildChain(pred pipeline.PredictStage, sink pipeline.Sink, journal *wal.Log) (*pipeline.Chain, error) {
 	cfg, srv := g.cfg, g.s.cfg
-	feat, err := pipeline.FeaturesFor(srv.Extractor, srv.Schema, cfg.Window, cfg.Gap, cfg.Rolling)
-	if err != nil {
-		return nil, err
-	}
 	return pipeline.NewChain(pipeline.ChainConfig{
 		Metrics:    len(srv.Schema),
 		Window:     cfg.Window,
@@ -188,7 +184,7 @@ func (g *fleetState) buildChain(pred pipeline.PredictStage, sink pipeline.Sink, 
 		MaxJump:    cfg.MaxJump,
 		Gap:        cfg.Gap,
 		MaxMissing: cfg.MaxMissing,
-		Features:   feat,
+		Features:   pipeline.BatchFeatures{Schema: srv.Schema, Gap: cfg.Gap, Extractor: srv.Extractor},
 		Predict:    pred,
 		Sink:       sink,
 		Journal:    journal,

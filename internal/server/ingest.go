@@ -50,9 +50,6 @@ type IngestConfig struct {
 	Gap stream.GapPolicy
 	// MaxMissing is the GapAbstain tolerance; 0 defaults to 0.5.
 	MaxMissing float64
-	// Rolling selects incremental feature extraction (requires an
-	// extractor implementing features.Incremental and a causal Gap).
-	Rolling bool
 	// WALDir roots the per-node write-ahead logs (node-NNNNNN
 	// directories); empty disables journaling (and with it crash
 	// recovery and shadow replay).

@@ -279,10 +279,6 @@ func TestIngestConfigValidation(t *testing.T) {
 			c.Schema, c.Extractor = schema, mvts.Extractor{}
 			c.Fleet.IngestConfig = IngestConfig{Shards: 1, Window: 2}
 		},
-		"rolling without incremental extractor": func(c *Config) {
-			c.Schema, c.Extractor = schema, mvts.Extractor{}
-			c.Fleet.IngestConfig = IngestConfig{Shards: 1, Window: 32, Rolling: true}
-		},
 	}
 	for name, mut := range cases {
 		cfg := base

@@ -2,10 +2,10 @@ package stream
 
 // Direct tests of the seams this package exports to every consumer of
 // the decision loop (internal/pipeline.Chain, the benchmark's traced
-// replay). The behavioural suites — reordering, gap policy, rolling
-// equivalence, the PushAt fuzz target — drive these seams through
-// Chain in internal/pipeline; what is pinned here is the contract a
-// consumer wiring them by hand relies on.
+// replay). The behavioural suites — reordering, gap policy, the PushAt
+// fuzz target — drive these seams through Chain in internal/pipeline;
+// what is pinned here is the contract a consumer wiring them by hand
+// relies on.
 
 import (
 	"fmt"

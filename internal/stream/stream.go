@@ -14,8 +14,8 @@
 // uses on whole runs (repair of missing readings under a GapPolicy and
 // differencing of cumulative counters — there are no init/teardown
 // transients to trim inside a steady-state window) and extracts
-// features, from scratch (BlockVector, or BatchVector over ring rows)
-// or incrementally (IncrementalState).
+// features from scratch over each completed window (BlockVector, or
+// BatchVector over ring rows).
 //
 // The decision loop that composes them — abstain gate, feature vector,
 // sanitation, prediction, non-finite-confidence abstention — lives in

@@ -16,10 +16,9 @@ package stream
 //
 // The callback shape is load-bearing for replay determinism: a single
 // PushAt can release several buffered rows and cross a window boundary
-// mid-drain, and incremental feature state must be rendered at the exact
-// boundary commit — not after the drain finishes. Returning completed
-// windows from PushAt instead would observe feature state a few commits
-// too late.
+// mid-drain, and the ring must be read at the exact boundary commit —
+// not after the drain finishes. Returning the ring from PushAt instead
+// would observe it a few commits too late, already overwritten.
 
 import (
 	"fmt"

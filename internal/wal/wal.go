@@ -1,11 +1,11 @@
 // Package wal implements the per-shard append-only write-ahead window
 // log: every accepted ingest row is journaled as a checksummed,
 // length-prefixed record BEFORE it mutates stream state, so a crashed
-// server rebuilds its reordering buffers, window rings and rolling
-// feature state bitwise-identically by replaying the log through the
-// same stage graph (internal/pipeline.Replay). Logs are segmented with
-// bounded retention; recovery quarantines a torn tail on the final
-// segment and fails loudly on corruption anywhere else.
+// server rebuilds its reordering buffers and window rings
+// bitwise-identically by replaying the log through the same stage graph
+// (internal/pipeline.Replay). Logs are segmented with bounded
+// retention; recovery quarantines a torn tail on the final segment and
+// fails loudly on corruption anywhere else.
 package wal
 
 import (

@@ -5,9 +5,8 @@
 #
 #   ./verify.sh          # the standard gate
 #   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
-#                        # stream ingest, rolling extractor, WAL record
-#                        # decoder, ingest-body values scanner), the
-#                        # serving
+#                        # stream ingest, WAL record decoder,
+#                        # ingest-body values scanner), the serving
 #                        # benchmark against BENCH_4.json, the experiment-
 #                        # engine benchmark against BENCH_5.json, the
 #                        # fleet-scale ingest benchmark against
@@ -63,9 +62,6 @@ if [ "$deep" -eq 1 ]; then
   echo "== fuzz smoke: FuzzValuesDecode (10s)"
   go test -fuzz=FuzzValuesDecode -fuzztime=10s ./internal/fleet/
 
-  echo "== fuzz smoke: FuzzRollerEquivalence (10s)"
-  go test -fuzz=FuzzRollerEquivalence -fuzztime=10s ./internal/features/rolling/
-
   echo "== fuzz smoke: FuzzWALDecode (10s)"
   go test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal/
 
@@ -80,10 +76,9 @@ if [ "$deep" -eq 1 ]; then
   echo "== raw-speed benchmark vs BENCH_7.json (see docs/PERFORMANCE.md)"
   # Gates the ISSUE 7 contracts: forest flat-vs-pointer batch speedup
   # >= 3x (same-run ratio), flattened-vs-pointer predictions bitwise
-  # identical, rolling-vs-scratch equivalence within 1e-9, zero
-  # steady-state push allocations. BENCH7_OUT (used by CI) writes the
-  # fresh report for artifact upload.
-  go run ./cmd/experiments -bench7 -bench-trials 2 \
+  # identical. BENCH7_OUT (used by CI) writes the fresh report for
+  # artifact upload.
+  go run ./cmd/experiments -bench7 \
     -bench7-baseline BENCH_7.json -bench-tolerance 0.20 -bench7-min-speedup 3.0 \
     ${BENCH7_OUT:+-bench7-out "$BENCH7_OUT"}
 
