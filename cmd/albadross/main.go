@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"albadross/internal/active"
 	"albadross/internal/core"
@@ -60,6 +61,18 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// strategyHelp is the -strategy flag text of train and serve.
+var strategyHelp = "query strategy: " + strings.Join(active.StrategyNames(), ", ")
+
+// strategyByName resolves a -strategy value, or exits naming the valid ones.
+func strategyByName(name string) active.Strategy {
+	s, ok := active.ByName(name)
+	if !ok {
+		fatal(fmt.Errorf("unknown strategy %q; %s", name, strategyHelp))
+	}
+	return s
+}
+
 func loadDataset(path string) *dataset.Dataset {
 	f, err := os.Open(path)
 	if err != nil {
@@ -79,7 +92,7 @@ func train(args []string) {
 		dataFile  = fs.String("data", "", "dataset file from cmd/datagen (gob)")
 		system    = fs.String("system", "", "generate data inline for this system instead of -data")
 		modelDir  = fs.String("model", "", "output directory for the trained bundle (required)")
-		strategy  = fs.String("strategy", "uncertainty", "query strategy: uncertainty, margin, entropy, random, equal-app")
+		strategy  = fs.String("strategy", "uncertainty", strategyHelp)
 		topK      = fs.Int("topk", 150, "chi-square feature budget")
 		queries   = fs.Int("queries", 250, "query budget")
 		target    = fs.Float64("target", 0.95, "stop early at this test F1 (0: disabled)")
@@ -116,10 +129,7 @@ func train(args []string) {
 			fatal(err)
 		}
 	}
-	strat, ok := active.ByName(*strategy)
-	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
+	strat := strategyByName(*strategy)
 	fw, err := core.New(core.Config{
 		TopK: *topK,
 		Factory: forest.NewFactory(forest.Config{

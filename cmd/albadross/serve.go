@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"albadross/internal/active"
 	"albadross/internal/core"
 	"albadross/internal/dataset"
 	"albadross/internal/drift"
@@ -51,7 +50,7 @@ func serve(args []string) {
 	var (
 		dataFile = fs.String("data", "", "dataset file from cmd/datagen (gob, required)")
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
-		strategy = fs.String("strategy", "uncertainty", "query strategy")
+		strategy = fs.String("strategy", "uncertainty", strategyHelp)
 		topK     = fs.Int("topk", 150, "chi-square feature budget")
 		seed     = fs.Int64("seed", 1, "random seed")
 		trees    = fs.Int("trees", 20, "random-forest size")
@@ -88,10 +87,7 @@ func serve(args []string) {
 		usage()
 	}
 	d := loadDataset(*dataFile)
-	strat, ok := active.ByName(*strategy)
-	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
+	strat := strategyByName(*strategy)
 	split, err := dataset.MakeALSplit(d, dataset.ALSplitConfig{
 		TestFraction: 0.3, AnomalyRatio: 0.10, HealthyClass: 0, Seed: *seed,
 	})

@@ -3,13 +3,10 @@ package active
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"albadross/internal/dataset"
 	"albadross/internal/eval"
 	"albadross/internal/ml"
-	"albadross/internal/telemetry"
 )
 
 // Annotator provides the ground-truth label of a sample on request — the
@@ -82,8 +79,7 @@ type Result struct {
 	Records []Record
 	// Model is the final trained classifier.
 	Model ml.Classifier
-	// QueriesToTarget maps a target F1 to the number of queries first
-	// reaching it (computed lazily via QueriesTo).
+	// labeled is the final labeled set (see Labeled).
 	labeled []int
 }
 
@@ -122,41 +118,14 @@ func (l *Loop) Run(d *dataset.Dataset, initial, pool []int, test *dataset.Datase
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-	rng := rand.New(rand.NewSource(l.Seed))
 	nClasses := len(d.Classes)
-
-	labeled := append([]int{}, initial...)
-	poolIdx := append([]int{}, pool...)
-	// Labels revealed so far; initial samples use the annotator too, which
-	// for the Oracle is identical to d.Y.
-	yOf := make(map[int]int, len(labeled)+len(poolIdx))
-	for _, i := range labeled {
-		yOf[i] = l.Annotator.Label(i)
-	}
-
-	// Incremental views of the labeled and pool sets, maintained across
-	// queries instead of being rebuilt from scratch each step: labeling a
-	// sample appends its row to trainX/trainY and splices it out of
-	// poolX/poolMeta, mirroring poolIdx. Models may not mutate Fit input
-	// and strategies may not mutate QueryContext slices, so sharing the
-	// backing arrays is safe.
-	trainX := make([][]float64, 0, len(labeled)+cfg.MaxQueries)
-	trainY := make([]int, 0, len(labeled)+cfg.MaxQueries)
-	for _, i := range labeled {
-		trainX = append(trainX, d.X[i])
-		trainY = append(trainY, yOf[i])
-	}
-	poolX := make([][]float64, len(poolIdx))
-	poolMeta := make([]telemetry.RunMeta, len(poolIdx))
-	for k, i := range poolIdx {
-		poolX[k] = d.X[i]
-		poolMeta[k] = d.Meta[i]
-	}
+	sess := NewSession(d, initial, pool, l.Annotator, l.Strategy, l.Seed, l.Workers)
 
 	train := func() (ml.Classifier, error) {
+		x, y := sess.Training()
 		m := l.Factory()
-		if err := m.Fit(trainX, trainY, nClasses); err != nil {
-			return nil, fmt.Errorf("active: retraining with %d labels: %w", len(trainX), err)
+		if err := m.Fit(x, y, nClasses); err != nil {
+			return nil, fmt.Errorf("active: retraining with %d labels: %w", len(x), err)
 		}
 		return m, nil
 	}
@@ -177,51 +146,18 @@ func (l *Loop) Run(d *dataset.Dataset, initial, pool []int, test *dataset.Datase
 		Queried: 0, DatasetIndex: -1, Label: -1,
 		F1: rep.MacroF1, FalseAlarmRate: rep.FalseAlarmRate, AnomalyMissRate: rep.AnomalyMissRate,
 	})
-	if cfg.TargetF1 > 0 && rep.MacroF1 >= cfg.TargetF1 {
-		res.labeled = labeled
-		return res, nil
-	}
-
-	for q := 0; q < cfg.MaxQueries && len(poolIdx) > 0; q++ {
-		qctx := &QueryContext{Rng: rng, Query: q}
-		qctx.Meta = poolMeta
-		if l.Strategy.NeedsProbs() {
-			// One batch pass over the pool instead of a per-row dispatch:
-			// native BatchPredictor models (forest, gbm) score the whole
-			// pool with two allocations, and the rows are bit-equal to
-			// per-row PredictProba for any worker count.
-			qctx.Probs = ml.ProbaBatchParallel(model, poolX, l.Workers)
+	reached := func() bool { return cfg.TargetF1 > 0 && rep.MacroF1 >= cfg.TargetF1 }
+	for q := 0; q < cfg.MaxQueries && sess.PoolSize() > 0 && !reached(); q++ {
+		di, _, err := sess.Next(model)
+		if err != nil {
+			return nil, err
 		}
-		if ma, ok := l.Strategy.(ModelAware); ok && ma.NeedsModel() {
-			qctx.Model = model
-		}
-		if fa, ok := l.Strategy.(FeatureAware); ok && fa.NeedsFeatures() {
-			qctx.PoolX = poolX
-			qctx.LabeledX = trainX
-		}
-		selectStart := time.Now()
-		pos := l.Strategy.Next(qctx)
-		ObserveQuery(l.Strategy.Name(), time.Since(selectStart))
-		if pos < 0 || pos >= len(poolIdx) {
-			return nil, fmt.Errorf("active: strategy %s returned pool position %d of %d", l.Strategy.Name(), pos, len(poolIdx))
-		}
-		di := poolIdx[pos]
-		poolIdx = append(poolIdx[:pos], poolIdx[pos+1:]...)
-		poolX = append(poolX[:pos], poolX[pos+1:]...)
-		poolMeta = append(poolMeta[:pos], poolMeta[pos+1:]...)
-		yOf[di] = l.Annotator.Label(di)
-		labeled = append(labeled, di)
-		trainX = append(trainX, d.X[di])
-		trainY = append(trainY, yOf[di])
-		CountLabelSpent()
-		SetPoolSize(len(poolIdx))
+		y := l.Annotator.Label(di)
+		sess.Label(y)
 
 		model, err = train()
 		if err != nil {
 			return nil, err
-		}
-		rec := Record{
-			Queried: q + 1, DatasetIndex: di, Label: yOf[di], App: d.Meta[di].App,
 		}
 		if (q+1)%evalEvery == 0 || q == cfg.MaxQueries-1 {
 			rep, err = score(model)
@@ -229,15 +165,12 @@ func (l *Loop) Run(d *dataset.Dataset, initial, pool []int, test *dataset.Datase
 				return nil, err
 			}
 		}
-		rec.F1 = rep.MacroF1
-		rec.FalseAlarmRate = rep.FalseAlarmRate
-		rec.AnomalyMissRate = rep.AnomalyMissRate
-		res.Records = append(res.Records, rec)
+		res.Records = append(res.Records, Record{
+			Queried: q + 1, DatasetIndex: di, Label: y, App: d.Meta[di].App,
+			F1: rep.MacroF1, FalseAlarmRate: rep.FalseAlarmRate, AnomalyMissRate: rep.AnomalyMissRate,
+		})
 		res.Model = model
-		if cfg.TargetF1 > 0 && rep.MacroF1 >= cfg.TargetF1 {
-			break
-		}
 	}
-	res.labeled = labeled
+	res.labeled = sess.Labeled()
 	return res, nil
 }

@@ -1,15 +1,10 @@
 package active
 
-import (
-	"time"
-
-	"albadross/internal/obs"
-)
+import "albadross/internal/obs"
 
 // Active-learning metrics, registered on the default obs registry at
-// import time and documented in docs/OBSERVABILITY.md. Loop.Run reports
-// into them directly; the annotation server reports through the exported
-// helpers below so its live session is accounted the same way.
+// import time and documented in docs/OBSERVABILITY.md. Session reports
+// into them, for Loop.Run and the annotation server alike.
 var (
 	queryLatency = obs.NewHistogramVec(obs.Opts{
 		Name: "active_query_seconds",
@@ -27,15 +22,3 @@ var (
 		Unit: "labels",
 	})
 )
-
-// ObserveQuery records one strategy selection's wall time; d covers the
-// Strategy.Next call only, not the batch inference feeding it.
-func ObserveQuery(strategy string, d time.Duration) {
-	queryLatency.With(strategy).Observe(d.Seconds())
-}
-
-// SetPoolSize publishes the current unlabeled-pool size.
-func SetPoolSize(n int) { poolSize.Set(float64(n)) }
-
-// CountLabelSpent accounts one obtained annotation.
-func CountLabelSpent() { labelsSpent.Inc() }

@@ -2,8 +2,10 @@
 // (Sec. III-D): pool-based sampling with the classification-uncertainty,
 // classification-margin, and classification-entropy query strategies, the
 // Random and Equal App baselines (Sec. IV-D), the annotator abstraction,
-// and the query loop that re-trains the supervised model as labels arrive
-// and tracks F1 / false-alarm / anomaly-miss trajectories.
+// Session — the one implementation of the query step, which the
+// annotation server drives over HTTP — and Loop, the offline driver that
+// re-trains the supervised model as labels arrive and tracks F1 /
+// false-alarm / anomaly-miss trajectories.
 package active
 
 import (

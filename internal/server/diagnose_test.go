@@ -307,6 +307,10 @@ func newWindowServer(t *testing.T) (*Server, []telemetry.Metric, [][][]float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The paper's initial labeled set is one sample per (app, anomaly) —
+	// far too small to classify reliably. Simulate a finished annotation
+	// session: the whole pool is already labeled when the server starts.
+	split.Initial, split.Pool = append(split.Initial, split.Pool...), nil
 	srv, err := New(Config{
 		Data:      d,
 		Split:     split,
@@ -317,19 +321,6 @@ func newWindowServer(t *testing.T) (*Server, []telemetry.Metric, [][][]float64, 
 		Extractor: ext,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's initial labeled set is one sample per (app, anomaly) —
-	// far too small to classify reliably. Simulate an annotation session:
-	// move the whole pool to the labeled set and retrain the snapshot.
-	srv.mu.Lock()
-	for _, i := range srv.pool {
-		srv.labeled = append(srv.labeled, i)
-		srv.yOf[i] = d.Y[i]
-	}
-	srv.pool = nil
-	srv.mu.Unlock()
-	if err := srv.Retrain(); err != nil {
 		t.Fatal(err)
 	}
 	return srv, schema, wins, labels

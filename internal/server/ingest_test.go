@@ -387,7 +387,7 @@ func TestIngestShadowReplayVetting(t *testing.T) {
 
 	// A challenger enters shadow evaluation, then is vetted against the
 	// journaled slice instead of waiting for fresh traffic.
-	x, y := srv.snapshotTraining()
+	x, y := srv.training()
 	cand, err := srv.trainCandidate(x, y)
 	if err != nil {
 		t.Fatal(err)

@@ -317,9 +317,7 @@ func (lc *lifecycle) maybeTrigger() {
 func (lc *lifecycle) retrainFromDrift() {
 	defer lc.retraining.Store(false)
 	s := lc.s
-	s.mu.Lock()
-	x, y := s.snapshotTraining()
-	s.mu.Unlock()
+	x, y := s.training()
 	m, err := s.trainCandidate(x, y)
 	if err != nil {
 		s.cfg.Log.Printf("server: drift-triggered retrain failed: %v", err)
@@ -336,9 +334,7 @@ func (lc *lifecycle) retrainFromDrift() {
 // assigned to the candidate. Errors if the lifecycle is disabled or a
 // trial is already in flight.
 func (s *Server) StartChallenger(m ml.Classifier, origin string) (uint64, error) {
-	s.mu.Lock()
-	x, y := s.snapshotTraining()
-	s.mu.Unlock()
+	x, y := s.training()
 	return s.startChallenger(m, x, y, origin)
 }
 

@@ -22,13 +22,7 @@ import (
 // deterministically with a few hundred rows.
 func newLifecycleServer(t *testing.T, mutate func(*Config)) (*Server, *dataset.Dataset) {
 	t.Helper()
-	_, d := newTestServer(t)
-	split, err := dataset.MakeALSplit(d, dataset.ALSplitConfig{
-		TestFraction: 0.3, AnomalyRatio: 0.10, HealthyClass: 0, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, split := newTestProblem(t)
 	cfg := Config{
 		Data:          d,
 		Split:         split,
@@ -173,7 +167,7 @@ func TestModelEndpointListsRegistry(t *testing.T) {
 // same way — shadow agreement is ~1 and holdout F1 matches.
 func TestChallengerPromotedWhenGatePasses(t *testing.T) {
 	srv, d := newLifecycleServer(t, nil)
-	x, y := srv.snapshotTraining()
+	x, y := srv.training()
 	cand := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})()
 	if err := cand.Fit(x, y, len(d.Classes)); err != nil {
 		t.Fatal(err)
@@ -227,7 +221,7 @@ func (p permutedClassifier) PredictProba(x []float64) []float64 {
 
 func TestPoisonedChallengerQuarantinedAndNeverServes(t *testing.T) {
 	srv, d := newLifecycleServer(t, nil)
-	x, y := srv.snapshotTraining()
+	x, y := srv.training()
 	inner := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})()
 	if err := inner.Fit(x, y, len(d.Classes)); err != nil {
 		t.Fatal(err)
@@ -392,7 +386,7 @@ func TestShadowOverloadShedsWithoutSlowingChampion(t *testing.T) {
 		cfg.ShadowQueue = 2 // tiny bounded queue: overload is immediate
 		cfg.ShadowMinRows = 1 << 20
 	})
-	x, y := srv.snapshotTraining()
+	x, y := srv.training()
 	inner := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})()
 	if err := inner.Fit(x, y, len(d.Classes)); err != nil {
 		t.Fatal(err)

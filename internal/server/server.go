@@ -30,9 +30,10 @@
 // additionally mounted under /debug/pprof/ (opt-in: profiles expose
 // internals, so production deployments enable them deliberately).
 //
-// The server owns the loop state; annotation handlers serialize access
-// through a mutex, so one annotator session is consistent even with
-// concurrent clients. The diagnosis hot path is lock-free: reads go
+// The loop itself is an active.Session, the object active.Loop drives
+// offline. Annotation requests run one at a time, like the paper's loop
+// (Server.annMu), and no other endpoint ever waits on them or on a fit
+// (Server.mu). The diagnosis hot path is lock-free: reads go
 // through an atomically swapped immutable snapshot (model + feature
 // schema + preprocessor behind one atomic.Pointer, RCU-style), so a
 // retrain never blocks inference, and every diagnosis — a posted
@@ -100,9 +101,9 @@ type Config struct {
 	// /api/diagnose request may carry (default 64) — a bound on outside
 	// input, like the request body limit.
 	BatchMaxSize int
-	// BatchWorkers bounds the per-row fan-out of one classification for
-	// models without a native batch predictor (default runtime.NumCPU()
-	// via ml.ProbaBatchParallel).
+	// BatchWorkers bounds the per-row fan-out of one classification (or
+	// one /api/next pool scoring) for models without a native batch
+	// predictor (default runtime.NumCPU() via ml.ProbaBatchParallel).
 	BatchWorkers int
 
 	// Schema optionally describes raw telemetry windows (order
@@ -190,12 +191,20 @@ type Server struct {
 	// as annotation moves samples between the two). Immutable after New.
 	refX [][]float64
 
+	test *dataset.Dataset // the split's test rows; immutable after New
+
+	// annMu guards sess. /api/next and /api/label hold it from selection
+	// through fit, publish and score; nothing else takes it.
+	annMu sync.Mutex
+	sess  *active.Session
+
+	// mu guards what that path publishes for every other endpoint: the
+	// training view and pool count as of the last label and the score
+	// history. Never held across a slow call.
 	mu      sync.Mutex
-	labeled []int
-	pool    []int
-	yOf     map[int]int
-	rng     *rand.Rand
-	pending int // dataset index offered by /api/next; -1 when none
+	trainX  [][]float64
+	trainY  []int
+	poolN   int
 	history []StatusPoint
 	started time.Time
 
@@ -268,34 +277,25 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		reg:       registry.New[*snapshot](cfg.RegistryKeep),
-		labeled:   append([]int{}, cfg.Split.Initial...),
-		pool:      append([]int{}, cfg.Split.Pool...),
-		yOf:       map[int]int{},
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		pending:   -1,
 		started:   time.Now(),
 		jitterRng: rand.New(rand.NewSource(cfg.Seed + jitterSeedOffset)),
 	}
-	for _, i := range s.labeled {
-		s.yOf[i] = cfg.Data.Y[i]
-	}
-	x, y := s.snapshotTraining()
-	m, err := s.trainCandidate(x, y)
-	if err != nil {
+	s.sess = active.NewSession(cfg.Data, cfg.Split.Initial, cfg.Split.Pool,
+		active.Oracle{D: cfg.Data}, cfg.Strategy, cfg.Seed, cfg.BatchWorkers)
+	s.test = cfg.Data.Subset(cfg.Split.Test)
+	if _, err := s.refit("initial"); err != nil {
 		return nil, err
 	}
-	s.publish(m, x, y, "initial")
-	s.score()
 	if cfg.Lifecycle {
 		// The drift reference is the whole training universe, not just
 		// the labeled rows: the AL initial set is anomalies-only by
 		// construction, and anchoring to it would make ordinary
 		// (mostly-healthy) traffic read as permanently drifted.
-		s.refX = make([][]float64, 0, len(s.labeled)+len(s.pool))
-		for _, i := range s.labeled {
+		s.refX = make([][]float64, 0, len(cfg.Split.Initial)+len(cfg.Split.Pool))
+		for _, i := range cfg.Split.Initial {
 			s.refX = append(s.refX, cfg.Data.X[i])
 		}
-		for _, i := range s.pool {
+		for _, i := range cfg.Split.Pool {
 			s.refX = append(s.refX, cfg.Data.X[i])
 		}
 		lc, err := newLifecycle(s, s.refX)
@@ -388,9 +388,7 @@ func (s *Server) afterSwap(sn *snapshot) {
 // path the concurrency tests hammer and an operational escape hatch;
 // /api/label performs the same sequence after each annotation.
 func (s *Server) Retrain() error {
-	s.mu.Lock()
-	x, y := s.snapshotTraining()
-	s.mu.Unlock()
+	x, y := s.training()
 	m, err := s.trainCandidate(x, y)
 	if err != nil {
 		return err
@@ -399,16 +397,30 @@ func (s *Server) Retrain() error {
 	return nil
 }
 
-// snapshotTraining copies the labeled training set for a retrain.
-// Callers hold mu (or run before the server is shared).
-func (s *Server) snapshotTraining() ([][]float64, []int) {
-	x := make([][]float64, len(s.labeled))
-	y := make([]int, len(s.labeled))
-	for k, i := range s.labeled {
-		x[k] = s.cfg.Data.X[i]
-		y[k] = s.yOf[i]
+// refit is the tail of New and of every annotation: publish the
+// session's training view and pool count for the endpoints that do not
+// take annMu, fit on that view, promote the model and score it. Retry
+// backoff delays only the next annotation, and diagnosis keeps reading
+// the previous snapshot meanwhile. Callers hold annMu (or are New).
+func (s *Server) refit(origin string) (StatusPoint, error) {
+	x, y := s.sess.Training()
+	s.mu.Lock()
+	s.trainX, s.trainY, s.poolN = x, y, s.sess.PoolSize()
+	s.mu.Unlock()
+	m, err := s.trainCandidate(x, y)
+	if err != nil {
+		return StatusPoint{}, err
 	}
-	return x, y
+	s.publish(m, x, y, origin)
+	return s.score(m), nil
+}
+
+// training returns the labeled set as of the last annotation, for the
+// retrains that run outside the annotation path.
+func (s *Server) training() ([][]float64, []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.trainX, s.trainY
 }
 
 // jitterSeedOffset decorrelates the backoff-jitter stream from
@@ -430,8 +442,7 @@ func (s *Server) nextRetryDelay(base time.Duration) time.Duration {
 // trainCandidate fits a fresh model on a training snapshot, retrying
 // transient failures with doubling, seeded-jittered backoff. It holds
 // no locks — the previous model keeps serving (and /api/health keeps
-// answering) while retries back off; the caller swaps the candidate in
-// under mu.
+// answering) while retries back off; the caller publishes the candidate.
 func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
 	var err error
 	backoff := s.cfg.RetrainBackoff
@@ -456,29 +467,23 @@ func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
 	return nil, err
 }
 
-// score evaluates on the split's test set and appends to the history.
-func (s *Server) score() {
-	test := s.cfg.Split.Test
-	sn := s.serving()
-	if len(test) == 0 || sn == nil {
-		return
+// score evaluates m on the split's test set and appends the point to
+// the history; a failed evaluation is logged and appends nothing.
+func (s *Server) score(m ml.Classifier) StatusPoint {
+	pt := StatusPoint{Queried: s.sess.Queries()}
+	if s.test.Len() == 0 {
+		return pt
 	}
-	x := make([][]float64, len(test))
-	y := make([]int, len(test))
-	for k, i := range test {
-		x[k] = s.cfg.Data.X[i]
-		y[k] = s.cfg.Data.Y[i]
-	}
-	rep, err := eval.EvaluateModel(sn.model, x, y, len(s.cfg.Data.Classes), s.cfg.HealthyClass)
+	rep, err := eval.EvaluateModel(m, s.test.X, s.test.Y, len(s.cfg.Data.Classes), s.cfg.HealthyClass)
 	if err != nil {
-		return
+		s.cfg.Log.Printf("server: scoring the model after %d queries: %v", pt.Queried, err)
+		return pt
 	}
-	s.history = append(s.history, StatusPoint{
-		Queried:         len(s.history),
-		F1:              rep.MacroF1,
-		FalseAlarmRate:  rep.FalseAlarmRate,
-		AnomalyMissRate: rep.AnomalyMissRate,
-	})
+	pt.F1, pt.FalseAlarmRate, pt.AnomalyMissRate = rep.MacroF1, rep.FalseAlarmRate, rep.AnomalyMissRate
+	s.mu.Lock()
+	s.history = append(s.history, pt)
+	s.mu.Unlock()
+	return pt
 }
 
 // NextResponse is /api/next's payload.
@@ -632,53 +637,23 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
+	s.annMu.Lock()
+	defer s.annMu.Unlock()
+	// Loaded under annMu, so the choosing model knows every earlier answer.
 	sn := s.serving()
 	if sn == nil {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("no model trained yet"))
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pool) == 0 {
+	if s.sess.PoolSize() == 0 {
 		writeJSON(w, http.StatusOK, NextResponse{ID: -1, Exhausted: true})
 		return
 	}
-	if s.pending < 0 {
-		ctx := &active.QueryContext{
-			Rng:   s.rng,
-			Query: len(s.history) - 1,
-			Meta:  make([]telemetry.RunMeta, len(s.pool)),
-		}
-		for k, i := range s.pool {
-			ctx.Meta[k] = s.cfg.Data.Meta[i]
-		}
-		if s.cfg.Strategy.NeedsProbs() {
-			ctx.Probs = make([][]float64, len(s.pool))
-			for k, i := range s.pool {
-				//albacheck:ignore locksafe strategy selection must score a frozen pool/model pair; calls are bounded by the human annotation rate
-				ctx.Probs[k] = sn.model.PredictProba(s.cfg.Data.X[i])
-			}
-		}
-		if fa, ok := s.cfg.Strategy.(active.FeatureAware); ok && fa.NeedsFeatures() {
-			ctx.PoolX = make([][]float64, len(s.pool))
-			for k, i := range s.pool {
-				ctx.PoolX[k] = s.cfg.Data.X[i]
-			}
-			ctx.LabeledX = make([][]float64, len(s.labeled))
-			for k, i := range s.labeled {
-				ctx.LabeledX[k] = s.cfg.Data.X[i]
-			}
-		}
-		selectStart := time.Now()
-		pos := s.cfg.Strategy.Next(ctx)
-		active.ObserveQuery(s.cfg.Strategy.Name(), time.Since(selectStart))
-		if pos < 0 || pos >= len(s.pool) {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("strategy returned position %d", pos))
-			return
-		}
-		s.pending = s.pool[pos]
+	i, probs, err := s.sess.Next(sn.model)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	i := s.pending
 	meta := s.cfg.Data.Meta[i]
 	resp := NextResponse{
 		ID:       i,
@@ -686,8 +661,8 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		Input:    meta.Input,
 		Node:     meta.Node,
 		Classes:  s.cfg.Data.Classes,
-		Probs:    sn.model.PredictProba(s.cfg.Data.X[i]), //albacheck:ignore locksafe single-sample inference on the pending item; the response must match the model that selected it
-		PoolSize: len(s.pool),
+		Probs:    probs,
+		PoolSize: s.sess.PoolSize(),
 	}
 	if imp, ok := sn.model.(explain.Importancer); ok && s.cfg.FeatureNames != nil {
 		if hints, err := explain.TopMetrics(imp, s.cfg.FeatureNames, s.cfg.Data.X[i], 5); err == nil {
@@ -707,9 +682,9 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pending < 0 || req.ID != s.pending {
+	s.annMu.Lock()
+	defer s.annMu.Unlock()
+	if p := s.sess.Pending(); p < 0 || req.ID != p {
 		writeErr(w, http.StatusConflict, fmt.Errorf("sample %d is not the pending query", req.ID))
 		return
 	}
@@ -718,38 +693,13 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown label %q", req.Label))
 		return
 	}
-	// Move pending from the pool into the labeled set.
-	for k, i := range s.pool {
-		if i == s.pending {
-			s.pool = append(s.pool[:k], s.pool[k+1:]...)
-			break
-		}
-	}
-	s.yOf[s.pending] = class
-	s.labeled = append(s.labeled, s.pending)
-	s.pending = -1
-	active.CountLabelSpent()
-	active.SetPoolSize(len(s.pool))
-	// Train outside the lock: retry backoff must not block the other
-	// endpoints (notably /api/health) behind mu, and the atomic
-	// snapshot swap means diagnosis reads are never blocked at all —
-	// the previous snapshot keeps serving until publish stores the
-	// candidate.
-	x, y := s.snapshotTraining()
-	s.mu.Unlock()
-	m, err := s.trainCandidate(x, y)
-	s.mu.Lock()
+	s.sess.Label(class)
+	latest, err := s.refit("label")
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.publish(m, x, y, "label")
-	s.score()
-	writeJSON(w, http.StatusOK, LabelResponse{
-		Accepted: true,
-		Labeled:  len(s.labeled),
-		Latest:   s.history[len(s.history)-1],
-	})
+	writeJSON(w, http.StatusOK, LabelResponse{Accepted: true, Labeled: len(s.sess.Labeled()), Latest: latest})
 }
 
 // handleStatus returns the trajectory so far.
@@ -759,11 +709,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	labeled, pool, history := len(s.trainX), s.poolN, s.history
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"labeled":   len(s.labeled),
-		"pool":      len(s.pool),
-		"history":   s.history,
+		"labeled":   labeled,
+		"pool":      pool,
+		"history":   history,
 		"classes":   s.cfg.Data.Classes,
 		"strategy":  s.cfg.Strategy.Name(),
 		"test_size": len(s.cfg.Split.Test),
@@ -809,7 +760,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	sn := s.serving()
 	ready := sn != nil && sn.model != nil
 	s.mu.Lock()
-	labeled, pool := len(s.labeled), len(s.pool)
+	labeled, pool := len(s.trainX), s.poolN
 	s.mu.Unlock()
 	status := "ok"
 	code := http.StatusOK

@@ -15,8 +15,8 @@ import (
 	"albadross/internal/telemetry"
 )
 
-// newTestServer builds a server over a small synthetic problem.
-func newTestServer(t *testing.T) (*Server, *dataset.Dataset) {
+// newTestProblem builds a small synthetic problem and its Fig. 2 split.
+func newTestProblem(t *testing.T) (*dataset.Dataset, *dataset.ALSplit) {
 	t.Helper()
 	classes := []string{"healthy", "cpuoccupy", "memleak"}
 	rng := rand.New(rand.NewSource(1))
@@ -42,14 +42,27 @@ func newTestServer(t *testing.T) (*Server, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{
+	return d, split
+}
+
+// testConfig is the default server configuration over newTestProblem;
+// tests override fields before calling New.
+func testConfig(d *dataset.Dataset, split *dataset.ALSplit) Config {
+	return Config{
 		Data:         d,
 		Split:        split,
 		Factory:      forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3}),
 		Strategy:     active.Uncertainty{},
 		FeatureNames: d.FeatureNames,
 		Seed:         4,
-	})
+	}
+}
+
+// newTestServer builds a server over newTestProblem.
+func newTestServer(t *testing.T) (*Server, *dataset.Dataset) {
+	t.Helper()
+	d, split := newTestProblem(t)
+	srv, err := New(testConfig(d, split))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +268,12 @@ func TestIndexPage(t *testing.T) {
 }
 
 func TestPoolExhaustion(t *testing.T) {
-	srv, d := newTestServer(t)
-	// Shrink the pool to two samples.
-	srv.mu.Lock()
-	srv.pool = srv.pool[:2]
-	srv.mu.Unlock()
+	d, split := newTestProblem(t)
+	split.Pool = split.Pool[:2]
+	srv, err := New(testConfig(d, split))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for q := 0; q < 2; q++ {
