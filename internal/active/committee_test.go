@@ -198,7 +198,7 @@ type failingClassifier struct{}
 func (failingClassifier) Fit([][]float64, []int, int) error {
 	return errFailingFit
 }
-func (failingClassifier) NumClasses() int                   { return 0 }
+func (failingClassifier) NumClasses() int                    { return 0 }
 func (failingClassifier) PredictProba(x []float64) []float64 { return nil }
 
 var errFailingFit = fmt.Errorf("synthetic fit failure")

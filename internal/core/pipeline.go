@@ -8,6 +8,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	"albadross/internal/dataset"
 	"albadross/internal/featsel"
@@ -50,6 +52,25 @@ type Preprocessor struct {
 	// Names are the selected feature names (nil when the source dataset
 	// carries none).
 	Names []string
+
+	// plan is TransformRow's one-pass form of Clean, Scaler and Sel,
+	// derived on first use. It is unexported, so gob never encodes it.
+	planOnce sync.Once
+	plan     transformPlan
+}
+
+// transformPlan folds the fitted pipeline onto the selected outputs:
+// output o reads raw column cols[o].raw and scales it by that column's
+// bounds. err is a Clean/Scaler/Sel shape mismatch, reported by every
+// TransformRow as the three-step transform reported it.
+type transformPlan struct {
+	cols []selectedColumn
+	err  error
+}
+
+type selectedColumn struct {
+	raw        int
+	min, scale float64 // Scaler.Min and Scaler.Range of the column
 }
 
 // FitPreprocessor learns the pipeline from the given training rows of d.
@@ -109,26 +130,66 @@ func FitPreprocessor(d *dataset.Dataset, trainIdx []int, topK int) (*Preprocesso
 	return p, nil
 }
 
-// TransformRow maps one raw feature vector through the fitted pipeline.
+// TransformRow maps one raw feature vector through the fitted pipeline:
+// NaN/zero-column dropping, min-max scaling, and chi-square selection.
 // Values outside the training range extrapolate beyond [0,1] and are
 // clipped at [-1, 2] to bound the influence of extreme unseen telemetry.
+// Only the selected columns are read, cleaned and scaled, in one pass
+// that is bitwise the clean → scale → clip → select sequence. x is only
+// read; the result is freshly allocated.
 func (p *Preprocessor) TransformRow(x []float64) ([]float64, error) {
-	cleaned, err := p.Clean.Apply([][]float64{x})
-	if err != nil {
+	if len(x) != len(p.Clean.Keep) {
+		_, err := p.Clean.Apply([][]float64{x}) // featsel words the width error
 		return nil, err
 	}
-	if err := p.Scaler.Transform(cleaned); err != nil {
-		return nil, err
+	p.planOnce.Do(p.buildPlan)
+	if p.plan.err != nil {
+		return nil, p.plan.err
 	}
-	row := cleaned[0]
-	for j, v := range row {
+	out := make([]float64, len(p.plan.cols))
+	for o, c := range p.plan.cols {
+		v := x[c.raw]
+		switch {
+		case math.IsNaN(v), c.scale == 0:
+			v = 0
+		default:
+			v = (v - c.min) / c.scale
+		}
 		if v < -1 {
-			row[j] = -1
+			v = -1
 		} else if v > 2 {
-			row[j] = 2
+			v = 2
+		}
+		out[o] = v
+	}
+	return out, nil
+}
+
+// buildPlan derives the transform plan from Clean, Scaler and Sel. A
+// shape mismatch between them is found by running the scaler and the
+// selector once over a zero row of the cleaned width, so the error is
+// theirs, word for word.
+func (p *Preprocessor) buildPlan() {
+	raw := make([]int, 0, p.Clean.Kept)
+	for j, keep := range p.Clean.Keep {
+		if keep {
+			raw = append(raw, j)
 		}
 	}
-	return p.Sel.ApplyRow(row)
+	probe := [][]float64{make([]float64, len(raw))}
+	if err := p.Scaler.Transform(probe); err != nil {
+		p.plan.err = err
+		return
+	}
+	if _, err := p.Sel.ApplyRow(probe[0]); err != nil {
+		p.plan.err = err
+		return
+	}
+	cols := make([]selectedColumn, len(p.Sel.Indices))
+	for o, j := range p.Sel.Indices {
+		cols[o] = selectedColumn{raw: raw[j], min: p.Scaler.Min[j], scale: p.Scaler.Range[j]}
+	}
+	p.plan.cols = cols
 }
 
 // Transform returns a new dataset whose rows passed through the pipeline;

@@ -21,11 +21,14 @@ type Extractor interface {
 	// Name identifies the toolkit ("mvts" or "tsfresh").
 	Name() string
 	// FeatureNames lists the per-metric feature names, in the order
-	// Extract emits them.
+	// Append emits them.
 	FeatureNames() []string
-	// Extract computes the features of one series. The result always has
-	// len(FeatureNames()) entries; undefined features are NaN.
-	Extract(s []float64) []float64
+	// Append computes the features of one series and appends them to
+	// dst, returning the extended slice: always len(FeatureNames())
+	// entries, undefined features NaN. s is only read. Appending lets a
+	// caller extract a whole sample into one presized vector; scratch an
+	// implementation needs is its own, not the caller's (mvts pools it).
+	Append(dst, s []float64) []float64
 }
 
 // VectorNames returns the feature names of a full sample vector: the cross
@@ -63,17 +66,20 @@ func Sanitize(v []float64) int {
 }
 
 // ExtractSample computes the feature vector of one multivariate sample by
-// concatenating per-metric features in metric order.
+// appending per-metric features in metric order into one presized,
+// freshly allocated vector the caller owns. It is where every window and
+// run is extracted, so features_extract_seconds observes it once per
+// sample.
 func ExtractSample(e Extractor, m *ts.Multivariate) []float64 {
 	defer obs.StartSpan(extractLatency).End()
 	per := len(e.FeatureNames())
 	out := make([]float64, 0, per*len(m.Metrics))
 	for _, s := range m.Metrics {
-		v := e.Extract(s)
-		if len(v) != per {
-			panic(fmt.Sprintf("features: extractor %s returned %d features, declared %d", e.Name(), len(v), per))
+		before := len(out)
+		out = e.Append(out, s)
+		if got := len(out) - before; got != per {
+			panic(fmt.Sprintf("features: extractor %s appended %d features, declared %d", e.Name(), got, per))
 		}
-		out = append(out, v...)
 	}
 	return out
 }

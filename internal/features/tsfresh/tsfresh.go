@@ -133,46 +133,53 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// Extract computes the feature vector of one series.
+// Extract computes the feature vector of one series into a new slice.
 func (e Extractor) Extract(s []float64) []float64 {
-	out := make([]float64, 0, len(featureNames))
-	out = append(out, mvts.Extractor{}.Extract(s)...)
+	return e.Append(make([]float64, 0, len(featureNames)), s)
+}
+
+// Append computes the features of one series and appends them to dst:
+// the 48 mvts features (mvts.Extractor.Append), then the advanced
+// families.
+func (e Extractor) Append(dst, s []float64) []float64 {
+	start := len(dst)
+	dst = mvts.Extractor{}.Append(dst, s)
 
 	for lag := 1; lag <= 10; lag++ {
-		out = append(out, stats.Autocorrelation(s, lag))
+		dst = append(dst, stats.Autocorrelation(s, lag))
 	}
 	for lag := 1; lag <= 5; lag++ {
-		out = append(out, stats.PartialAutocorrelation(s, lag))
+		dst = append(dst, stats.PartialAutocorrelation(s, lag))
 	}
 	for lag := 1; lag <= 3; lag++ {
-		out = append(out, stats.C3(s, lag))
+		dst = append(dst, stats.C3(s, lag))
 	}
-	out = append(out, stats.CidCE(s, false), stats.CidCE(s, true))
+	dst = append(dst, stats.CidCE(s, false), stats.CidCE(s, true))
 	for lag := 1; lag <= 3; lag++ {
-		out = append(out, stats.TimeReversalAsymmetry(s, lag))
+		dst = append(dst, stats.TimeReversalAsymmetry(s, lag))
 	}
-	out = append(out, stats.BinnedEntropy(s, 5), stats.BinnedEntropy(s, 20))
+	dst = append(dst, stats.BinnedEntropy(s, 5), stats.BinnedEntropy(s, 20))
 
 	dec := decimate(s, entropyCap)
 	sd := stats.Std(dec)
-	out = append(out, stats.ApproximateEntropy(dec, 2, 0.2*sd))
+	dst = append(dst, stats.ApproximateEntropy(dec, 2, 0.2*sd))
 	se := stats.SampleEntropy(dec, 2, 0.2*sd)
 	if math.IsInf(se, 0) {
 		se = math.NaN() // undefined (no m+1 matches); treated like other NaNs
 	}
-	out = append(out, se)
+	dst = append(dst, se)
 
 	// Spectral features via Welch's method (1 Hz sampling).
 	freqs, psd := fft.Welch(s, 1, welchSegment)
 	if len(psd) == 0 {
 		for i := 0; i < 11; i++ {
-			out = append(out, math.NaN())
+			dst = append(dst, math.NaN())
 		}
 	} else {
 		c, v, sk, ku := fft.SpectralMoments(freqs, psd)
-		out = append(out, c, v, sk, ku)
+		dst = append(dst, c, v, sk, ku)
 		arg := stats.ArgMax(psd)
-		out = append(out, stats.Max(psd), freqs[arg], stats.Sum(psd))
+		dst = append(dst, stats.Max(psd), freqs[arg], stats.Sum(psd))
 		// Power split into four equal frequency bands.
 		quarter := (len(psd) + 3) / 4
 		for b := 0; b < 4; b++ {
@@ -182,10 +189,10 @@ func (e Extractor) Extract(s []float64) []float64 {
 				hi = len(psd)
 			}
 			if lo >= hi {
-				out = append(out, 0)
+				dst = append(dst, 0)
 				continue
 			}
-			out = append(out, stats.Sum(psd[lo:hi]))
+			dst = append(dst, stats.Sum(psd[lo:hi]))
 		}
 	}
 
@@ -200,25 +207,25 @@ func (e Extractor) Extract(s []float64) []float64 {
 		for k := 0; k < 8; k++ {
 			if k < len(spec) {
 				re, im := real(spec[k]), imag(spec[k])
-				out = append(out, math.Sqrt(re*re+im*im))
+				dst = append(dst, math.Sqrt(re*re+im*im))
 			} else {
-				out = append(out, math.NaN())
+				dst = append(dst, math.NaN())
 			}
 		}
 	} else {
 		for k := 0; k < 8; k++ {
-			out = append(out, math.NaN())
+			dst = append(dst, math.NaN())
 		}
 	}
 
 	qs := stats.QuantilesSorted(s, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-	out = append(out, qs...)
+	dst = append(dst, qs...)
 	for _, r := range []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0} {
-		out = append(out, stats.RatioBeyondRSigma(s, r))
+		dst = append(dst, stats.RatioBeyondRSigma(s, r))
 	}
 	q25 := stats.Quantile(s, 0.25)
 	q75 := stats.Quantile(s, 0.75)
-	out = append(out,
+	dst = append(dst,
 		float64(stats.CrossingCount(s, q25)),
 		float64(stats.CrossingCount(s, q75)),
 		float64(stats.NumberPeaks(s, 1)),
@@ -230,7 +237,7 @@ func (e Extractor) Extract(s []float64) []float64 {
 		b2f(stats.HasDuplicateMin(s)),
 	)
 	med := stats.Median(s)
-	out = append(out,
+	dst = append(dst,
 		float64(stats.LongestStrikeAbove(s, med)),
 		float64(stats.LongestStrikeBelow(s, med)),
 	)
@@ -240,12 +247,12 @@ func (e Extractor) Extract(s []float64) []float64 {
 	n := len(s)
 	for c := 0; c < 10; c++ {
 		if n == 0 || total == 0 {
-			out = append(out, math.NaN())
+			dst = append(dst, math.NaN())
 			continue
 		}
 		lo := c * n / 10
 		hi := (c + 1) * n / 10
-		out = append(out, stats.AbsEnergy(s[lo:hi])/total)
+		dst = append(dst, stats.AbsEnergy(s[lo:hi])/total)
 	}
 
 	// Index mass quantiles: relative index where the cumulative |x| mass
@@ -256,7 +263,7 @@ func (e Extractor) Extract(s []float64) []float64 {
 	}
 	for _, q := range []float64{0.25, 0.5, 0.75} {
 		if n == 0 || absMass == 0 {
-			out = append(out, math.NaN())
+			dst = append(dst, math.NaN())
 			continue
 		}
 		cum := 0.0
@@ -268,7 +275,7 @@ func (e Extractor) Extract(s []float64) []float64 {
 				break
 			}
 		}
-		out = append(out, float64(idx+1)/float64(n))
+		dst = append(dst, float64(idx+1)/float64(n))
 	}
 
 	// Last locations of extrema.
@@ -287,31 +294,31 @@ func (e Extractor) Extract(s []float64) []float64 {
 				zeros++
 			}
 		}
-		out = append(out,
+		dst = append(dst,
 			float64(lastMax+1)/float64(n),
 			float64(lastMin+1)/float64(n),
 			float64(zeros)/float64(n),
 		)
 	} else {
-		out = append(out, math.NaN(), math.NaN(), math.NaN())
+		dst = append(dst, math.NaN(), math.NaN(), math.NaN())
 	}
 
 	variance := stats.Var(s)
-	out = append(out,
+	dst = append(dst,
 		b2f(variance > math.Sqrt(variance)), // variance_larger_than_std
 		b2f(stats.Std(s) > 0.25*stats.Range(s)),
 	)
 	// symmetry_looking: |mean - median| < 0.05 * range.
-	out = append(out, b2f(math.Abs(stats.Mean(s)-med) < 0.05*stats.Range(s)))
+	dst = append(dst, b2f(math.Abs(stats.Mean(s)-med) < 0.05*stats.Range(s)))
 
 	// Overflow guard: products of extreme magnitudes (c3's cubes, energy
 	// sums) can overflow float64 even on finite input. The extractor's
 	// contract is finite-or-NaN — an infinity is an undefined feature,
 	// not a value.
-	for i, v := range out {
+	for i, v := range dst[start:] {
 		if math.IsInf(v, 0) {
-			out[i] = math.NaN()
+			dst[start+i] = math.NaN()
 		}
 	}
-	return out
+	return dst
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"albadross/internal/features/mvts"
 )
 
 func TestFeatureCountConsistent(t *testing.T) {
@@ -30,6 +32,25 @@ func TestSupersetOfMVTS(t *testing.T) {
 	// The first 48 names are the MVTS set.
 	if names[0] != "mean" || len(names) <= 48 {
 		t.Fatal("tsfresh should embed the MVTS features first")
+	}
+	// And the first 48 values are mvts' own (which mvts_test pins to its
+	// feature-by-feature oracle), save the overflow guard's Inf → NaN.
+	rng := rand.New(rand.NewSource(7))
+	cases := [][]float64{{}, {3}, {1, 1}, {0, math.Copysign(0, -1), 0, 2}, {1, math.NaN(), 2, 3}, {math.Inf(1), 1, 2, math.Inf(-1), 5}}
+	for trial := 0; trial < 40; trial++ {
+		cases = append(cases, randSeries(rng))
+	}
+	for ci, s := range cases {
+		want := mvts.Extractor{}.Extract(s)
+		got := e.Append([]float64{-1}, s)[1:]
+		for i, w := range want {
+			if math.IsInf(w, 0) {
+				w = math.NaN()
+			}
+			if g := got[i]; !(math.IsNaN(g) && math.IsNaN(w)) && math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("case %d: embedded %s = %v, mvts %v", ci, names[i], g, w)
+			}
+		}
 	}
 }
 

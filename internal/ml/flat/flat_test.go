@@ -150,8 +150,8 @@ func TestGobRoundTripFallsBackThenWarms(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	q := randomRows(rng, 80, 6)
-	want := f.PredictProbaBatch(q)    // flat path (warmed by Fit)
-	cold := f2.PredictProbaBatch(q)   // pointer fallback (flat cache lost in gob)
+	want := f.PredictProbaBatch(q)  // flat path (warmed by Fit)
+	cold := f2.PredictProbaBatch(q) // pointer fallback (flat cache lost in gob)
 	f2.WarmFlat()
 	warm := f2.PredictProbaBatch(q) // flat path rebuilt
 	for i := range q {

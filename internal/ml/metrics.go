@@ -27,9 +27,9 @@ var (
 		Unit: "seconds",
 	}, "model")
 	predictBatchRows = obs.NewHistogramVec(obs.Opts{
-		Name: "ml_predict_batch_rows",
-		Help: "Rows classified per batch inference, by model.",
-		Unit: "rows",
+		Name:    "ml_predict_batch_rows",
+		Help:    "Rows classified per batch inference, by model.",
+		Unit:    "rows",
 		Buckets: obs.SizeBuckets,
 	}, "model")
 )

@@ -14,7 +14,7 @@ type fuzzExtractor struct{}
 
 func (fuzzExtractor) Name() string           { return "fuzzmean" }
 func (fuzzExtractor) FeatureNames() []string { return []string{"mean"} }
-func (fuzzExtractor) Extract(s []float64) []float64 {
+func (fuzzExtractor) Append(dst, s []float64) []float64 {
 	sum, n := 0.0, 0
 	for _, v := range s {
 		if !math.IsNaN(v) {
@@ -23,9 +23,9 @@ func (fuzzExtractor) Extract(s []float64) []float64 {
 		}
 	}
 	if n == 0 {
-		return []float64{math.NaN()}
+		return append(dst, math.NaN())
 	}
-	return []float64{sum / float64(n)}
+	return append(dst, sum/float64(n))
 }
 
 // FuzzPushAt drives the timestamped ingest path with arbitrary

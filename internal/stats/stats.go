@@ -5,9 +5,10 @@
 //
 // All functions treat their input as an immutable sample; none of them
 // mutate the slice they are given. Functions that need a sorted copy make
-// one internally. Empty inputs return NaN (or zero where a count is the
-// natural answer) rather than panicking, because upstream telemetry can
-// legitimately produce empty windows.
+// one internally, except SortedQuantile, which takes a slice its caller
+// has already sorted. Empty inputs return NaN (or zero where a count is
+// the natural answer) rather than panicking, because upstream telemetry
+// can legitimately produce empty windows.
 package stats
 
 import (
@@ -191,7 +192,7 @@ func Quantile(xs []float64, q float64) float64 {
 		return math.NaN()
 	}
 	cp := sorted(xs)
-	return quantileSorted(cp, q)
+	return SortedQuantile(cp, q)
 }
 
 // QuantilesSorted evaluates multiple quantiles with a single sort. The qs
@@ -206,12 +207,19 @@ func QuantilesSorted(xs []float64, qs ...float64) []float64 {
 	}
 	cp := sorted(xs)
 	for i, q := range qs {
-		out[i] = quantileSorted(cp, q)
+		out[i] = SortedQuantile(cp, q)
 	}
 	return out
 }
 
-func quantileSorted(cp []float64, q float64) float64 {
+// SortedQuantile is Quantile over a slice already in ascending order
+// (as sort.Float64s leaves it), without copying or sorting: callers that
+// evaluate several order statistics of one sort share it. It returns NaN
+// for an empty slice.
+func SortedQuantile(cp []float64, q float64) float64 {
+	if len(cp) == 0 {
+		return math.NaN()
+	}
 	if q <= 0 {
 		return cp[0]
 	}

@@ -193,28 +193,34 @@ func InterpolateAll(m *Multivariate) int {
 }
 
 // Diff replaces a cumulative counter with per-step deltas:
-// out[t] = s[t+1] - s[t]. The result is one element shorter. Negative
-// deltas (counter wrap or reset) are clamped to zero, which is what LDMS
-// post-processing does for wrapping counters.
-func Diff(s Series) Series {
+// out[t] = s[t+1] - s[t]. The result is one element shorter and freshly
+// allocated; s is unchanged. Negative deltas (counter wrap or reset) are
+// clamped to zero, which is what LDMS post-processing does for wrapping
+// counters.
+func Diff(s Series) Series { return diffInPlace(s.Clone()) }
+
+// diffInPlace is Diff over s's own storage: each delta overwrites the
+// earlier of its two samples, which no later delta reads.
+func diffInPlace(s Series) Series {
 	if len(s) < 2 {
-		return Series{}
+		return s[:0]
 	}
-	out := make(Series, len(s)-1)
 	for i := 1; i < len(s); i++ {
 		d := s[i] - s[i-1]
 		if d < 0 {
 			d = 0
 		}
-		out[i-1] = d
+		s[i-1] = d
 	}
-	return out
+	return s[:len(s)-1]
 }
 
-// DiffCounters applies Diff to the metrics flagged cumulative and truncates
-// the remaining metrics by one sample so all series stay aligned.
-// cumulative[i] corresponds to m.Metrics[i]. It returns an error if the
-// flag slice length mismatches.
+// DiffCounters differences the metrics flagged cumulative and drops the
+// first sample of the remaining metrics so all series stay aligned. It
+// works in place: counters are differenced over their own storage and
+// gauges are resliced, so the block's series alias (and overwrite) the
+// storage they had before. cumulative[i] corresponds to m.Metrics[i]. It
+// returns an error if the flag slice length mismatches.
 func DiffCounters(m *Multivariate, cumulative []bool) error {
 	if len(cumulative) != len(m.Metrics) {
 		return fmt.Errorf("ts: %d cumulative flags for %d metrics", len(cumulative), len(m.Metrics))
@@ -224,9 +230,9 @@ func DiffCounters(m *Multivariate, cumulative []bool) error {
 	}
 	for i, s := range m.Metrics {
 		if cumulative[i] {
-			m.Metrics[i] = Diff(s)
+			m.Metrics[i] = diffInPlace(s)
 		} else {
-			m.Metrics[i] = s[1:].Clone()
+			m.Metrics[i] = s[1:]
 		}
 	}
 	return nil

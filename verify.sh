@@ -1,12 +1,13 @@
 #!/bin/sh
-# Tier-1 verification gate (see ROADMAP.md): vet, build, repo-specific
-# static analysis, race-enabled tests. Run from the repository root;
-# exits non-zero on first failure.
+# Tier-1 verification gate (see ROADMAP.md): gofmt, vet, build,
+# repo-specific static analysis, race-enabled tests, the allocation
+# gates. Run from the repository root; exits non-zero on first failure.
 #
 #   ./verify.sh          # the standard gate
 #   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
 #                        # stream ingest, WAL record decoder,
-#                        # ingest-body values scanner), the serving
+#                        # ingest-body values scanner, mvts kernel
+#                        # against its reference), the serving
 #                        # benchmark against BENCH_4.json, the experiment-
 #                        # engine benchmark against BENCH_5.json, the
 #                        # fleet-scale ingest benchmark against
@@ -22,6 +23,14 @@ for arg in "$@"; do
     *) echo "usage: ./verify.sh [--deep]" >&2; exit 2 ;;
   esac
 done
+
+echo "== gofmt -l (testdata/ holds analyzer fixtures and is skipped)"
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: unformatted files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -47,6 +56,9 @@ echo "== go test -race ./..."
 # 10m per-package budget on 1-CPU hosts.
 go test -race -timeout 20m ./...
 
+echo "== allocation gates (testing.AllocsPerRun; without -race, under which sync.Pool drops Puts)"
+go test -count=1 -run 'Alloc' ./internal/features/mvts/ ./internal/stream/
+
 echo "== lifecycle chaos scenario (drift trigger, quarantine, rollback; see docs/LIFECYCLE.md)"
 # Every phase invariant is asserted in-process; a violation exits
 # non-zero. LIFECYCLE_OUT (used by CI) writes the phase table as CSV.
@@ -64,6 +76,9 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzWALDecode (10s)"
   go test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal/
+
+  echo "== fuzz smoke: FuzzMVTSReference (10s)"
+  go test -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
 
   echo "== serving benchmark vs BENCH_4.json (see docs/TESTING.md)"
   go run ./cmd/loadgen -selfcheck -duration 2s -trials 2 \
