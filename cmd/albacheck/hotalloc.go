@@ -18,8 +18,8 @@ import (
 //
 // The point is drift detection, not prohibition: a deliberate
 // allocation on a hot path stays, suppressed with a written reason that
-// reviewers see; an accidental one fails the sweep before it fails the
-// benchmark gate.
+// reviewers see; an accidental one fails the sweep before it fails an
+// AllocsPerRun test or moves a BENCHMARK.json metric.
 var hotallocAnalyzer = &Analyzer{
 	Name:      "hotalloc",
 	Doc:       "allocation sources in functions reachable from declared hot roots",
@@ -27,8 +27,9 @@ var hotallocAnalyzer = &Analyzer{
 }
 
 // hotRoots are the always-on roots of the scan: the serving-path
-// kernels whose benchmarks BENCH_4/BENCH_7 gate. Annotating a function
-// //albacheck:hotpath adds it to this set without editing the tool.
+// kernels behind BENCHMARK.json's diagnose_batch and eclipse_1hz
+// workloads. Annotating a function //albacheck:hotpath adds it to this
+// set without editing the tool.
 var hotRoots = []string{
 	"albadross/internal/ml/flat.Forest.PredictProbaInto",
 	"albadross/internal/ml/flat.GBM.PredictProbaInto",

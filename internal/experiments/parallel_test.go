@@ -102,69 +102,3 @@ func TestDrilldownWorkerCountParity(t *testing.T) {
 	}
 	assertParity(t, "fig4", csvOf(t, serial), csvOf(t, parallel))
 }
-
-// TestSweepSpeedupFloor pins the core-scaled gate: the full minimum
-// binds only when the host can actually run the workers, and 1-CPU
-// hosts keep a sanity floor just under parity.
-func TestSweepSpeedupFloor(t *testing.T) {
-	cases := []struct {
-		workers, gomaxprocs int
-		want                float64
-	}{
-		{8, 1, 0.8},  // 1-CPU host: catastrophic-overhead guard only
-		{8, 2, 1.1},  // 2 cores: must beat serial
-		{8, 4, 2.2},  // CI-sized host: close to the full floor
-		{8, 8, 2.5},  // full parallelism: the ISSUE's 2.5x
-		{8, 64, 2.5}, // capped by minSpeedup
-		{2, 64, 1.1}, // capped by the benchmark's own worker count
-	}
-	for _, c := range cases {
-		got := sweepSpeedupFloor(2.5, c.workers, c.gomaxprocs)
-		if got != c.want {
-			t.Errorf("sweepSpeedupFloor(2.5, %d, %d) = %v, want %v", c.workers, c.gomaxprocs, got, c.want)
-		}
-	}
-}
-
-// TestCompareBench5 exercises the gate's pass and fail paths.
-func TestCompareBench5(t *testing.T) {
-	base := &Bench5Report{
-		SchemaVersion: 1, GoMaxProcs: 8,
-		Sweep: SweepBench{Workers: 8, Cells: 12, SerialSec: 10, ParallelSec: 3, Speedup: 3.3, OutputsIdentical: true},
-		Pool:  PoolBench{Rows: 256, SerialNsPerRow: 1000, BatchNsPerRow: 300, SerialAllocsPerOp: 257, BatchAllocsPerOp: 3},
-		GBM:   GBMBench{Rounds: 15, FitAllocsPerOp: 5000},
-	}
-	fresh := *base
-	if bad := CompareBench5(&fresh, base, 0.2, 2.5); len(bad) != 0 {
-		t.Fatalf("identical report should pass, got %v", bad)
-	}
-
-	broken := *base
-	broken.Sweep.OutputsIdentical = false
-	if bad := CompareBench5(&broken, base, 0.2, 2.5); len(bad) == 0 {
-		t.Fatal("non-identical sweep outputs must fail the gate")
-	}
-
-	slow := *base
-	slow.Sweep.Speedup = 1.0
-	if bad := CompareBench5(&slow, base, 0.2, 2.5); len(bad) == 0 {
-		t.Fatal("a 1.0x speedup at 8 effective cores must fail the gate")
-	}
-	// The same speedup on a 1-CPU host is fine: the floor clamps to 0.8.
-	slow.GoMaxProcs = 1
-	if bad := CompareBench5(&slow, base, 0.2, 2.5); len(bad) != 0 {
-		t.Fatalf("1.0x on a 1-CPU host should pass, got %v", bad)
-	}
-
-	leaky := *base
-	leaky.Pool.BatchAllocsPerOp = base.Pool.BatchAllocsPerOp + 10
-	if bad := CompareBench5(&leaky, base, 0.2, 2.5); len(bad) == 0 {
-		t.Fatal("pool alloc growth must fail the gate")
-	}
-
-	hungry := *base
-	hungry.GBM.FitAllocsPerOp = base.GBM.FitAllocsPerOp * 2
-	if bad := CompareBench5(&hungry, base, 0.2, 2.5); len(bad) == 0 {
-		t.Fatal("gbm alloc growth must fail the gate")
-	}
-}

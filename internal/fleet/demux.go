@@ -132,9 +132,9 @@ type ShardBatch struct {
 // Demux splits interleaved multi-node row batches into per-node groups
 // bucketed by owning shard. All scratch (the node index, the grouped
 // row backing, the per-shard buckets) is retained and reused across
-// Split calls, so a warmed demux splits a batch without allocating —
-// the property the BENCH_6 alloc gate pins. Not safe for concurrent
-// use; pool instances instead.
+// Split calls, so a warmed demux splits a batch without allocating
+// (TestDemuxSteadyStateDoesNotAllocate). Not safe for concurrent use;
+// pool instances instead.
 type Demux struct {
 	router  *Router
 	groupOf map[int]int32 // node id -> index into groups

@@ -36,11 +36,13 @@ func (sumFeatures) Reset() {}
 // clears the cut.
 type thresholdPredict struct {
 	cut     float64
+	stall   time.Duration // slept on every prediction (overload tests)
 	gate    chan struct{} // when non-nil, Predict blocks until the gate closes
 	blocked *atomic.Int32 // incremented before blocking on the gate
 }
 
 func (p *thresholdPredict) Predict(vec []float64) (string, float64, error) {
+	time.Sleep(p.stall)
 	if p.gate != nil {
 		if p.blocked != nil {
 			p.blocked.Add(1)
@@ -61,6 +63,7 @@ const (
 // factoryOpts tunes the test node factory.
 type factoryOpts struct {
 	walDir  string
+	stall   time.Duration
 	gates   map[int]chan struct{} // per-shard predict gates (wedge tests)
 	router  *fleet.Router
 	blocked *atomic.Int32
@@ -70,7 +73,7 @@ type factoryOpts struct {
 // prediction, optional journaling under fleet.NodeWALDir.
 func testFactory(opts factoryOpts) func(node int, sink pipeline.Sink) (*fleet.NodeStream, error) {
 	return func(node int, sink pipeline.Sink) (*fleet.NodeStream, error) {
-		pred := &thresholdPredict{cut: 0.5, blocked: opts.blocked}
+		pred := &thresholdPredict{cut: 0.5, stall: opts.stall, blocked: opts.blocked}
 		if opts.gates != nil {
 			pred.gate = opts.gates[opts.router.Shard(node)]
 		}
@@ -218,16 +221,29 @@ func TestDemuxGroupsPreserveOrderAndShard(t *testing.T) {
 	}
 }
 
+// TestDemuxSteadyStateDoesNotAllocate pins the demux hot path: once its
+// scratch has grown, a demux alternating between a small batch (8 nodes
+// x 4 rows) and a large one (256 nodes x 8 rows) splits both without
+// allocating.
 func TestDemuxSteadyStateDoesNotAllocate(t *testing.T) {
 	router, _ := fleet.NewRouter(4)
 	d := fleet.NewDemux(router)
-	rows := feedRows([]int{1, 2, 3, 4, 5, 6, 7, 8}, 0, 4)
-	d.Split(rows) // warm the scratch
+	nodes := make([]int, 256)
+	for i := range nodes {
+		nodes[i] = i + 1
+	}
+	small := feedRows(nodes[:8], 0, 4)
+	large := feedRows(nodes, 0, 8)
+	for i := 0; i < 4; i++ { // warm the scratch past its growth phase
+		d.Split(small)
+		d.Split(large)
+	}
 	allocs := testing.AllocsPerRun(50, func() {
-		d.Split(rows)
+		d.Split(small)
+		d.Split(large)
 	})
 	if allocs > 0.5 {
-		t.Fatalf("warmed Split allocates %.1f times per batch; scratch reuse is broken", allocs)
+		t.Fatalf("warmed Split allocates %.1f times per small+large pair; scratch reuse is broken", allocs)
 	}
 }
 
@@ -558,6 +574,64 @@ func TestWedgedShardShedsOnlyItsRows(t *testing.T) {
 	}
 	if _, err := c.Offer(feedRows(others, 99, 1)); err == nil {
 		t.Fatal("Offer after Close must fail")
+	}
+}
+
+// TestOverloadStormKeepsAccounting storms an undersized coordinator (2
+// shards, queue depth 1, a 2 ms predict stall) from 8 concurrent
+// offerers, each driving its own node with full windows. Overload must
+// degrade by partial accept: some rows shed and some accepted, every
+// shedding batch advises a retry, the coordinator's counters keep
+// offered == accepted + rejected + shed, and Close still returns.
+func TestOverloadStormKeepsAccounting(t *testing.T) {
+	c, err := fleet.NewCoordinator(fleet.Config{
+		Shards: 2, Metrics: testMetrics, QueueDepth: 1,
+		NewNode: testFactory(factoryOpts{stall: 2 * time.Millisecond}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offerers, offersEach = 8, 10
+	var hintless atomic.Int32
+	var wg sync.WaitGroup
+	for node := 0; node < offerers; node++ {
+		wg.Add(1)
+		go func(node int) {
+			defer wg.Done()
+			for i := 0; i < offersEach; i++ {
+				res, err := c.Offer(feedRows([]int{node}, i*testWindow, testWindow))
+				if err != nil {
+					t.Errorf("node %d offer %d: %v", node, i, err)
+					return
+				}
+				if res.Shed > 0 && res.RetryAfter <= 0 {
+					hintless.Add(1)
+				}
+			}
+		}(node)
+	}
+	wg.Wait()
+
+	st := c.Stats()
+	if st.Offered != st.Accepted+st.Rejected+st.Shed {
+		t.Fatalf("accounting leaked: offered %d != accepted %d + rejected %d + shed %d",
+			st.Offered, st.Accepted, st.Rejected, st.Shed)
+	}
+	if st.Shed == 0 || st.Accepted == 0 {
+		t.Fatalf("overload did not degrade by partial accept: accepted %d, shed %d", st.Accepted, st.Shed)
+	}
+	if n := hintless.Load(); n > 0 {
+		t.Fatalf("%d shedding batches carried no Retry-After hint", n)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close after the storm: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close deadlocked after the storm")
 	}
 }
 

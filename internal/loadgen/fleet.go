@@ -1,8 +1,8 @@
 // Fleet load generation: drives POST /api/ingest/bulk with interleaved
-// multi-node LDMS-style batches — the measurement half of BENCH_6.json.
-// Each worker owns a disjoint slice of the logical node population and
-// maintains per-node monotone timestamps, so the server's duplicate
-// screening never trips; per-node value streams are seeded with
+// multi-node LDMS-style batches, the raw reading width discovered from
+// GET /api/schema. Each worker owns a disjoint slice of the logical node
+// population and maintains per-node monotone timestamps, so the server's
+// duplicate screening never trips; per-node value streams are seeded with
 // runner.CellSeed so the traffic is node-skewed but reproducible. The
 // driver understands the bulk endpoint's back-pressure contract: a 429
 // is partial accept, not an error — its accounting is folded in and the
@@ -41,9 +41,6 @@ type FleetConfig struct {
 	// interleaved into one batch; 0 means all of them (the bulk shape).
 	// 1 with RowsPerNode 1 is the single-row baseline.
 	NodesPerRequest int
-	// Metrics is the raw reading width. When zero it is discovered from
-	// GET /api/schema.
-	Metrics int
 	// Seed drives the synthetic readings (skewed per node).
 	Seed int64
 	// HonorRetry sleeps out the server's Retry-After advice after a 429
@@ -110,12 +107,9 @@ func Fleet(cfg FleetConfig) (*FleetResult, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	metrics := cfg.Metrics
-	if metrics == 0 {
-		var err error
-		if metrics, err = FetchMetrics(client, cfg.BaseURL); err != nil {
-			return nil, fmt.Errorf("loadgen: discovering metric width: %w", err)
-		}
+	metrics, err := FetchMetrics(client, cfg.BaseURL)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: discovering metric width: %w", err)
 	}
 
 	url := cfg.BaseURL + "/api/ingest/bulk"

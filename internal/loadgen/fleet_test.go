@@ -1,18 +1,91 @@
 package loadgen
 
 import (
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"albadross/internal/active"
+	"albadross/internal/dataset"
+	"albadross/internal/features"
+	"albadross/internal/features/mvts"
+	"albadross/internal/ml/forest"
 	"albadross/internal/server"
+	"albadross/internal/telemetry"
+	"albadross/internal/ts"
 )
+
+// fleetMetrics is the raw telemetry width of the fleet bench server's
+// schema; bulk rows posted at it must carry exactly this many values.
+const fleetMetrics = 3
+
+// newFleetBenchServer builds a synthetic fleet-mode annotation server:
+// a 3-metric schema, an mvts feature space, a cheap deterministic
+// forest, and the caller's fleet geometry. Zeroed window geometry
+// defaults to Window 16 / Stride 16.
+func newFleetBenchServer(seed int64, fc server.FleetConfig) (*server.Server, error) {
+	if fc.Shards <= 0 {
+		fc.Shards = 4
+	}
+	if fc.Window == 0 {
+		fc.Window = 16
+	}
+	if fc.Stride == 0 {
+		fc.Stride = fc.Window
+	}
+	schema := []telemetry.Metric{{Name: "cpu.user"}, {Name: "mem.active"}, {Name: "net.rx"}}
+	ext := mvts.Extractor{}
+	classes := []string{"healthy", "cpuoccupy", "memleak"}
+	rng := rand.New(rand.NewSource(seed))
+	d := dataset.New(classes)
+	for i := 0; i < 120; i++ {
+		label := i % len(classes)
+		block := &ts.Multivariate{Metrics: make([]ts.Series, len(schema))}
+		for m := range block.Metrics {
+			level := 1.0
+			if label > 0 && m == label-1 {
+				level = 6.0
+			}
+			s := make(ts.Series, 32)
+			for j := range s {
+				s[j] = level + 0.1*rng.NormFloat64()
+			}
+			block.Metrics[m] = s
+		}
+		vec := features.ExtractSample(ext, block)
+		features.Sanitize(vec)
+		if err := d.Add(vec, classes[label], telemetry.RunMeta{App: "BT", Node: i % 8}); err != nil {
+			return nil, err
+		}
+	}
+	split, err := dataset.MakeALSplit(d, dataset.ALSplitConfig{
+		TestFraction: 0.3, AnomalyRatio: 0.34, HealthyClass: 0, Seed: seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Label the whole pool up front so repeated constructions train the
+	// identical champion.
+	split.Initial = append(split.Initial, split.Pool...)
+	split.Pool = nil
+	return server.New(server.Config{
+		Data:      d,
+		Split:     split,
+		Factory:   forest.NewFactory(forest.Config{NEstimators: 10, MaxDepth: 6, Seed: seed}),
+		Strategy:  active.Uncertainty{},
+		Seed:      seed + 7,
+		Schema:    schema,
+		Extractor: ext,
+		Fleet:     fc,
+	})
+}
 
 // benchFleetURL spins the fleet bench server on a loopback listener.
 func benchFleetURL(t *testing.T, shards int) string {
 	t.Helper()
-	srv, err := NewFleetBenchServer(11, server.FleetConfig{
+	srv, err := newFleetBenchServer(11, server.FleetConfig{
 		IngestConfig: server.IngestConfig{Shards: shards},
 	})
 	if err != nil {
@@ -86,8 +159,8 @@ func TestFetchSchemaDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != FleetMetrics {
-		t.Fatalf("FetchMetrics = %d, want %d", n, FleetMetrics)
+	if n != fleetMetrics {
+		t.Fatalf("FetchMetrics = %d, want %d", n, fleetMetrics)
 	}
 	dim, err := FetchDim(client, url)
 	if err != nil {
@@ -108,27 +181,6 @@ func TestFetchMetricsErrorsWithoutWindowMode(t *testing.T) {
 	t.Cleanup(hts.Close)
 	if _, err := FetchMetrics(hts.Client(), hts.URL); err == nil {
 		t.Fatal("FetchMetrics succeeded against a server without window mode")
-	}
-}
-
-func TestFleetSelfcheckSmoke(t *testing.T) {
-	rep, err := FleetSelfcheck(FleetSelfcheckConfig{
-		Duration:    200 * time.Millisecond,
-		Trials:      1,
-		Concurrency: 2,
-		Nodes:       8,
-		Shards:      2,
-		RowsPerNode: 4,
-		Seed:        7,
-	}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Single == nil || rep.Bulk == nil || rep.Speedup <= 0 {
-		t.Fatalf("degenerate selfcheck report: %+v", rep)
-	}
-	if rep.Nodes != 8 || rep.Shards != 2 {
-		t.Fatalf("report geometry %d nodes / %d shards, want 8 / 2", rep.Nodes, rep.Shards)
 	}
 }
 

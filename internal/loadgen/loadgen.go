@@ -1,8 +1,7 @@
-// Package loadgen drives the annotation server's /api/diagnose endpoint
-// with synthetic traffic and measures throughput and latency
-// percentiles. It is the measurement half of the serving benchmark
-// (BENCH_4.json): cmd/loadgen wraps it as a CLI for live servers and as
-// a self-contained benchmark harness for verify.sh --deep.
+// Package loadgen drives a live annotation server with synthetic
+// traffic — /api/diagnose here, /api/ingest/bulk in fleet.go — and
+// measures throughput and latency percentiles; cmd/loadgen wraps it as
+// the operator's CLI.
 //
 // The generator is stdlib-only. Each worker runs its own request loop
 // (closed-loop by default; open-loop when a target QPS is set) against
@@ -40,9 +39,6 @@ type Config struct {
 	// classic {"features": ...} payload, larger values post bulk
 	// {"batch": ...} requests.
 	Rows int
-	// Dim is the feature-vector width. When zero it is discovered from
-	// GET /api/schema.
-	Dim int
 	// Seed drives the synthetic feature values.
 	Seed int64
 	// Client optionally overrides the HTTP client (timeouts, transport).
@@ -127,7 +123,8 @@ type workerStats struct {
 	errors   int
 }
 
-// Run generates load per cfg and returns the merged measurement.
+// Run generates load per cfg, at the feature width the server reports
+// on GET /api/schema, and returns the merged measurement.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
@@ -142,12 +139,9 @@ func Run(cfg Config) (*Result, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	dim := cfg.Dim
-	if dim == 0 {
-		var err error
-		if dim, err = FetchDim(client, cfg.BaseURL); err != nil {
-			return nil, fmt.Errorf("loadgen: discovering feature dim: %w", err)
-		}
+	dim, err := FetchDim(client, cfg.BaseURL)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: discovering feature dim: %w", err)
 	}
 
 	// Open-loop pacing: each worker owns an equal share of the target

@@ -26,7 +26,7 @@
 // forest soft-voting, ascending round order for GBM logits) and their
 // NaN routing (a NaN feature fails `<=` and goes right), which makes
 // their float64 outputs bitwise identical to per-row pointer-walk
-// prediction; BENCH_7 gates on that identity.
+// prediction (TestForestFlatBitwiseIdentical, TestGBMFlatBitwiseIdentical).
 package flat
 
 import (

@@ -43,7 +43,7 @@ func randomRows(rng *rand.Rand, n, d int) [][]float64 {
 }
 
 // assertBitwise fails unless got and want are bitwise-identical float
-// vectors (the flattened-vs-pointer contract BENCH_7 gates on).
+// vectors (the flattened-vs-pointer contract).
 func assertBitwise(t *testing.T, ctx string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -61,6 +61,28 @@ func TestPredictProbaBatchEmptyAndPanics(t *testing.T) {
 	New(Config{}).PredictProbaBatch([][]float64{{1}})
 }
 
+// TestBatchScoringAllocs pins the allocation count of both batch entry
+// points over a native-batch forest on one worker: a 256-row call
+// allocates the output matrix (row headers and backing) and nothing per
+// row or per tree. The per-row pointer walk allocates 257. The batch
+// path's pointer fallback allocates no more than the flat kernel, so
+// the test also checks that Fit left the flat form for it to use.
+func TestBatchScoringAllocs(t *testing.T) {
+	f, x := fitSmall(t, 1)
+	if f.flatFore == nil {
+		t.Fatal("Fit built no flat form; PredictProbaBatch would walk the pointer trees")
+	}
+	rows := x[:256]
+	for name, score := range map[string]func(){
+		"PredictProbaBatch":     func() { f.PredictProbaBatch(rows) },
+		"ml.ProbaBatchParallel": func() { ml.ProbaBatchParallel(f, rows, 1) },
+	} {
+		if got := testing.AllocsPerRun(20, score); got > 3 {
+			t.Errorf("%s allocates %.0f times per 256-row call, want <= 3", name, got)
+		}
+	}
+}
+
 func BenchmarkPredictSerial(b *testing.B) {
 	f, x := fitSmall(b, 1)
 	rows := x[:256]

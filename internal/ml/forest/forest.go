@@ -239,9 +239,8 @@ func (f *Forest) accumulate(x []float64, acc []float64) {
 // rows are sharded into contiguous chunks across Cfg.Workers goroutines
 // (GOMAXPROCS when unset). When the forest has a flattened
 // representation (built by Fit or WarmFlat), each worker sweeps the
-// cache-local SoA trees over fixed row blocks — the layout that buys
-// BENCH_7's speedup; otherwise it soft-votes rows through the pointer
-// nodes with zero per-tree allocations. Both paths produce output
+// cache-local SoA trees over fixed row blocks; otherwise it soft-votes
+// rows through the pointer nodes with zero per-tree allocations. Both paths produce output
 // bitwise identical to per-row PredictProba for any worker count.
 func (f *Forest) PredictProbaBatch(x [][]float64) [][]float64 {
 	if len(f.Trees) == 0 {

@@ -56,6 +56,18 @@ func TestGBMPredictProbaBatchBeforeFitPanics(t *testing.T) {
 	New(Config{}).PredictProbaBatch([][]float64{{1}})
 }
 
+// TestGBMPredictProbaBatchAllocs pins the batch path's allocation
+// count: a 256-row call on one worker allocates the output matrix and
+// nothing per row or per round. The per-row pointer walk allocates 257.
+func TestGBMPredictProbaBatchAllocs(t *testing.T) {
+	m, x := fitSmallGBM(t)
+	m.Cfg.Workers = 1
+	rows := append(x, x[:56]...) // the 200 fitted rows plus 56 repeats
+	if got := testing.AllocsPerRun(20, func() { m.PredictProbaBatch(rows) }); got > 3 {
+		t.Fatalf("PredictProbaBatch allocates %.0f times per 256-row call, want <= 3", got)
+	}
+}
+
 func BenchmarkGBMPredictSerial(b *testing.B) {
 	m, x := fitSmallGBM(b)
 	rows := x[:128]

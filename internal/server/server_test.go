@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -80,6 +81,12 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out interface{}) {
 		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+	// Read to EOF: the end of the body is written only after the handler
+	// (and the metrics middleware around it) returns, so the next request
+	// observes this one's accounting, and the connection is reused.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,13 +7,11 @@
 #   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
 #                        # stream ingest, WAL record decoder,
 #                        # ingest-body values scanner, mvts kernel
-#                        # against its reference), the serving
-#                        # benchmark against BENCH_4.json, the experiment-
-#                        # engine benchmark against BENCH_5.json, the
-#                        # fleet-scale ingest benchmark against
-#                        # BENCH_6.json, the raw-speed benchmark against
-#                        # BENCH_7.json, and the coverage floor gate
-#                        # against coverage_baseline.txt
+#                        # against its reference) and the coverage
+#                        # floor gate against coverage_baseline.txt
+#
+# Speed is measured end to end by BENCHMARK.json (sh benchmark/run.sh),
+# never gated here: every check below is deterministic.
 set -eu
 
 deep=0
@@ -57,7 +55,8 @@ echo "== go test -race ./..."
 go test -race -timeout 20m ./...
 
 echo "== allocation gates (testing.AllocsPerRun; without -race, under which sync.Pool drops Puts)"
-go test -count=1 -run 'Alloc' ./internal/features/mvts/ ./internal/stream/
+go test -count=1 -run 'Alloc' ./internal/features/mvts/ ./internal/stream/ \
+  ./internal/ml/... ./internal/fleet/
 
 echo "== lifecycle chaos scenario (drift trigger, quarantine, rollback; see docs/LIFECYCLE.md)"
 # Every phase invariant is asserted in-process; a violation exits
@@ -79,33 +78,6 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzMVTSReference (10s)"
   go test -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
-
-  echo "== serving benchmark vs BENCH_4.json (see docs/TESTING.md)"
-  go run ./cmd/loadgen -selfcheck -duration 2s -trials 2 \
-    -baseline BENCH_4.json -tolerance 0.20
-
-  echo "== experiment-engine benchmark vs BENCH_5.json (see docs/TESTING.md)"
-  go run ./cmd/experiments -bench -bench-trials 2 \
-    -bench-baseline BENCH_5.json -bench-tolerance 0.20 -bench-min-speedup 2.5
-
-  echo "== raw-speed benchmark vs BENCH_7.json (see docs/PERFORMANCE.md)"
-  # Gates the ISSUE 7 contracts: forest flat-vs-pointer batch speedup
-  # >= 3x (same-run ratio), flattened-vs-pointer predictions bitwise
-  # identical. BENCH7_OUT (used by CI) writes the fresh report for
-  # artifact upload.
-  go run ./cmd/experiments -bench7 \
-    -bench7-baseline BENCH_7.json -bench-tolerance 0.20 -bench7-min-speedup 3.0 \
-    ${BENCH7_OUT:+-bench7-out "$BENCH7_OUT"}
-
-  echo "== fleet-scale ingest benchmark vs BENCH_6.json (see docs/FLEET.md)"
-  # Gates the ISSUE 10 contracts: bulk-vs-single ingest speedup >= 2x
-  # at 64+ nodes (same-run ratio), zero-alloc warmed demux, bounded
-  # shed with intact accounting and a Retry-After hint under overload,
-  # bitwise WAL recovery, shard-count-invariant rollup artifacts.
-  # BENCH6_OUT (used by CI) writes the fresh report for artifact upload.
-  go run ./cmd/experiments -bench6 -bench-trials 2 \
-    -bench6-baseline BENCH_6.json -bench-tolerance 0.20 -bench6-min-speedup 2.0 \
-    ${BENCH6_OUT:+-bench6-out "$BENCH6_OUT"}
 
   echo "== coverage floors vs coverage_baseline.txt"
   go test -cover ./internal/server/ ./internal/stream/ ./internal/active/ \
