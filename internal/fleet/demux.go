@@ -1,15 +1,14 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 )
 
 // Values is one reading's metric vector on the ingest wire (both
 // endpoints). JSON cannot carry NaN, so missing cells travel as null,
-// decoded with a hand-rolled scanner instead of a []*float64 detour, so
-// a reused Row keeps its backing array across batches.
+// decoded by the wire's own scanner (wire.go) instead of a []*float64
+// detour, so a reused Row keeps its backing array across batches.
 type Values []float64
 
 // MarshalJSON encodes missing (NaN) cells as null.
@@ -29,71 +28,20 @@ func (v Values) MarshalJSON() ([]byte, error) {
 	return append(out, ']'), nil
 }
 
-// UnmarshalJSON decodes a numbers-and-nulls array, reusing the
-// receiver's backing array when it has capacity.
+// UnmarshalJSON decodes a numbers-and-nulls array through the ingest
+// wire's values pass, reusing the receiver's backing array when it has
+// capacity.
 func (v *Values) UnmarshalJSON(b []byte) error {
-	out := (*v)[:0]
-	i := skipSpace(b, 0)
-	if i >= len(b) || b[i] != '[' {
-		return fmt.Errorf("fleet: values must be an array, got %q", truncate(b))
+	s := scanner{b: b}
+	out, err := s.values(*v)
+	if err != nil {
+		return err
 	}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == ']' {
-		*v = out
-		return nil
+	if s.ws(); s.i != len(b) {
+		return s.errAt("data after the values array")
 	}
-	for {
-		i = skipSpace(b, i)
-		start := i
-		for i < len(b) && b[i] != ',' && b[i] != ']' {
-			i++
-		}
-		if i >= len(b) {
-			return fmt.Errorf("fleet: unterminated values array %q", truncate(b))
-		}
-		tok := trimSpace(b[start:i])
-		if string(tok) == "null" {
-			out = append(out, math.NaN())
-		} else {
-			f, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
-				return fmt.Errorf("fleet: values cell %q: %w", tok, err)
-			}
-			out = append(out, f)
-		}
-		if b[i] == ']' {
-			*v = out
-			return nil
-		}
-		i++ // past the comma
-	}
-}
-
-// skipSpace advances past JSON whitespace.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// trimSpace strips JSON whitespace from both ends of a token.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\n' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// truncate bounds an error-message excerpt of a malformed payload.
-func truncate(b []byte) string {
-	if len(b) > 32 {
-		b = b[:32]
-	}
-	return string(b)
+	*v = out
+	return nil
 }
 
 // Row is one timestamped reading of one node inside an interleaved

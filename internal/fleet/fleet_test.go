@@ -266,6 +266,11 @@ func TestValuesJSONRoundTripsNaNAsNull(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"values":[1,"x"]}`), &out); err == nil {
 		t.Fatal("non-numeric cell should fail to decode")
 	}
+	// A null reading is refused, not read as an empty one (which the
+	// coordinator would count as a wrong-width row).
+	if err := json.Unmarshal([]byte(`{"values":null}`), &out); err == nil {
+		t.Fatal("null values should fail to decode")
+	}
 }
 
 func TestRollupTopKMatchesNaiveRanking(t *testing.T) {

@@ -104,22 +104,38 @@ func TestDiagnoseRequestValidation(t *testing.T) {
 	}
 	// Bodies are bounded and must parse, on /api/label as on
 	// /api/diagnose: one byte of JSON whitespace over maxBody is 413,
-	// malformed JSON is 400.
+	// malformed JSON is 400, and so is anything but whitespace after a
+	// well-formed request (a second value, a stray closer, garbage).
 	oversize := strings.Repeat(" ", maxBody+1)
-	for path, handler := range map[string]http.HandlerFunc{
-		"/api/diagnose": srv.handleDiagnose,
-		"/api/label":    srv.handleLabel,
+	features, err := json.Marshal(DiagnoseRequest{Features: d.X[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, tc := range map[string]struct {
+		handler http.HandlerFunc
+		valid   string
+	}{
+		"/api/diagnose": {srv.handleDiagnose, string(features)},
+		"/api/label":    {srv.handleLabel, `{"id": 0, "label": "healthy"}`},
 	} {
 		for body, want := range map[string]int{
 			oversize:         http.StatusRequestEntityTooLarge,
 			`{"features": [`: http.StatusBadRequest,
+			tc.valid + `{}`:  http.StatusBadRequest,
+			tc.valid + `]`:   http.StatusBadRequest,
+			tc.valid + ` x`:  http.StatusBadRequest,
 		} {
 			rec := httptest.NewRecorder()
-			handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			tc.handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 			if rec.Code != want {
-				t.Errorf("%s with a %d-byte body: status %d, want %d", path, len(body), rec.Code, want)
+				t.Errorf("%s with a %d-byte body %.40q: status %d, want %d", path, len(body), body, rec.Code, want)
 			}
 		}
+	}
+	rec := httptest.NewRecorder()
+	srv.handleDiagnose(rec, httptest.NewRequest(http.MethodPost, "/api/diagnose", strings.NewReader(string(features)+" \n")))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/api/diagnose with trailing whitespace: status %d %s", rec.Code, rec.Body)
 	}
 	// A bad request must not poison the server for the next good one.
 	var ok DiagnoseResponse

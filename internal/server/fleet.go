@@ -210,7 +210,9 @@ func (g *fleetState) health() map[string]interface{} {
 
 // BulkIngestRequest is /api/ingest/bulk's body: one interleaved batch
 // of rows for any mix of nodes, in arrival order. Missing (NaN) cells
-// travel as JSON null, as on /api/ingest.
+// travel as JSON null, as on /api/ingest. The handler decodes it with
+// fleet.Wire.DecodeBulk, which gives every body the verdict and rows
+// json.Unmarshal into this type gives.
 type BulkIngestRequest struct {
 	Rows []fleet.Row `json:"rows"`
 }
@@ -238,15 +240,27 @@ func (s *Server) handleIngestBulk(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
-	var req BulkIngestRequest
-	if !decodeBody(w, r, &req) {
+	sc := scratchPool.Get().(*bodyScratch)
+	s.ingestBulk(w, r, sc)
+	scratchPool.Put(sc)
+}
+
+// ingestBulk decodes one bulk body (a BulkIngestRequest, in one pass
+// into sc's reused rows) and offers it.
+func (s *Server) ingestBulk(w http.ResponseWriter, r *http.Request, sc *bodyScratch) {
+	if !readBody(w, r, &sc.body) {
 		return
 	}
-	if len(req.Rows) == 0 {
+	rows, err := sc.wire.DecodeBulk(sc.body.Bytes())
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if len(rows) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("no rows"))
 		return
 	}
-	res, err := s.fl.coord.Offer(req.Rows)
+	res, err := s.fl.coord.Offer(rows)
 	if err != nil {
 		// Rows were screened non-empty above, so Offer only fails when
 		// the coordinator is shutting down.

@@ -108,7 +108,9 @@ type IngestReading struct {
 }
 
 // IngestRequest is /api/ingest's body: a batch of readings for one
-// node, in arrival order.
+// node, in arrival order. The handler decodes it with
+// fleet.Wire.DecodeNode, which gives every body the verdict, shard and
+// readings json.Unmarshal into this type gives.
 type IngestRequest struct {
 	// Shard addresses the node stream: it is the fleet node id (the
 	// name predates the fleet; any non-negative id the coordinator's
@@ -162,23 +164,31 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
-	var req IngestRequest
-	if !decodeBody(w, r, &req) {
+	sc := scratchPool.Get().(*bodyScratch)
+	s.ingestNode(w, r, sc)
+	scratchPool.Put(sc)
+}
+
+// ingestNode decodes one node's body (an IngestRequest, in one pass
+// into sc's reused rows) and offers it.
+func (s *Server) ingestNode(w http.ResponseWriter, r *http.Request, sc *bodyScratch) {
+	if !readBody(w, r, &sc.body) {
 		return
 	}
-	if req.Shard < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative shard %d", req.Shard))
+	shard, rows, err := sc.wire.DecodeNode(sc.body.Bytes())
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Readings) == 0 {
+	if shard < 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative shard %d", shard))
+		return
+	}
+	if len(rows) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("no readings"))
 		return
 	}
-	rows := make([]fleet.Row, len(req.Readings))
-	for i, rd := range req.Readings {
-		rows[i] = fleet.Row{T: rd.T, Values: rd.Values}
-	}
-	res, node, err := s.fl.coord.OfferNode(req.Shard, rows)
+	res, node, err := s.fl.coord.OfferNode(shard, rows)
 	if err != nil {
 		// The batch was screened non-empty above, so the offer only fails
 		// when the coordinator is shutting down.
@@ -186,7 +196,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := IngestResponse{
-		Shard:     req.Shard,
+		Shard:     shard,
 		Accepted:  res.Accepted,
 		Rejected:  res.Rejected,
 		Shed:      res.Shed,

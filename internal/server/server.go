@@ -43,6 +43,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,6 +62,7 @@ import (
 	"albadross/internal/eval"
 	"albadross/internal/explain"
 	"albadross/internal/features"
+	"albadross/internal/fleet"
 	"albadross/internal/ml"
 	"albadross/internal/obs"
 	"albadross/internal/registry"
@@ -614,11 +616,26 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // the server buffer an unbounded body.
 const maxBody = 64 << 20
 
-// decodeBody decodes one size-bounded JSON request body into v. On
-// failure it answers 413 (body over maxBody) or 400 itself and returns
-// false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+// bodyScratch is one request's reusable memory: the body bytes and, on
+// the ingest endpoints, the rows decoded from them. Reusing the rows is
+// safe because nothing holds them once Coordinator.Offer returns, which
+// is only after every task it enqueued has run: the windower copies
+// each row it keeps and the WAL encodes a row before Append returns. A
+// scratch goes back to the pool only after the handler using it (and so
+// Offer) has returned.
+type bodyScratch struct {
+	body bytes.Buffer
+	wire fleet.Wire
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(bodyScratch) }}
+
+// readBody reads one request body whole into buf, bounded by maxBody.
+// On failure it answers 413 (body over maxBody) or 400 itself and
+// returns false.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
 		return true
 	}
@@ -629,6 +646,23 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	}
 	writeErr(w, status, err)
 	return false
+}
+
+// decodeBody decodes one size-bounded JSON request body into v; like
+// json.Unmarshal, it refuses anything but whitespace after the value.
+// On failure it answers 413 (body over maxBody) or 400 itself and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	sc := scratchPool.Get().(*bodyScratch)
+	defer scratchPool.Put(sc) // v keeps no reference into the body
+	if !readBody(w, r, &sc.body) {
+		return false
+	}
+	if err := json.Unmarshal(sc.body.Bytes(), v); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
 }
 
 // handleNext picks (or re-serves) the sample to annotate.

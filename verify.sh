@@ -6,7 +6,8 @@
 #   ./verify.sh          # the standard gate
 #   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
 #                        # stream ingest, WAL record decoder,
-#                        # ingest-body values scanner, mvts kernel
+#                        # ingest-body values scanner, ingest wire
+#                        # decoder against encoding/json, mvts kernel
 #                        # against its reference) and the coverage
 #                        # floor gate against coverage_baseline.txt
 #
@@ -72,6 +73,9 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzValuesDecode (10s)"
   go test -fuzz=FuzzValuesDecode -fuzztime=10s ./internal/fleet/
+
+  echo "== fuzz smoke: FuzzIngestWireDecode (10s)"
+  go test -run '^$' -fuzz=FuzzIngestWireDecode -fuzztime=10s ./internal/server/
 
   echo "== fuzz smoke: FuzzWALDecode (10s)"
   go test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal/
