@@ -149,7 +149,8 @@ func benchRun(b *testing.B, metrics, steps int) *telemetry.NodeSample {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := core.PreprocessRun(samples[0], telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+	// RunVector leaves the sample holding its prepared series.
+	if _, err := core.RunVector(samples[0], telemetry.CumulativeFlags(sys.Metrics), mvts.Extractor{}); err != nil {
 		b.Fatal(err)
 	}
 	return samples[0]

@@ -15,7 +15,6 @@ import (
 	"albadross/internal/active"
 	"albadross/internal/core"
 	"albadross/internal/explain"
-	"albadross/internal/features"
 	"albadross/internal/features/mvts"
 	"albadross/internal/hpas"
 	"albadross/internal/ml/forest"
@@ -77,11 +76,10 @@ func main() {
 		log.Fatal(err)
 	}
 	victim := fresh[0]
-	work := &telemetry.NodeSample{Meta: victim.Meta, Data: victim.Data.Clone()}
-	if err := core.PreprocessRun(work, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+	raw, err := core.RunVector(victim, telemetry.CumulativeFlags(sys.Metrics), mvts.Extractor{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	raw := features.ExtractSample(mvts.Extractor{}, work.Data)
 	diag, err := fw.DiagnoseVector(raw)
 	if err != nil {
 		log.Fatal(err)

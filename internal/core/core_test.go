@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"albadross/internal/active"
@@ -29,7 +30,7 @@ func tinyData(t *testing.T, runs int) *dataset.Dataset {
 	return d
 }
 
-func TestPreprocessRun(t *testing.T) {
+func TestRunVector(t *testing.T) {
 	sys := telemetry.Volta(27)
 	samples, err := sys.GenerateRun(telemetry.RunConfig{
 		App: sys.App("CG"), Input: 0, Nodes: 1, Steps: 200, Seed: 2,
@@ -39,8 +40,12 @@ func TestPreprocessRun(t *testing.T) {
 	}
 	s := samples[0]
 	before := s.Data.Steps()
-	if err := PreprocessRun(s, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+	vec, err := RunVector(s, telemetry.CumulativeFlags(sys.Metrics), mvts.Extractor{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if width := len(sys.Metrics) * len(mvts.Extractor{}.FeatureNames()); len(vec) != width {
+		t.Fatalf("vector width = %d, want %d", len(vec), width)
 	}
 	trim := telemetry.TransientSteps(before)
 	want := before - 2*trim - 1 // trim both ends, differencing drops one
@@ -54,7 +59,7 @@ func TestPreprocessRun(t *testing.T) {
 			}
 		}
 	}
-	if err := PreprocessRun(nil, nil); err == nil {
+	if _, err := RunVector(nil, nil, mvts.Extractor{}); err == nil {
 		t.Fatal("nil sample should error")
 	}
 }
@@ -100,6 +105,40 @@ func TestGenerateDatasetValidation(t *testing.T) {
 	}
 	if _, err := GenerateDataset(DataConfig{System: telemetry.Volta(27), Extractor: mvts.Extractor{}, RunsPerAppInput: 0}); err == nil {
 		t.Fatal("zero runs should error")
+	}
+}
+
+// TestRunsDatasetEqualsGenerateDataset pins the two ways to build the
+// campaign's dataset — streaming in GenerateDataset, or GenerateRuns
+// then RunsDataset — bitwise to each other, and checks RunsDataset
+// leaves the raw telemetry unconsumed.
+func TestRunsDatasetEqualsGenerateDataset(t *testing.T) {
+	for _, sys := range []*telemetry.SystemSpec{telemetry.Volta(9), telemetry.Eclipse(9)} {
+		cfg := DataConfig{System: sys, Extractor: mvts.Extractor{}, RunsPerAppInput: 2, Steps: 60, Seed: 4, Workers: 2}
+		want, err := GenerateDataset(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := GenerateRuns(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunsDataset(cfg, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.FeatureNames, want.FeatureNames) || !reflect.DeepEqual(got.Y, want.Y) ||
+			!reflect.DeepEqual(got.Meta, want.Meta) || !reflect.DeepEqual(got.Classes, want.Classes) {
+			t.Fatalf("%s: RunsDataset's names, labels, classes or provenance differ from GenerateDataset's", sys.Name)
+		}
+		for i := range want.X {
+			if _, ok := sameBits(got.X[i], want.X[i]); !ok {
+				t.Fatalf("%s: row %d differs", sys.Name, i)
+			}
+		}
+		if runs[0].Data == nil || runs[0].Data.Steps() != 60 {
+			t.Fatalf("%s: RunsDataset consumed the raw telemetry", sys.Name)
+		}
 	}
 }
 

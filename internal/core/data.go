@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 
 	"albadross/internal/dataset"
 	"albadross/internal/features"
 	"albadross/internal/hpas"
+	"albadross/internal/runner"
 	"albadross/internal/telemetry"
 )
 
@@ -35,32 +35,20 @@ type DataConfig struct {
 	Workers int
 }
 
-// GenerateDataset runs the campaign and returns a dataset of raw
-// (unscaled, unselected) feature vectors with full provenance metadata.
-// Classes are healthy plus the five HPAS anomalies.
-func GenerateDataset(cfg DataConfig) (*dataset.Dataset, error) {
+// campaign plans the runs of cfg's data-collection campaign, in order.
+// Every (application, input deck) pair runs RunsPerAppInput times; even
+// runs are healthy, and odd runs carry an HPAS anomaly on node 0.
+func campaign(cfg DataConfig) ([]telemetry.RunConfig, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("core: DataConfig.System is nil")
-	}
-	if cfg.Extractor == nil {
-		return nil, fmt.Errorf("core: DataConfig.Extractor is nil")
 	}
 	if cfg.RunsPerAppInput <= 0 {
 		return nil, fmt.Errorf("core: RunsPerAppInput must be positive, got %d", cfg.RunsPerAppInput)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sys := cfg.System
 	injectors := hpas.All()
 	intensities := sys.Intensities
-
-	// Build the run plan deterministically.
-	type plannedRun struct {
-		cfg telemetry.RunConfig
-	}
-	var plan []plannedRun
+	var plan []telemetry.RunConfig
 	runSeed := cfg.Seed
 	for ai := range sys.Apps {
 		app := &sys.Apps[ai]
@@ -82,67 +70,103 @@ func GenerateDataset(cfg DataConfig) (*dataset.Dataset, error) {
 					k := r / 2
 					rc.Injector = injectors[k%len(injectors)]
 					rc.Intensity = intensities[(k/len(injectors)+k+ai*3+deck)%len(intensities)]
-					rc.AnomalyNode = 0
 				}
-				plan = append(plan, plannedRun{cfg: rc})
+				plan = append(plan, rc)
 			}
 		}
 	}
+	return plan, nil
+}
 
-	// Generate runs and extract features in parallel, preserving order.
-	type runOut struct {
-		samples []*telemetry.NodeSample
-		vectors [][]float64
-		err     error
+// GenerateDataset runs the campaign and returns a dataset of raw
+// (unscaled, unselected) feature vectors with full provenance metadata.
+// Classes are healthy plus the five HPAS anomalies. Each run's telemetry
+// is extracted and released inside its worker, so at most one run per
+// worker is held in memory.
+func GenerateDataset(cfg DataConfig) (*dataset.Dataset, error) {
+	if cfg.Extractor == nil {
+		return nil, fmt.Errorf("core: DataConfig.Extractor is nil")
 	}
-	outs := make([]runOut, len(plan))
-	cumulative := telemetry.CumulativeFlags(sys.Metrics)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pi := range next {
-				samples, err := sys.GenerateRun(plan[pi].cfg)
-				if err != nil {
-					outs[pi].err = err
-					continue
-				}
-				vecs := make([][]float64, len(samples))
-				for si, s := range samples {
-					if err := PreprocessRun(s, cumulative); err != nil {
-						outs[pi].err = err
-						break
-					}
-					vecs[si] = features.ExtractSample(cfg.Extractor, s.Data)
-					s.Data = nil // telemetry is consumed; free the series
-				}
-				outs[pi].samples = samples
-				outs[pi].vectors = vecs
+	plan, err := campaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cumulative := telemetry.CumulativeFlags(cfg.System.Metrics)
+	samples := make([][]*telemetry.NodeSample, len(plan))
+	vectors := make([][][]float64, len(plan))
+	if err := runner.ForEach(len(plan), cfg.Workers, func(pi int) error {
+		run, err := cfg.System.GenerateRun(plan[pi])
+		if err != nil {
+			return fmt.Errorf("core: run %d: %w", pi, err)
+		}
+		vecs := make([][]float64, len(run))
+		for si, s := range run {
+			if vecs[si], err = RunVector(s, cumulative, cfg.Extractor); err != nil {
+				return fmt.Errorf("core: run %d: %w", pi, err)
 			}
-		}()
+			s.Data = nil // telemetry is consumed; free the series
+		}
+		samples[pi], vectors[pi] = run, vecs
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	for pi := range plan {
-		next <- pi
-	}
-	close(next)
-	wg.Wait()
+	return newDataset(cfg, slices.Concat(samples...), slices.Concat(vectors...))
+}
 
-	metricNames := make([]string, len(sys.Metrics))
-	for i, m := range sys.Metrics {
+// GenerateRuns runs the campaign and returns every node sample with its
+// raw telemetry, in campaign order, for callers that corrupt or replay
+// the telemetry itself. cfg.Extractor is not used; RunsDataset extracts
+// the samples into the dataset GenerateDataset would build.
+func GenerateRuns(cfg DataConfig) ([]*telemetry.NodeSample, error) {
+	plan, err := campaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([][]*telemetry.NodeSample, len(plan))
+	if err := runner.ForEach(len(plan), cfg.Workers, func(pi int) error {
+		var err error
+		if runs[pi], err = cfg.System.GenerateRun(plan[pi]); err != nil {
+			return fmt.Errorf("core: run %d: %w", pi, err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return slices.Concat(runs...), nil
+}
+
+// RunsDataset extracts samples (GenerateRuns' output for cfg) into the
+// dataset GenerateDataset builds for cfg. The samples are only read:
+// each one's telemetry is cloned before RunVector consumes it.
+func RunsDataset(cfg DataConfig, samples []*telemetry.NodeSample) (*dataset.Dataset, error) {
+	if cfg.System == nil || cfg.Extractor == nil {
+		return nil, fmt.Errorf("core: DataConfig needs a System and an Extractor")
+	}
+	cumulative := telemetry.CumulativeFlags(cfg.System.Metrics)
+	vecs := make([][]float64, len(samples))
+	if err := runner.ForEach(len(samples), cfg.Workers, func(i int) error {
+		var err error
+		vecs[i], err = RunVector(&telemetry.NodeSample{Meta: samples[i].Meta, Data: samples[i].Data.Clone()}, cumulative, cfg.Extractor)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return newDataset(cfg, samples, vecs)
+}
+
+// newDataset assembles the campaign's dataset: one row per sample, its
+// raw vector, label and provenance, under cfg's feature names.
+func newDataset(cfg DataConfig, samples []*telemetry.NodeSample, vecs [][]float64) (*dataset.Dataset, error) {
+	metricNames := make([]string, len(cfg.System.Metrics))
+	for i, m := range cfg.System.Metrics {
 		metricNames[i] = m.Name
 	}
 	d := dataset.New(hpas.Labels())
 	d.FeatureNames = features.VectorNames(cfg.Extractor, metricNames)
-	for pi := range outs {
-		if outs[pi].err != nil {
-			return nil, fmt.Errorf("core: run %d: %w", pi, outs[pi].err)
-		}
-		for si, s := range outs[pi].samples {
-			if err := d.Add(outs[pi].vectors[si], s.Meta.Label(), s.Meta); err != nil {
-				return nil, err
-			}
+	for i, s := range samples {
+		if err := d.Add(vecs[i], s.Meta.Label(), s.Meta); err != nil {
+			return nil, err
 		}
 	}
 	return d, nil

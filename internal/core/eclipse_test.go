@@ -88,7 +88,7 @@ func TestNetworkLoadGrowsWithAllocation(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := samples[0]
-			if err := PreprocessRun(s, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+			if _, err := RunVector(s, telemetry.CumulativeFlags(sys.Metrics), mvts.Extractor{}); err != nil {
 				t.Fatal(err)
 			}
 			for mi, m := range sys.Metrics {

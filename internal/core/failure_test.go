@@ -7,7 +7,6 @@ import (
 
 	"albadross/internal/active"
 	"albadross/internal/dataset"
-	"albadross/internal/features"
 	"albadross/internal/features/mvts"
 	"albadross/internal/ml/forest"
 	"albadross/internal/telemetry"
@@ -35,10 +34,10 @@ func TestPipelineSurvivesHeavyMissingness(t *testing.T) {
 			}
 		}
 	}
-	if err := PreprocessRun(s, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+	vec, err := RunVector(s, telemetry.CumulativeFlags(sys.Metrics), mvts.Extractor{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	vec := features.ExtractSample(mvts.Extractor{}, s.Data)
 	finite := 0
 	for _, v := range vec {
 		if !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -105,14 +104,14 @@ func (n *noisyAnnotator) Label(i int) int {
 	return n.d.Y[i]
 }
 
-// TestPreprocessRunRejectsRaggedBlock checks validation on malformed
+// TestRunVectorRejectsRaggedBlock checks validation on malformed
 // telemetry.
-func TestPreprocessRunRejectsRaggedBlock(t *testing.T) {
+func TestRunVectorRejectsRaggedBlock(t *testing.T) {
 	s := &telemetry.NodeSample{Data: &ts.Multivariate{Metrics: []ts.Series{
 		make(ts.Series, 100),
 		make(ts.Series, 50),
 	}}}
-	if err := PreprocessRun(s, []bool{false, false}); err == nil {
+	if _, err := RunVector(s, []bool{false, false}, mvts.Extractor{}); err == nil {
 		t.Fatal("ragged telemetry should be rejected")
 	}
 }

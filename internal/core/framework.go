@@ -9,7 +9,6 @@ import (
 	"albadross/internal/features"
 	"albadross/internal/ml"
 	"albadross/internal/telemetry"
-	"albadross/internal/ts"
 )
 
 // Config assembles one ALBADross deployment (Fig. 1).
@@ -171,27 +170,19 @@ func (f *Framework) DiagnoseVector(x []float64) (*Diagnosis, error) {
 	if f.Result == nil {
 		return nil, errors.New("core: Fit must run before Diagnose")
 	}
-	row, err := f.Prep.TransformRow(x)
-	if err != nil {
-		return nil, err
-	}
-	probs := f.Result.Model.PredictProba(row)
-	best := ml.Argmax(probs)
-	return &Diagnosis{Label: f.Classes[best], Confidence: probs[best], Probs: probs}, nil
+	return (&Deployment{Classes: f.Classes, Prep: f.Prep, Model: f.Result.Model}).Diagnose(x)
 }
 
-// DiagnoseRun preprocesses one raw node sample (interpolate, trim, diff),
-// extracts features with the given extractor, and diagnoses it — the
-// full online path a deployed instance would run on fresh telemetry.
+// DiagnoseRun extracts one raw node sample through RunVector (the
+// sample itself is left untouched) and diagnoses it — the full online
+// path a deployed instance would run on fresh telemetry.
 func (f *Framework) DiagnoseRun(s *telemetry.NodeSample, sys *telemetry.SystemSpec, ex features.Extractor) (*Diagnosis, error) {
 	if s == nil || s.Data == nil {
 		return nil, errors.New("core: nil sample")
 	}
-	work := &telemetry.NodeSample{Meta: s.Meta, Data: cloneBlock(s.Data)}
-	if err := PreprocessRun(work, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+	x, err := RunVector(&telemetry.NodeSample{Meta: s.Meta, Data: s.Data.Clone()}, telemetry.CumulativeFlags(sys.Metrics), ex)
+	if err != nil {
 		return nil, err
 	}
-	return f.DiagnoseVector(features.ExtractSample(ex, work.Data))
+	return f.DiagnoseVector(x)
 }
-
-func cloneBlock(m *ts.Multivariate) *ts.Multivariate { return m.Clone() }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"albadross/internal/ml"
 	"albadross/internal/ml/modelio"
 )
 
@@ -70,18 +71,15 @@ func LoadDeployment(dir string) (*Deployment, error) {
 	return &Deployment{Classes: bundle.Classes, Prep: bundle.Prep, Model: model}, nil
 }
 
-// Diagnose runs one raw feature vector through the loaded pipeline.
+// Diagnose runs one raw feature vector through the loaded pipeline:
+// transform, predict, and the most probable class. It is the one
+// diagnosis body; Framework.DiagnoseVector serves through it.
 func (d *Deployment) Diagnose(x []float64) (*Diagnosis, error) {
 	row, err := d.Prep.TransformRow(x)
 	if err != nil {
 		return nil, err
 	}
 	probs := d.Model.PredictProba(row)
-	best := 0
-	for c := range probs {
-		if probs[c] > probs[best] {
-			best = c
-		}
-	}
+	best := ml.Argmax(probs)
 	return &Diagnosis{Label: d.Classes[best], Confidence: probs[best], Probs: probs}, nil
 }

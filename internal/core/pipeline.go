@@ -1,8 +1,12 @@
-// Package core assembles the ALBADross framework of Fig. 1: telemetry
-// preprocessing (Sec. IV-E-1), statistical feature extraction (Sec.
-// III-A), min-max scaling and chi-square feature selection (Sec. III-B),
-// supervised training, and the active-learning query loop (Sec. III-D),
-// behind a deployable Diagnose API (Sec. III-E).
+// Package core assembles the ALBADross framework of Fig. 1: the
+// data-collection campaign (Sec. IV-A/C, planned in one place), telemetry
+// preprocessing (Sec. IV-E-1) and statistical feature extraction (Sec.
+// III-A) through RunVector — stream.BlockVector, the function every
+// served window also goes through — min-max scaling and chi-square
+// feature selection (Sec. III-B), supervised training, and the
+// active-learning query loop (Sec. III-D), behind a deployable Diagnose
+// API (Sec. III-E) whose transform → predict → argmax is
+// Deployment.Diagnose.
 package core
 
 import (
@@ -13,31 +17,28 @@ import (
 
 	"albadross/internal/dataset"
 	"albadross/internal/featsel"
+	"albadross/internal/features"
+	"albadross/internal/stream"
 	"albadross/internal/telemetry"
 	"albadross/internal/ts"
 )
 
-// PreprocessRun cleans one node sample in place, applying the paper's
-// data-preparation steps in order: linear interpolation of missing
-// values, trimming of the initialization/termination transients, and
-// differencing of cumulative counters. cumulative flags the counter
-// metrics (telemetry.CumulativeFlags builds it from a schema).
-func PreprocessRun(s *telemetry.NodeSample, cumulative []bool) error {
+// RunVector is the raw feature vector of one whole run: the paper's
+// data preparation (Sec. IV-E-1) — linear interpolation of missing
+// values, trimming of the initialization/termination transients
+// (telemetry.TransientSteps off each end), differencing of cumulative
+// counters — then feature extraction (Sec. III-A), through the
+// stream.BlockVector that prepares every served window. cumulative
+// flags the counter metrics (telemetry.CumulativeFlags builds it from a
+// schema). s.Data is consumed: it is left holding the prepared series.
+func RunVector(s *telemetry.NodeSample, cumulative []bool, ex features.Extractor) ([]float64, error) {
 	if s == nil || s.Data == nil {
-		return errors.New("core: nil sample")
+		return nil, errors.New("core: nil sample")
 	}
 	if err := s.Data.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	ts.InterpolateAll(s.Data)
-	trim := telemetry.TransientSteps(s.Data.Steps())
-	if err := ts.Trim(s.Data, trim, trim); err != nil {
-		return fmt.Errorf("core: trimming transients: %w", err)
-	}
-	if err := ts.DiffCounters(s.Data, cumulative); err != nil {
-		return fmt.Errorf("core: differencing counters: %w", err)
-	}
-	return nil
+	return stream.BlockVector(s.Data, cumulative, stream.GapInterpolate, telemetry.TransientSteps(s.Data.Steps()), ex)
 }
 
 // Preprocessor is the fitted feature pipeline applied between raw

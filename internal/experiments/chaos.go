@@ -11,8 +11,6 @@ import (
 	"albadross/internal/dataset"
 	"albadross/internal/eval"
 	"albadross/internal/features"
-	"albadross/internal/hpas"
-	"albadross/internal/ml"
 	"albadross/internal/pipeline"
 	"albadross/internal/runner"
 	"albadross/internal/stream"
@@ -119,36 +117,17 @@ func RunChaosMatrix(cfg Config, opts ChaosOptions) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := generateRaw(cfg, sys)
+	// The clean dataset, keeping the raw telemetry for later corruption.
+	dc := dataConfig(cfg, sys, ex)
+	raw, err := core.GenerateRuns(dc)
+	if err != nil {
+		return nil, err
+	}
+	d, err := core.RunsDataset(dc, raw)
 	if err != nil {
 		return nil, err
 	}
 	cumulative := telemetry.CumulativeFlags(sys.Metrics)
-
-	// Clean pipeline: preprocess+extract every sample, keeping the raw
-	// telemetry for later corruption.
-	metricNames := make([]string, len(sys.Metrics))
-	for i, m := range sys.Metrics {
-		metricNames[i] = m.Name
-	}
-	d := dataset.New(hpas.Labels())
-	d.FeatureNames = features.VectorNames(ex, metricNames)
-	vecs := make([][]float64, len(raw))
-	if err := runner.ForEach(len(raw), cfg.Workers, func(i int) error {
-		clean := &telemetry.NodeSample{Meta: raw[i].Meta, Data: raw[i].Data.Clone()}
-		if err := core.PreprocessRun(clean, cumulative); err != nil {
-			return err
-		}
-		vecs[i] = features.ExtractSample(ex, clean.Data)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, s := range raw {
-		if err := d.Add(vecs[i], s.Meta.Label(), s.Meta); err != nil {
-			return nil, err
-		}
-	}
 
 	trainIdx, testIdx, err := dataset.StratifiedSplit(d.Y, len(d.Classes), 0.3, cfg.Seed)
 	if err != nil {
@@ -219,11 +198,10 @@ func RunChaosMatrix(cfg Config, opts ChaosOptions) (*ChaosResult, error) {
 			if err != nil {
 				return err
 			}
-			corrupted := inj.CorruptSample(raw[i])
-			if err := core.PreprocessRun(corrupted, cumulative); err != nil {
+			vec, err := core.RunVector(inj.CorruptSample(raw[i]), cumulative, ex)
+			if err != nil {
 				return fmt.Errorf("experiments: chaos %s@%g sample %d: %w", job.kind, job.intensity, i, err)
 			}
-			vec := features.ExtractSample(ex, corrupted.Data)
 			if xs[k], err = prep.TransformRow(vec); err != nil {
 				return err
 			}
@@ -251,7 +229,8 @@ func RunChaosMatrix(cfg Config, opts ChaosOptions) (*ChaosResult, error) {
 	// Streaming leg: combined gap + out-of-order delivery through the
 	// hardened stream consumer; every window must resolve to a
 	// diagnosis or an explicit abstention.
-	if err := runChaosStream(res, raw, testIdx, sys, ex, prep, model, d, opts, cfg); err != nil {
+	dep := &core.Deployment{Classes: d.Classes, Prep: prep, Model: model}
+	if err := runChaosStream(res, raw, testIdx, sys, ex, dep, opts, cfg); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -260,8 +239,8 @@ func RunChaosMatrix(cfg Config, opts ChaosOptions) (*ChaosResult, error) {
 // runChaosStream replays corrupted test telemetry through the streaming
 // consumer and records the window accounting on res.
 func runChaosStream(res *ChaosResult, raw []*telemetry.NodeSample, testIdx []int,
-	sys *telemetry.SystemSpec, ex features.Extractor, prep *core.Preprocessor,
-	model ml.Classifier, d *dataset.Dataset, opts ChaosOptions, cfg Config) error {
+	sys *telemetry.SystemSpec, ex features.Extractor, dep *core.Deployment,
+	opts ChaosOptions, cfg Config) error {
 	n := opts.StreamRuns
 	if n > len(testIdx) {
 		n = len(testIdx)
@@ -270,13 +249,11 @@ func runChaosStream(res *ChaosResult, raw []*telemetry.NodeSample, testIdx []int
 		return nil
 	}
 	diagnose := func(v []float64) (string, float64, error) {
-		row, err := prep.TransformRow(v)
+		dg, err := dep.Diagnose(v)
 		if err != nil {
 			return "", 0, err
 		}
-		probs := model.PredictProba(row)
-		best := ml.Argmax(probs)
-		return d.Classes[best], probs[best], nil
+		return dg.Label, dg.Confidence, nil
 	}
 	for si := 0; si < n; si++ {
 		i := testIdx[si]
@@ -344,52 +321,6 @@ func runChaosStream(res *ChaosResult, raw []*telemetry.NodeSample, testIdx []int
 // chaosSeed derives a deterministic per-(kind, intensity, sample) seed.
 func chaosSeed(base int64, k chaos.Kind, intensity float64, sample int) int64 {
 	return base*1_000_003 + int64(k)*10_007 + int64(intensity*1000)*101 + int64(sample)
-}
-
-// generateRaw simulates the data-collection campaign keeping the raw
-// telemetry (core.GenerateDataset frees it after extraction).
-func generateRaw(cfg Config, sys *telemetry.SystemSpec) ([]*telemetry.NodeSample, error) {
-	if cfg.RunsPerAppInput <= 0 {
-		return nil, fmt.Errorf("experiments: RunsPerAppInput must be positive, got %d", cfg.RunsPerAppInput)
-	}
-	injectors := hpas.All()
-	var plan []telemetry.RunConfig
-	runSeed := cfg.Seed
-	for ai := range sys.Apps {
-		app := &sys.Apps[ai]
-		for deck := range app.Inputs {
-			for r := 0; r < cfg.RunsPerAppInput; r++ {
-				rc := telemetry.RunConfig{
-					App: app, Input: deck,
-					Nodes: sys.NodeCounts[r%len(sys.NodeCounts)],
-					Steps: cfg.Steps, Seed: runSeed,
-				}
-				runSeed++
-				if r%2 == 1 {
-					k := r / 2
-					rc.Injector = injectors[k%len(injectors)]
-					rc.Intensity = sys.Intensities[(k/len(injectors)+k+ai*3+deck)%len(sys.Intensities)]
-				}
-				plan = append(plan, rc)
-			}
-		}
-	}
-	outs := make([][]*telemetry.NodeSample, len(plan))
-	if err := runner.ForEach(len(plan), cfg.Workers, func(pi int) error {
-		samples, err := sys.GenerateRun(plan[pi])
-		if err != nil {
-			return err
-		}
-		outs[pi] = samples
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var raw []*telemetry.NodeSample
-	for _, s := range outs {
-		raw = append(raw, s...)
-	}
-	return raw, nil
 }
 
 // WriteCSV emits one row per cell plus the baseline.

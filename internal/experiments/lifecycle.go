@@ -17,7 +17,6 @@ import (
 	"albadross/internal/hpas"
 	"albadross/internal/ml"
 	"albadross/internal/obs"
-	"albadross/internal/runner"
 	"albadross/internal/server"
 	"albadross/internal/telemetry"
 )
@@ -138,34 +137,9 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := generateRaw(cfg, sys)
+	d, err := generate(cfg, sys, ex)
 	if err != nil {
 		return nil, err
-	}
-	cumulative := telemetry.CumulativeFlags(sys.Metrics)
-	metricNames := make([]string, len(sys.Metrics))
-	for i, m := range sys.Metrics {
-		metricNames[i] = m.Name
-	}
-
-	// Clean pipeline over every generated sample.
-	d := dataset.New(hpas.Labels())
-	d.FeatureNames = features.VectorNames(ex, metricNames)
-	vecs := make([][]float64, len(raw))
-	if err := runner.ForEach(len(raw), cfg.Workers, func(i int) error {
-		clean := &telemetry.NodeSample{Meta: raw[i].Meta, Data: raw[i].Data.Clone()}
-		if err := core.PreprocessRun(clean, cumulative); err != nil {
-			return err
-		}
-		vecs[i] = features.ExtractSample(ex, clean.Data)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, s := range raw {
-		if err := d.Add(vecs[i], s.Meta.Label(), s.Meta); err != nil {
-			return nil, err
-		}
 	}
 	healthy, ok := d.ClassIndex(telemetry.HealthyLabel)
 	if !ok {
@@ -451,10 +425,11 @@ func driftTraffic(cfg Config, sys *telemetry.SystemSpec, ex features.Extractor,
 			return nil, err
 		}
 		for _, s := range samples {
-			if err := core.PreprocessRun(s, cumulative); err != nil {
+			vec, err := core.RunVector(s, cumulative, ex)
+			if err != nil {
 				return nil, err
 			}
-			row, err := prep.TransformRow(features.ExtractSample(ex, s.Data))
+			row, err := prep.TransformRow(vec)
 			if err != nil {
 				return nil, err
 			}

@@ -12,16 +12,21 @@ import (
 	"albadross/internal/telemetry"
 )
 
-// generate builds the raw-feature dataset via the core pipeline.
-func generate(cfg Config, sys *telemetry.SystemSpec, ex features.Extractor) (*dataset.Dataset, error) {
-	return core.GenerateDataset(core.DataConfig{
+// dataConfig is cfg's data-collection campaign on sys, extracted by ex.
+func dataConfig(cfg Config, sys *telemetry.SystemSpec, ex features.Extractor) core.DataConfig {
+	return core.DataConfig{
 		System:          sys,
 		Extractor:       ex,
 		RunsPerAppInput: cfg.RunsPerAppInput,
 		Steps:           cfg.Steps,
 		Seed:            cfg.Seed,
 		Workers:         cfg.Workers,
-	})
+	}
+}
+
+// generate builds the raw-feature dataset via the core pipeline.
+func generate(cfg Config, sys *telemetry.SystemSpec, ex features.Extractor) (*dataset.Dataset, error) {
+	return core.GenerateDataset(dataConfig(cfg, sys, ex))
 }
 
 // prepared bundles a transformed dataset with its split, ready for query

@@ -2,12 +2,17 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"albadross/internal/chaos"
 	"albadross/internal/features"
+	"albadross/internal/features/mvts"
 	"albadross/internal/stream"
 	"albadross/internal/telemetry"
+	"albadross/internal/ts"
 	"albadross/internal/wal"
 )
 
@@ -141,4 +146,85 @@ func (c *countingDiagnoser) diagnose(v []float64) (string, float64, error) {
 		}
 	}
 	return "healthy", 0.9, nil
+}
+
+// synthSeries builds a deterministic multivariate series: trend,
+// periodicity and noise per metric, with cumulative metrics growing
+// monotonically.
+func synthSeries(schema []telemetry.Metric, steps int, seed int64) *ts.Multivariate {
+	rng := rand.New(rand.NewSource(seed))
+	cum := telemetry.CumulativeFlags(schema)
+	data := ts.NewMultivariate(len(schema), steps)
+	acc := make([]float64, len(schema))
+	for t := 0; t < steps; t++ {
+		for m := range schema {
+			v := 10*math.Sin(float64(t)/5+float64(m)) + rng.NormFloat64()
+			if cum[m] {
+				acc[m] += math.Abs(v)
+				v = acc[m]
+			}
+			data.Metrics[m][t] = v
+		}
+	}
+	return data
+}
+
+// chaosFeed produces the perturbed arrival sequence a streaming
+// consumer would see for one shard.
+func chaosFeed(t *testing.T, schema []telemetry.Metric, steps int, seed int64) []chaos.Reading {
+	t.Helper()
+	inj, err := chaos.New(seed,
+		chaos.Fault{Kind: chaos.Drop, Intensity: 0.3},
+		chaos.Fault{Kind: chaos.GapBurst, Intensity: 0.3},
+		chaos.Fault{Kind: chaos.Duplicate, Intensity: 0.4},
+		chaos.Fault{Kind: chaos.Reorder, Intensity: 0.5},
+		chaos.Fault{Kind: chaos.ClockSkew, Intensity: 0.3},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj.DeliverStream(synthSeries(schema, steps, seed))
+}
+
+// bitPredict is a deterministic PredictFunc whose output
+// depends on every bit of the feature vector: any single-ULP
+// divergence between two paths flips the label or the confidence.
+func bitPredict(vec []float64) (string, float64, error) {
+	var h uint64 = 1469598103934665603
+	for _, v := range vec {
+		h ^= math.Float64bits(v)
+		h *= 1099511628211
+	}
+	label := fmt.Sprintf("class-%d", h%5)
+	conf := float64(h%1000003) / 1000003
+	return label, conf, nil
+}
+
+// sameDiag compares two diagnoses bitwise (confidence and missing
+// fraction included).
+func sameDiag(a, b stream.Diagnosis) bool {
+	return a.Label == b.Label &&
+		math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence) &&
+		a.WindowEnd == b.WindowEnd &&
+		a.Abstained == b.Abstained &&
+		math.Float64bits(a.MissingFrac) == math.Float64bits(b.MissingFrac)
+}
+
+// streamerCfg is the shared test geometry under one of the two gap
+// policies the replay and parity tests alternate: causal GapHoldLast
+// repair, or GapAbstain refusing windows more than 40% missing.
+func streamerCfg(schema []telemetry.Metric, gap stream.GapPolicy) chainSpec {
+	cfg := chainSpec{
+		Schema:    schema,
+		Extractor: mvts.Extractor{},
+		Diagnose:  bitPredict,
+		Window:    32,
+		Stride:    8,
+		Reorder:   6,
+		Gap:       gap,
+	}
+	if gap == stream.GapAbstain {
+		cfg.MaxMissing = 0.4
+	}
+	return cfg
 }

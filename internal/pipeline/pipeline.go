@@ -1,8 +1,8 @@
 // Package pipeline is the online diagnosis path: explicit, individually
-// pluggable stages — Source → stream (windowing) → FeatureStage →
-// PredictStage → Sink — composed by Chain, the repository's ONE
-// window-decision loop (abstain gate → feature vector → sanitation →
-// prediction → non-finite-confidence abstention). Every consumer — the
+// pluggable stages — stream (windowing) → FeatureStage → PredictStage →
+// Sink — composed by Chain, the repository's ONE window-decision loop
+// (abstain gate → feature vector → sanitation → prediction →
+// non-finite-confidence abstention). Every consumer — the
 // fleet's per-node streams behind /api/ingest and /api/ingest/bulk, the
 // experiments, the examples — runs a Chain over the shared seams in
 // internal/stream (stream.Windower, stream.BatchVector); the pr9_replay
@@ -13,9 +13,7 @@
 // Replay feeds a recovered log back through a fresh chain, rebuilding
 // reordering buffers and window rings bitwise-identically — crash
 // recovery, shadow-model replay and record/replay debugging all reduce
-// to the same operation. Graph runs one chain per shard under the
-// internal/runner determinism contract, so any worker count yields
-// byte-identical per-shard outputs.
+// to the same operation.
 package pipeline
 
 import (
@@ -55,16 +53,6 @@ type Sink interface {
 	// Emit delivers one diagnosis; an error aborts the push that
 	// completed the window.
 	Emit(d stream.Diagnosis) error
-}
-
-// Source yields per-shard arrival sequences for Graph.Run. Feed must
-// deliver shard-local arrivals in their original order; shards are
-// independent and may be fed concurrently.
-type Source interface {
-	// Shards reports how many shard sequences the source holds.
-	Shards() int
-	// Feed pushes every arrival of one shard, in order, through push.
-	Feed(shard int, push func(t int, values []float64) error) error
 }
 
 // ChainConfig assembles one node stream's stage chain. Window geometry

@@ -50,27 +50,3 @@ func (c *Collector) Emit(d stream.Diagnosis) error {
 	c.Diagnoses = append(c.Diagnoses, d)
 	return nil
 }
-
-// Event is one timestamped arrival of a SliceSource shard.
-type Event struct {
-	// T is the claimed timestep.
-	T int
-	// Values is the raw reading (NaN marks missing metrics).
-	Values []float64
-}
-
-// SliceSource is an in-memory Source: one arrival sequence per shard.
-type SliceSource [][]Event
-
-// Shards reports the number of shard sequences.
-func (s SliceSource) Shards() int { return len(s) }
-
-// Feed pushes one shard's arrivals in order.
-func (s SliceSource) Feed(shard int, push func(t int, values []float64) error) error {
-	for _, e := range s[shard] {
-		if err := push(e.T, e.Values); err != nil {
-			return err
-		}
-	}
-	return nil
-}

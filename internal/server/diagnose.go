@@ -184,7 +184,7 @@ func (s *Server) windowRow(win [][]float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	vec, err := stream.BlockVector(block, telemetry.CumulativeFlags(s.cfg.Schema), stream.GapInterpolate, s.cfg.Extractor)
+	vec, err := stream.BlockVector(block, telemetry.CumulativeFlags(s.cfg.Schema), stream.GapInterpolate, 0, s.cfg.Extractor)
 	if err != nil {
 		return nil, err
 	}

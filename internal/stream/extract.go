@@ -1,11 +1,12 @@
 package stream
 
-// Window feature extraction, shared by every consumer of completed
-// windows: the internal/pipeline feature stage, the server's
-// /api/diagnose window mode and the benchmark's traced replay. All of
-// them must produce bitwise-identical vectors for the same committed
-// rows — the record/replay golden fixture gates that — so the repair →
-// difference → extract sequence lives here, in exactly one place,
+// Telemetry → raw feature vector, shared by every consumer: training
+// runs (core.RunVector), the internal/pipeline feature stage, the
+// server's /api/diagnose window mode and the benchmark's traced replay.
+// A deployed model is only right if each served window is prepared the
+// way its training runs were, and the record/replay golden fixture gates
+// bitwise-identical vectors for the same committed rows, so the repair →
+// trim → difference → extract sequence lives here, in exactly one place,
 // instead of being reimplemented per consumer.
 
 import (
@@ -34,21 +35,28 @@ func MissingFraction(rows [][]float64) float64 {
 	return float64(nan) / float64(len(rows)*len(rows[0]))
 }
 
-// BlockVector is the one window → raw feature vector step: it repairs,
-// differences and feature-extracts one completed window held as a
-// metric-major block. The gap policy fills missing cells (GapAbstain
+// BlockVector is the one telemetry → raw feature vector step: it
+// repairs, trims, differences and feature-extracts one metric-major
+// block, in that order. The gap policy fills missing cells (GapAbstain
 // repairs like GapInterpolate — the abstention decision belongs to the
-// caller), the metrics flagged cumulative (telemetry.CumulativeFlags
-// builds the mask from a schema) are differenced, and the extractor runs
-// over every metric. block is consumed: repair and differencing rewrite
-// its series in place. The result is freshly allocated, owned by the
-// caller, and NOT sanitized; callers apply features.Sanitize so degraded
-// windows stay finite.
-func BlockVector(block *ts.Multivariate, cumulative []bool, gap GapPolicy, ex features.Extractor) ([]float64, error) {
+// caller); trim samples then come off each end (a whole run's
+// init/teardown transients; windows pass 0); the metrics flagged
+// cumulative (telemetry.CumulativeFlags builds the mask from a schema)
+// are differenced; and the extractor runs over every metric. Repairing
+// before trimming lets a gap at the first kept step interpolate from
+// the transient it borders. block is consumed: repair, trimming and
+// differencing rewrite its series in place, and it is left holding the
+// prepared series. The result is freshly allocated, owned by the caller,
+// and NOT sanitized; callers apply features.Sanitize so degraded windows
+// stay finite.
+func BlockVector(block *ts.Multivariate, cumulative []bool, gap GapPolicy, trim int, ex features.Extractor) ([]float64, error) {
 	if gap == GapHoldLast {
 		ts.HoldLastAll(block)
 	} else {
 		ts.InterpolateAll(block)
+	}
+	if err := ts.Trim(block, trim, trim); err != nil {
+		return nil, err
 	}
 	if err := ts.DiffCounters(block, cumulative); err != nil {
 		return nil, err
@@ -69,7 +77,7 @@ func BatchVector(rows [][]float64, schema []telemetry.Metric, gap GapPolicy, ex 
 			series[t] = row[m]
 		}
 	}
-	return BlockVector(block, pb.cumulative, gap, ex)
+	return BlockVector(block, pb.cumulative, gap, 0, ex)
 }
 
 // blockPool recycles BatchVector's blocks across windows (and across

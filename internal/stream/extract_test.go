@@ -72,7 +72,7 @@ func TestBatchVectorEqualsBlockVector(t *testing.T) {
 	for _, gap := range []GapPolicy{GapInterpolate, GapHoldLast} {
 		for _, shape := range shapes {
 			rows, schema := windowRows(rng, shape[0], shape[1])
-			fresh, err := BlockVector(transpose(rows), telemetry.CumulativeFlags(schema), gap, mvts.Extractor{})
+			fresh, err := BlockVector(transpose(rows), telemetry.CumulativeFlags(schema), gap, 0, mvts.Extractor{})
 			if err != nil {
 				t.Fatal(err)
 			}

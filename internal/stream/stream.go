@@ -10,12 +10,13 @@
 // timestamped readings through a bounded reordering buffer that
 // re-sequences late arrivals, drops duplicates, and synthesizes explicit
 // gap rows for samples that never arrive. The extraction layer
-// (extract.go) then applies the same preparation the offline pipeline
-// uses on whole runs (repair of missing readings under a GapPolicy and
-// differencing of cumulative counters — there are no init/teardown
-// transients to trim inside a steady-state window) and extracts
-// features from scratch over each completed window (BlockVector, or
-// BatchVector over ring rows).
+// (extract.go) is the one telemetry → feature vector function,
+// BlockVector, which the offline pipeline also runs on whole runs
+// (core.RunVector): repair of missing readings under a GapPolicy,
+// trimming, differencing of cumulative counters, then features from
+// scratch. Windows pass trim = 0 (there are no init/teardown transients
+// inside a steady-state window); BatchVector is BlockVector over ring
+// rows.
 //
 // The decision loop that composes them — abstain gate, feature vector,
 // sanitation, prediction, non-finite-confidence abstention — lives in

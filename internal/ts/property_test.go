@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// Property: Diff output is non-negative (wrap clamping) and one shorter.
+// Property: diffInPlace output is non-negative (wrap clamping) and one shorter.
 func TestQuickDiffProperties(t *testing.T) {
 	f := func(raw []float64) bool {
 		s := make(Series, 0, len(raw))
@@ -16,7 +16,7 @@ func TestQuickDiffProperties(t *testing.T) {
 			}
 			s = append(s, v)
 		}
-		d := Diff(s)
+		d := diffInPlace(s.Clone())
 		if len(s) >= 2 && len(d) != len(s)-1 {
 			return false
 		}
@@ -32,7 +32,7 @@ func TestQuickDiffProperties(t *testing.T) {
 	}
 }
 
-// Property: Diff of a cumulative sum recovers the rates exactly (for
+// Property: diffInPlace of a cumulative sum recovers the rates exactly (for
 // non-negative rates).
 func TestQuickDiffInvertsCumsum(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -50,7 +50,7 @@ func TestQuickDiffInvertsCumsum(t *testing.T) {
 		for i, r := range rates {
 			counter[i+1] = counter[i] + r
 		}
-		back := Diff(counter)
+		back := diffInPlace(counter.Clone())
 		for i := range rates {
 			tol := 1e-9 * (1 + counter[i+1])
 			if math.Abs(back[i]-rates[i]) > tol {

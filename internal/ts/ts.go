@@ -192,15 +192,12 @@ func InterpolateAll(m *Multivariate) int {
 	return total
 }
 
-// Diff replaces a cumulative counter with per-step deltas:
-// out[t] = s[t+1] - s[t]. The result is one element shorter and freshly
-// allocated; s is unchanged. Negative deltas (counter wrap or reset) are
+// diffInPlace replaces a cumulative counter with per-step deltas,
+// out[t] = s[t+1] - s[t], over s's own storage: each delta overwrites
+// the earlier of its two samples, which no later delta reads. The result
+// is one element shorter. Negative deltas (counter wrap or reset) are
 // clamped to zero, which is what LDMS post-processing does for wrapping
 // counters.
-func Diff(s Series) Series { return diffInPlace(s.Clone()) }
-
-// diffInPlace is Diff over s's own storage: each delta overwrites the
-// earlier of its two samples, which no later delta reads.
 func diffInPlace(s Series) Series {
 	if len(s) < 2 {
 		return s[:0]
@@ -239,8 +236,10 @@ func DiffCounters(m *Multivariate, cumulative []bool) error {
 }
 
 // Trim removes head samples and tail samples from every metric, dropping
-// application initialization and termination transients. It returns an
-// error if fewer than one sample would remain.
+// application initialization and termination transients. Like
+// DiffCounters it works in place: the series are resliced, so they alias
+// the storage they had before. It returns an error if fewer than one
+// sample would remain.
 func Trim(m *Multivariate, head, tail int) error {
 	if head < 0 || tail < 0 {
 		return errors.New("ts: negative trim")
@@ -250,7 +249,7 @@ func Trim(m *Multivariate, head, tail int) error {
 		return fmt.Errorf("ts: trim(%d,%d) leaves no samples of %d", head, tail, n)
 	}
 	for i, s := range m.Metrics {
-		m.Metrics[i] = s[head : n-tail].Clone()
+		m.Metrics[i] = s[head : n-tail]
 	}
 	return nil
 }

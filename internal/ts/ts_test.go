@@ -107,8 +107,7 @@ func TestQuickInterpolateBounded(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	s := Series{10, 12, 15, 14, 20}
-	d := Diff(s)
+	d := diffInPlace(Series{10, 12, 15, 14, 20})
 	want := Series{2, 3, 0, 6} // negative delta clamped
 	if len(d) != len(want) {
 		t.Fatalf("len = %d, want %d", len(d), len(want))
@@ -118,7 +117,7 @@ func TestDiff(t *testing.T) {
 			t.Fatalf("d[%d] = %v, want %v", i, d[i], want[i])
 		}
 	}
-	if len(Diff(Series{5})) != 0 {
+	if len(diffInPlace(Series{5})) != 0 {
 		t.Fatal("diff of single sample should be empty")
 	}
 }

@@ -84,7 +84,9 @@ if [ "$deep" -eq 1 ]; then
   go test -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
 
   echo "== coverage floors vs coverage_baseline.txt"
-  go test -cover ./internal/server/ ./internal/stream/ ./internal/active/ \
+  # COVER_OUT (used by CI) additionally writes the same run's profile.
+  go test -cover ${COVER_OUT:+-coverprofile="$COVER_OUT"} \
+    ./internal/server/ ./internal/stream/ ./internal/active/ \
     ./internal/wal/ ./internal/pipeline/ ./internal/fleet/ ./internal/loadgen/ \
     > /tmp/albadross_cover.$$ 2>&1 || { cat /tmp/albadross_cover.$$; rm -f /tmp/albadross_cover.$$; exit 1; }
   cat /tmp/albadross_cover.$$
