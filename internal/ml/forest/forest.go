@@ -160,8 +160,8 @@ func (f *Forest) WarmFlat() {
 
 // bootstrapWeights draws n samples with replacement and returns the
 // multiplicity of each index.
-func bootstrapWeights(n int, rng *rand.Rand) []float64 {
-	w := make([]float64, n)
+func bootstrapWeights(n int, rng *rand.Rand) []int {
+	w := make([]int, n)
 	for i := 0; i < n; i++ {
 		w[rng.Intn(n)]++
 	}

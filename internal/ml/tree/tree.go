@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"albadross/internal/ml"
 	"albadross/internal/ml/flat"
@@ -163,10 +164,12 @@ func (t *Classifier) Fit(x [][]float64, y []int, nClasses int) error {
 	return nil
 }
 
-// FitWeighted grows the tree with optional per-sample weights (nil means
-// uniform). Weights are how the forest feeds bootstrap multiplicities
-// without copying rows.
-func (t *Classifier) FitWeighted(x [][]float64, y []int, w []float64, nClasses int) error {
+// FitWeighted grows the tree with optional per-sample integer
+// multiplicities (nil means one each; zero drops the row). Integer
+// weights are how the forest feeds bootstrap counts without copying
+// rows, and they keep every class count and node total an exact
+// integer, which the entropy table in impurity relies on.
+func (t *Classifier) FitWeighted(x [][]float64, y []int, w []int, nClasses int) error {
 	if err := validateFitInput(x, y, w, nClasses); err != nil {
 		return err
 	}
@@ -175,36 +178,61 @@ func (t *Classifier) FitWeighted(x [][]float64, y []int, w []float64, nClasses i
 	t.flatFore = nil
 	t.Importances = make([]float64, len(x[0]))
 	idx := activeIndices(w, len(x))
-	rng := rand.New(rand.NewSource(t.Cfg.Seed))
-	picker := newFeaturePicker(len(x[0]), t.Cfg.MaxFeatures, rng)
-	b := &clsBuilder{t: t, x: x, y: y, w: w, picker: picker}
+	b := newClsBuilder(t, x, y, w)
 	b.rootSize = float64(len(idx))
 	b.grow(idx, 1)
 	return nil
 }
 
 // clsBuilder holds shared state while growing a classification tree.
+// The scratch buffers are sized once per fit and reused by every node,
+// so bestSplit allocates nothing.
 type clsBuilder struct {
 	t        *Classifier
 	x        [][]float64
 	y        []int
-	w        []float64
+	w        []int
 	picker   *featurePicker
 	rootSize float64
+	// keys is bestSplit's (value, row) scratch, one entry per row.
+	keys []splitKey
+	// leftCounts and rightCounts are bestSplit's running class counts.
+	leftCounts, rightCounts []int
+	// spill holds the right side during partition.
+	spill []int
+	// log2 is log2Table() when the criterion is entropy.
+	log2 []float64
 }
 
-func (b *clsBuilder) weight(i int) float64 {
+func newClsBuilder(t *Classifier, x [][]float64, y []int, w []int) *clsBuilder {
+	rng := rand.New(rand.NewSource(t.Cfg.Seed))
+	b := &clsBuilder{
+		t: t, x: x, y: y, w: w,
+		picker:      newFeaturePicker(len(x[0]), t.Cfg.MaxFeatures, rng),
+		keys:        make([]splitKey, len(x)),
+		leftCounts:  make([]int, t.NClasses),
+		rightCounts: make([]int, t.NClasses),
+		spill:       make([]int, len(x)),
+	}
+	if t.Cfg.Criterion == Entropy {
+		b.log2 = log2Table()
+	}
+	return b
+}
+
+func (b *clsBuilder) weight(i int) int {
 	if b.w == nil {
 		return 1
 	}
 	return b.w[i]
 }
 
-// grow builds the subtree over idx and returns its node index.
+// grow builds the subtree over idx and returns its node index. It
+// reorders idx in place: each child grows over its own subrange.
 func (b *clsBuilder) grow(idx []int, depth int) int32 {
 	t := b.t
-	counts := make([]float64, t.NClasses)
-	total := 0.0
+	counts := make([]int, t.NClasses)
+	total := 0
 	for _, i := range idx {
 		w := b.weight(i)
 		counts[b.y[i]] += w
@@ -214,7 +242,7 @@ func (b *clsBuilder) grow(idx []int, depth int) int32 {
 		probs := make([]float64, t.NClasses)
 		if total > 0 {
 			for c := range probs {
-				probs[c] = counts[c] / total
+				probs[c] = float64(counts[c]) / float64(total)
 			}
 		}
 		t.Nodes = append(t.Nodes, node{Feature: -1, Probs: probs})
@@ -228,62 +256,58 @@ func (b *clsBuilder) grow(idx []int, depth int) int32 {
 	if gain <= 1e-12 || feat < 0 {
 		return mkLeaf()
 	}
-	left, right := partition(b.x, idx, feat, thr)
-	if len(left) < t.Cfg.MinSamplesLeaf || len(right) < t.Cfg.MinSamplesLeaf {
+	nl := partition(b.x, idx, b.spill, feat, thr)
+	if nl < t.Cfg.MinSamplesLeaf || len(idx)-nl < t.Cfg.MinSamplesLeaf {
 		return mkLeaf()
 	}
 	t.Importances[feat] += gain * float64(len(idx)) / b.rootSize //albacheck:ignore floatsafe rootSize is the root node's total sample weight, positive for any input Fit accepts
 	// Reserve this node's slot before growing children.
 	t.Nodes = append(t.Nodes, node{Feature: feat, Threshold: thr})
 	self := int32(len(t.Nodes) - 1)
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
+	l := b.grow(idx[:nl], depth+1)
+	r := b.grow(idx[nl:], depth+1)
 	t.Nodes[self].Left = l
 	t.Nodes[self].Right = r
 	return self
 }
 
 // bestSplit scans candidate features for the impurity-minimizing split.
-func (b *clsBuilder) bestSplit(idx []int, parentCounts []float64, total float64) (feat int, thr, gain float64) {
+//
+//albacheck:hotpath
+func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat int, thr, gain float64) {
 	t := b.t
 	if total <= 0 {
 		return -1, 0, 0
 	}
-	parentImp := impurity(parentCounts, total, t.Cfg.Criterion)
+	parentImp := b.impurity(parentCounts, total)
 	feat, gain = -1, 0
-	order := make([]int, len(idx))
-	leftCounts := make([]float64, t.NClasses)
-	rightCounts := make([]float64, t.NClasses)
+	leftCounts, rightCounts := b.leftCounts, b.rightCounts
 	for _, f := range b.picker.pick() {
-		copy(order, idx)
-		sort.Slice(order, func(a, c int) bool { return b.x[order[a]][f] < b.x[order[c]][f] })
-		for c := range leftCounts {
-			leftCounts[c] = 0
-			rightCounts[c] = parentCounts[c]
-		}
-		leftTotal := 0.0
-		leftN := 0
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
+		keys := sortedKeys(b.keys, b.x, idx, f)
+		copy(rightCounts, parentCounts)
+		clear(leftCounts)
+		leftTotal := 0
+		for k := 0; k < len(keys)-1; k++ {
+			i := keys[k].row
 			w := b.weight(i)
 			leftCounts[b.y[i]] += w
 			rightCounts[b.y[i]] -= w
 			leftTotal += w
-			leftN++
-			v, next := b.x[i][f], b.x[order[k+1]][f]
+			leftN := k + 1
+			v, next := keys[k].v, keys[k+1].v
 			if v == next { //albacheck:ignore floatsafe adjacent equal values in the feature-sorted order are not a split point; exact tie test intended
 				continue
 			}
-			if leftN < t.Cfg.MinSamplesLeaf || len(order)-leftN < t.Cfg.MinSamplesLeaf {
+			if leftN < t.Cfg.MinSamplesLeaf || len(keys)-leftN < t.Cfg.MinSamplesLeaf {
 				continue
 			}
 			rightTotal := total - leftTotal
 			if leftTotal == 0 || rightTotal == 0 {
 				continue
 			}
-			li := impurity(leftCounts, leftTotal, t.Cfg.Criterion)
-			ri := impurity(rightCounts, rightTotal, t.Cfg.Criterion)
-			g := parentImp - (leftTotal*li+rightTotal*ri)/total
+			li := b.impurity(leftCounts, leftTotal)
+			ri := b.impurity(rightCounts, rightTotal)
+			g := parentImp - (float64(leftTotal)*li+float64(rightTotal)*ri)/float64(total)
 			if g > gain {
 				gain = g
 				feat = f
@@ -440,9 +464,7 @@ func (t *Regressor) Fit(x [][]float64, g []float64, hess []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	rng := rand.New(rand.NewSource(t.Cfg.Seed))
-	picker := newFeaturePicker(len(x[0]), t.Cfg.MaxFeatures, rng)
-	b := &regBuilder{t: t, x: x, g: g, picker: picker}
+	b := newRegBuilder(t, x, g)
 	if t.Cfg.MaxLeaves > 1 {
 		b.growLeafwise(idx)
 	} else {
@@ -451,11 +473,25 @@ func (t *Regressor) Fit(x [][]float64, g []float64, hess []float64) error {
 	return nil
 }
 
+// regBuilder holds shared state while growing a regression tree; like
+// clsBuilder it owns the split and partition scratch.
 type regBuilder struct {
 	t      *Regressor
 	x      [][]float64
 	g      []float64
 	picker *featurePicker
+	keys   []splitKey
+	spill  []int
+}
+
+func newRegBuilder(t *Regressor, x [][]float64, g []float64) *regBuilder {
+	rng := rand.New(rand.NewSource(t.Cfg.Seed))
+	return &regBuilder{
+		t: t, x: x, g: g,
+		picker: newFeaturePicker(len(x[0]), t.Cfg.MaxFeatures, rng),
+		keys:   make([]splitKey, len(x)),
+		spill:  make([]int, len(x)),
+	}
 }
 
 // stats of a candidate node.
@@ -512,14 +548,14 @@ func (b *regBuilder) growDepthwise(idx []int, depth int) int32 {
 	if gain <= 1e-12 || feat < 0 {
 		return b.mkLeaf(s)
 	}
-	left, right := partition(b.x, idx, feat, thr)
-	if len(left) < t.Cfg.MinSamplesLeaf || len(right) < t.Cfg.MinSamplesLeaf {
+	nl := partition(b.x, idx, b.spill, feat, thr)
+	if nl < t.Cfg.MinSamplesLeaf || len(idx)-nl < t.Cfg.MinSamplesLeaf {
 		return b.mkLeaf(s)
 	}
 	t.Nodes = append(t.Nodes, node{Feature: feat, Threshold: thr})
 	self := int32(len(t.Nodes) - 1)
-	l := b.growDepthwise(left, depth+1)
-	r := b.growDepthwise(right, depth+1)
+	l := b.growDepthwise(idx[:nl], depth+1)
+	r := b.growDepthwise(idx[nl:], depth+1)
 	t.Nodes[self].Left = l
 	t.Nodes[self].Right = r
 	return self
@@ -557,7 +593,8 @@ func (b *regBuilder) growLeafwise(idx []int) {
 		}
 		c := cands[best]
 		cands = append(cands[:best], cands[best+1:]...)
-		left, right := partition(b.x, c.idx, c.feat, c.thr)
+		nl := partition(b.x, c.idx, b.spill, c.feat, c.thr)
+		left, right := c.idx[:nl], c.idx[nl:]
 		if len(left) < t.Cfg.MinSamplesLeaf || len(right) < t.Cfg.MinSamplesLeaf {
 			continue
 		}
@@ -586,26 +623,25 @@ func (b *regBuilder) candidate(nodeIdx int32, idx []int, s regStats, depth int) 
 }
 
 // bestSplit finds the SSE-minimizing split over candidate features.
+//
+//albacheck:hotpath
 func (b *regBuilder) bestSplit(idx []int, parent regStats) (feat int, thr, gain float64) {
 	feat, gain = -1, 0
 	parentSSE := parent.sse()
-	order := make([]int, len(idx))
 	minLeaf := b.t.Cfg.MinSamplesLeaf
 	for _, f := range b.picker.pick() {
-		copy(order, idx)
-		sort.Slice(order, func(a, c int) bool { return b.x[order[a]][f] < b.x[order[c]][f] })
+		keys := sortedKeys(b.keys, b.x, idx, f)
 		var lSum, lSumSq float64
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			v := b.g[i]
+		for k := 0; k < len(keys)-1; k++ {
+			v := b.g[keys[k].row]
 			lSum += v
 			lSumSq += v * v
-			x1, x2 := b.x[i][f], b.x[order[k+1]][f]
+			x1, x2 := keys[k].v, keys[k+1].v
 			if x1 == x2 { //albacheck:ignore floatsafe adjacent equal values in the feature-sorted order are not a split point; exact tie test intended
 				continue
 			}
 			ln := k + 1
-			rn := len(order) - ln
+			rn := len(keys) - ln
 			if ln < minLeaf || rn < minLeaf {
 				continue
 			}
@@ -685,7 +721,7 @@ func (t *Regressor) Depth() int { return depthOf(t.Nodes, 0) }
 // ---------------------------------------------------------------------------
 // Shared helpers
 
-func validateFitInput(x [][]float64, y []int, w []float64, nClasses int) error {
+func validateFitInput(x [][]float64, y []int, w []int, nClasses int) error {
 	if len(x) == 0 {
 		return fmt.Errorf("tree: empty training set")
 	}
@@ -703,12 +739,17 @@ func validateFitInput(x [][]float64, y []int, w []float64, nClasses int) error {
 			return fmt.Errorf("tree: label %d at row %d outside [0,%d)", c, i, nClasses)
 		}
 	}
+	for i, m := range w {
+		if m < 0 {
+			return fmt.Errorf("tree: negative weight %d at row %d", m, i)
+		}
+	}
 	return nil
 }
 
 // activeIndices returns the indices with positive weight (all indices when
 // w is nil).
-func activeIndices(w []float64, n int) []int {
+func activeIndices(w []int, n int) []int {
 	idx := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if w == nil || w[i] > 0 {
@@ -718,7 +759,7 @@ func activeIndices(w []float64, n int) []int {
 	return idx
 }
 
-func isPure(counts []float64) bool {
+func isPure(counts []int) bool {
 	nonzero := 0
 	for _, c := range counts {
 		if c > 0 {
@@ -731,40 +772,107 @@ func isPure(counts []float64) bool {
 	return true
 }
 
-func impurity(counts []float64, total float64, crit Criterion) float64 {
+// log2Cap is the largest node total whose entropy terms come from
+// log2Table; larger nodes call math.Log2.
+const log2Cap = 1024
+
+// log2Table holds math.Log2(float64(c)/float64(T)) for 1 <= c <= T <=
+// log2Cap, row T starting at T(T-1)/2 (about 4 MB). Class counts and
+// node totals are exact integers, so p = c/T is the same float64 on
+// every call and a lookup returns exactly what math.Log2(p) would.
+var log2Table = sync.OnceValue(func() []float64 {
+	tab := make([]float64, log2Cap*(log2Cap+1)/2)
+	for total := 1; total <= log2Cap; total++ {
+		row := tab[total*(total-1)/2:]
+		for c := 1; c <= total; c++ {
+			row[c-1] = math.Log2(float64(c) / float64(total))
+		}
+	}
+	return tab
+})
+
+// impurity is the node impurity of class counts summing to total under
+// the tree's criterion.
+func (b *clsBuilder) impurity(counts []int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
-	switch crit {
+	switch b.t.Cfg.Criterion {
 	case Entropy:
+		var row []float64 // row[c-1] = log2(c/total), when tabulated
+		if total <= log2Cap {
+			row = b.log2[total*(total-1)/2:]
+		}
 		h := 0.0
 		for _, c := range counts {
 			if c > 0 {
-				p := c / total
-				h -= p * math.Log2(p) //albacheck:ignore floatsafe p > 0 because c > 0 is checked and total > 0 past the prologue
+				p := float64(c) / float64(total)
+				if row != nil {
+					h -= p * row[c-1]
+				} else {
+					h -= p * math.Log2(p) //albacheck:ignore floatsafe p > 0 because c > 0 is checked and total > 0 past the prologue
+				}
 			}
 		}
 		return h
 	default: // Gini
 		g := 1.0
 		for _, c := range counts {
-			p := c / total
+			p := float64(c) / float64(total)
 			g -= p * p
 		}
 		return g
 	}
 }
 
-// partition splits idx into samples with x[f] <= thr and the rest.
-func partition(x [][]float64, idx []int, f int, thr float64) (left, right []int) {
+// splitKey is one row's value of the feature under evaluation.
+type splitKey struct {
+	v   float64
+	row int
+}
+
+// cmpSplitKey orders keys by value. Its "< 0" is exactly a.v < b.v, and
+// slices.SortFunc asks nothing else, so ties and NaN cells land where
+// the reference grower in tree_test.go puts them (sort.Slice is the same
+// pdqsort); the regressor's gradient sums and every tree depend on that.
+// cmp.Compare would order NaN first and move them.
+func cmpSplitKey(a, b splitKey) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// sortedKeys fills keys with (x[i][f], i) for every i in idx and sorts
+// them by value. keys must hold len(idx) entries.
+func sortedKeys(keys []splitKey, x [][]float64, idx []int, f int) []splitKey {
+	keys = keys[:len(idx)]
+	for k, i := range idx {
+		keys[k] = splitKey{v: x[i][f], row: i}
+	}
+	slices.SortFunc(keys, cmpSplitKey)
+	return keys
+}
+
+// partition stably reorders idx so the samples with x[f] <= thr come
+// first, in their original order, followed by the rest, and returns the
+// left side's length. spill must hold len(idx) entries.
+func partition(x [][]float64, idx, spill []int, f int, thr float64) int {
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if x[i][f] <= thr {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			spill[nr] = i
+			nr++
 		}
 	}
-	return left, right
+	copy(idx[nl:], spill[:nr])
+	return nl
 }
 
 func depthOf(nodes []node, root int32) int {

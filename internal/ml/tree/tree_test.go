@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -101,7 +102,7 @@ func TestClassifierWeighted(t *testing.T) {
 	// Duplicate-by-weight should match duplicate-by-copy.
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []int{0, 0, 1, 1}
-	w := []float64{3, 1, 1, 3}
+	w := []int{3, 1, 1, 3}
 	tw := NewClassifier(Config{})
 	if err := tw.FitWeighted(x, y, w, 2); err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestClassifierWeighted(t *testing.T) {
 	var xc [][]float64
 	var yc []int
 	for i := range x {
-		for r := 0; r < int(w[i]); r++ {
+		for r := 0; r < w[i]; r++ {
 			xc = append(xc, x[i])
 			yc = append(yc, y[i])
 		}
@@ -133,7 +134,7 @@ func TestClassifierZeroWeightExcluded(t *testing.T) {
 	// A zero-weight outlier must not influence the tree.
 	x := [][]float64{{0}, {0.1}, {0.2}, {5}}
 	y := []int{0, 0, 0, 1}
-	w := []float64{1, 1, 1, 0}
+	w := []int{1, 1, 1, 0}
 	tr := NewClassifier(Config{})
 	if err := tr.FitWeighted(x, y, w, 2); err != nil {
 		t.Fatal(err)
@@ -351,4 +352,618 @@ func TestQuickTreeDeterminism(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Reference split search
+
+// The reference growers below are the split search this package used
+// before the keyed sort and the entropy table: sort.Slice over row
+// indices, math.Log2 per class, float weights, fresh partition slices.
+// They are the oracle the production builders must match node for
+// node, bit for bit; nothing outside tests may call them.
+
+// refClassifier grows a classification tree the reference way and
+// returns its nodes and importances.
+func refClassifier(cfg Config, x [][]float64, y []int, w []float64, nClasses int) ([]node, []float64) {
+	t := &Classifier{Cfg: cfg.withDefaults(), NClasses: nClasses, Importances: make([]float64, len(x[0]))}
+	var idx []int
+	for i := range x {
+		if w == nil || w[i] > 0 {
+			idx = append(idx, i)
+		}
+	}
+	rng := rand.New(rand.NewSource(t.Cfg.Seed))
+	b := &refClsBuilder{t: t, x: x, y: y, w: w, picker: newFeaturePicker(len(x[0]), t.Cfg.MaxFeatures, rng)}
+	b.rootSize = float64(len(idx))
+	b.grow(idx, 1)
+	return t.Nodes, t.Importances
+}
+
+type refClsBuilder struct {
+	t        *Classifier
+	x        [][]float64
+	y        []int
+	w        []float64
+	picker   *featurePicker
+	rootSize float64
+}
+
+func (b *refClsBuilder) weight(i int) float64 {
+	if b.w == nil {
+		return 1
+	}
+	return b.w[i]
+}
+
+func (b *refClsBuilder) grow(idx []int, depth int) int32 {
+	t := b.t
+	counts := make([]float64, t.NClasses)
+	total := 0.0
+	for _, i := range idx {
+		w := b.weight(i)
+		counts[b.y[i]] += w
+		total += w
+	}
+	mkLeaf := func() int32 {
+		probs := make([]float64, t.NClasses)
+		if total > 0 {
+			for c := range probs {
+				probs[c] = counts[c] / total
+			}
+		}
+		t.Nodes = append(t.Nodes, node{Feature: -1, Probs: probs})
+		return int32(len(t.Nodes) - 1)
+	}
+	pure := 0
+	for _, c := range counts {
+		if c > 0 {
+			pure++
+		}
+	}
+	if len(idx) < t.Cfg.MinSamplesSplit || pure <= 1 ||
+		(t.Cfg.MaxDepth > 0 && depth > t.Cfg.MaxDepth) {
+		return mkLeaf()
+	}
+	feat, thr, gain := b.bestSplit(idx, counts, total)
+	if gain <= 1e-12 || feat < 0 {
+		return mkLeaf()
+	}
+	left, right := refPartition(b.x, idx, feat, thr)
+	if len(left) < t.Cfg.MinSamplesLeaf || len(right) < t.Cfg.MinSamplesLeaf {
+		return mkLeaf()
+	}
+	t.Importances[feat] += gain * float64(len(idx)) / b.rootSize
+	t.Nodes = append(t.Nodes, node{Feature: feat, Threshold: thr})
+	self := int32(len(t.Nodes) - 1)
+	l := b.grow(left, depth+1)
+	r := b.grow(right, depth+1)
+	t.Nodes[self].Left = l
+	t.Nodes[self].Right = r
+	return self
+}
+
+func (b *refClsBuilder) bestSplit(idx []int, parentCounts []float64, total float64) (feat int, thr, gain float64) {
+	t := b.t
+	if total <= 0 {
+		return -1, 0, 0
+	}
+	parentImp := refImpurity(parentCounts, total, t.Cfg.Criterion)
+	feat, gain = -1, 0
+	order := make([]int, len(idx))
+	leftCounts := make([]float64, t.NClasses)
+	rightCounts := make([]float64, t.NClasses)
+	for _, f := range b.picker.pick() {
+		copy(order, idx)
+		sort.Slice(order, func(a, c int) bool { return b.x[order[a]][f] < b.x[order[c]][f] })
+		for c := range leftCounts {
+			leftCounts[c] = 0
+			rightCounts[c] = parentCounts[c]
+		}
+		leftTotal := 0.0
+		leftN := 0
+		for k := 0; k < len(order)-1; k++ {
+			i := order[k]
+			w := b.weight(i)
+			leftCounts[b.y[i]] += w
+			rightCounts[b.y[i]] -= w
+			leftTotal += w
+			leftN++
+			v, next := b.x[i][f], b.x[order[k+1]][f]
+			if v == next {
+				continue
+			}
+			if leftN < t.Cfg.MinSamplesLeaf || len(order)-leftN < t.Cfg.MinSamplesLeaf {
+				continue
+			}
+			rightTotal := total - leftTotal
+			if leftTotal == 0 || rightTotal == 0 {
+				continue
+			}
+			li := refImpurity(leftCounts, leftTotal, t.Cfg.Criterion)
+			ri := refImpurity(rightCounts, rightTotal, t.Cfg.Criterion)
+			g := parentImp - (leftTotal*li+rightTotal*ri)/total
+			if g > gain {
+				gain = g
+				feat = f
+				thr = (v + next) / 2
+			}
+		}
+	}
+	return feat, thr, gain
+}
+
+func refImpurity(counts []float64, total float64, crit Criterion) float64 {
+	if total == 0 {
+		return 0
+	}
+	switch crit {
+	case Entropy:
+		h := 0.0
+		for _, c := range counts {
+			if c > 0 {
+				p := c / total
+				h -= p * math.Log2(p)
+			}
+		}
+		return h
+	default:
+		g := 1.0
+		for _, c := range counts {
+			p := c / total
+			g -= p * p
+		}
+		return g
+	}
+}
+
+func refPartition(x [][]float64, idx []int, f int, thr float64) (left, right []int) {
+	for _, i := range idx {
+		if x[i][f] <= thr {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	return left, right
+}
+
+// refRegressor grows a regression tree the reference way.
+func refRegressor(cfg Config, x [][]float64, g, hess []float64) []node {
+	t := &Regressor{Cfg: cfg.withDefaults(), hess: hess}
+	t.SetHessLeaf(testHessLeaf(hess))
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	b := &refRegBuilder{*newRegBuilder(t, x, g)}
+	if t.Cfg.MaxLeaves > 1 {
+		b.growLeafwise(idx)
+	} else {
+		b.growDepthwise(idx, 1)
+	}
+	return t.Nodes
+}
+
+// testHessLeaf is the Newton leaf both growers use when hessians are
+// given, so the oracle also covers the hessian sums.
+func testHessLeaf(hess []float64) func(gs, hs float64) float64 {
+	if hess == nil {
+		return nil
+	}
+	return func(gs, hs float64) float64 { return -gs / (hs + 1) }
+}
+
+// refRegBuilder borrows regBuilder's unchanged stats and leaf helpers
+// and replaces everything that sorts or partitions.
+type refRegBuilder struct{ regBuilder }
+
+func (b *refRegBuilder) growDepthwise(idx []int, depth int) int32 {
+	t := b.t
+	s := b.statsOf(idx)
+	if len(idx) < t.Cfg.MinSamplesSplit || s.sse() <= 1e-12 ||
+		(t.Cfg.MaxDepth > 0 && depth > t.Cfg.MaxDepth) {
+		return b.mkLeaf(s)
+	}
+	feat, thr, gain := b.bestSplit(idx, s)
+	if gain <= 1e-12 || feat < 0 {
+		return b.mkLeaf(s)
+	}
+	left, right := refPartition(b.x, idx, feat, thr)
+	if len(left) < t.Cfg.MinSamplesLeaf || len(right) < t.Cfg.MinSamplesLeaf {
+		return b.mkLeaf(s)
+	}
+	t.Nodes = append(t.Nodes, node{Feature: feat, Threshold: thr})
+	self := int32(len(t.Nodes) - 1)
+	l := b.growDepthwise(left, depth+1)
+	r := b.growDepthwise(right, depth+1)
+	t.Nodes[self].Left = l
+	t.Nodes[self].Right = r
+	return self
+}
+
+func (b *refRegBuilder) growLeafwise(idx []int) {
+	t := b.t
+	s := b.statsOf(idx)
+	t.Nodes = append(t.Nodes, node{Feature: -1, Value: b.leafValue(s)})
+	cands := []leafCandidate{b.candidate(0, idx, s, 1)}
+	leaves := 1
+	for leaves < t.Cfg.MaxLeaves {
+		best := -1
+		for i := range cands {
+			if cands[i].gain > 1e-12 && (best == -1 || cands[i].gain > cands[best].gain) {
+				best = i
+			}
+		}
+		if best == -1 {
+			break
+		}
+		c := cands[best]
+		cands = append(cands[:best], cands[best+1:]...)
+		left, right := refPartition(b.x, c.idx, c.feat, c.thr)
+		if len(left) < t.Cfg.MinSamplesLeaf || len(right) < t.Cfg.MinSamplesLeaf {
+			continue
+		}
+		ls, rs := b.statsOf(left), b.statsOf(right)
+		lIdx := int32(len(t.Nodes))
+		t.Nodes = append(t.Nodes, node{Feature: -1, Value: b.leafValue(ls)})
+		rIdx := int32(len(t.Nodes))
+		t.Nodes = append(t.Nodes, node{Feature: -1, Value: b.leafValue(rs)})
+		t.Nodes[c.nodeIdx] = node{Feature: c.feat, Threshold: c.thr, Left: lIdx, Right: rIdx}
+		leaves++
+		if t.Cfg.MaxDepth == 0 || c.depth+1 <= t.Cfg.MaxDepth {
+			cands = append(cands, b.candidate(lIdx, left, ls, c.depth+1))
+			cands = append(cands, b.candidate(rIdx, right, rs, c.depth+1))
+		}
+	}
+}
+
+func (b *refRegBuilder) candidate(nodeIdx int32, idx []int, s regStats, depth int) leafCandidate {
+	c := leafCandidate{nodeIdx: nodeIdx, idx: idx, stats: s, feat: -1, depth: depth}
+	if len(idx) >= b.t.Cfg.MinSamplesSplit && s.sse() > 1e-12 {
+		c.feat, c.thr, c.gain = b.bestSplit(idx, s)
+	}
+	return c
+}
+
+func (b *refRegBuilder) bestSplit(idx []int, parent regStats) (feat int, thr, gain float64) {
+	feat, gain = -1, 0
+	parentSSE := parent.sse()
+	order := make([]int, len(idx))
+	minLeaf := b.t.Cfg.MinSamplesLeaf
+	for _, f := range b.picker.pick() {
+		copy(order, idx)
+		sort.Slice(order, func(a, c int) bool { return b.x[order[a]][f] < b.x[order[c]][f] })
+		var lSum, lSumSq float64
+		for k := 0; k < len(order)-1; k++ {
+			i := order[k]
+			v := b.g[i]
+			lSum += v
+			lSumSq += v * v
+			x1, x2 := b.x[i][f], b.x[order[k+1]][f]
+			if x1 == x2 {
+				continue
+			}
+			ln := k + 1
+			rn := len(order) - ln
+			if ln < minLeaf || rn < minLeaf {
+				continue
+			}
+			lSSE := lSumSq - lSum*lSum/float64(ln)
+			rSum := parent.sum - lSum
+			rSumSq := parent.sumSq - lSumSq
+			rSSE := rSumSq - rSum*rSum/float64(rn)
+			g := parentSSE - lSSE - rSSE
+			if g > gain {
+				gain = g
+				feat = f
+				thr = (x1 + x2) / 2
+			}
+		}
+	}
+	return feat, thr, gain
+}
+
+// ---------------------------------------------------------------------------
+// Oracle checks
+
+// sameNodes reports the first node where got and want differ in
+// structure or in any float's bits.
+func sameNodes(t *testing.T, label string, got, want []node) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d nodes, reference %d", label, len(got), len(want))
+	}
+	bits := math.Float64bits
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Feature != w.Feature || bits(g.Threshold) != bits(w.Threshold) ||
+			g.Left != w.Left || g.Right != w.Right || bits(g.Value) != bits(w.Value) ||
+			len(g.Probs) != len(w.Probs) {
+			t.Fatalf("%s: node %d = %+v, reference %+v", label, i, g, w)
+		}
+		for c := range g.Probs {
+			if bits(g.Probs[c]) != bits(w.Probs[c]) {
+				t.Fatalf("%s: node %d Probs %v, reference %v", label, i, g.Probs, w.Probs)
+			}
+		}
+	}
+}
+
+func sameFloats(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, reference %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, reference %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// checkClassifier fits both growers on one input and compares the
+// trees, the importances and the root split.
+func checkClassifier(t *testing.T, label string, cfg Config, x [][]float64, y []int, w []int, nClasses int) {
+	t.Helper()
+	var wf []float64
+	if w != nil {
+		wf = make([]float64, len(w))
+		for i, m := range w {
+			wf[i] = float64(m)
+		}
+	}
+	tr := NewClassifier(cfg)
+	if err := tr.FitWeighted(x, y, w, nClasses); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	nodes, imp := refClassifier(cfg, x, y, wf, nClasses)
+	sameNodes(t, label, tr.Nodes, nodes)
+	sameFloats(t, label+" importances", tr.Importances, imp)
+
+	// The root split on its own, from fresh builders with equal pickers.
+	idx := activeIndices(w, len(x))
+	counts := make([]int, nClasses)
+	countsF := make([]float64, nClasses)
+	total := 0
+	for _, i := range idx {
+		m := 1
+		if w != nil {
+			m = w[i]
+		}
+		counts[y[i]] += m
+		countsF[y[i]] += float64(m)
+		total += m
+	}
+	c := NewClassifier(cfg)
+	c.NClasses = nClasses
+	f1, thr1, g1 := newClsBuilder(c, x, y, w).bestSplit(idx, counts, total)
+	rng := rand.New(rand.NewSource(c.Cfg.Seed))
+	ref := &refClsBuilder{t: c, x: x, y: y, w: wf, picker: newFeaturePicker(len(x[0]), c.Cfg.MaxFeatures, rng)}
+	f2, thr2, g2 := ref.bestSplit(idx, countsF, float64(total))
+	if f1 != f2 || math.Float64bits(thr1) != math.Float64bits(thr2) || math.Float64bits(g1) != math.Float64bits(g2) {
+		t.Fatalf("%s: root split (%d, %v, %v), reference (%d, %v, %v)", label, f1, thr1, g1, f2, thr2, g2)
+	}
+}
+
+// checkRegressor fits both growers on one input and compares the trees.
+func checkRegressor(t *testing.T, label string, cfg Config, x [][]float64, g, hess []float64) {
+	t.Helper()
+	tr := NewRegressor(cfg)
+	tr.SetHessLeaf(testHessLeaf(hess))
+	if err := tr.Fit(x, g, hess); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sameNodes(t, label, tr.Nodes, refRegressor(cfg, x, g, hess))
+}
+
+// oracleInput draws a training set with the cases where a changed sort
+// or a changed sum would show: columns of few distinct values (ties),
+// NaN cells, signed zeros, and bootstrap multiplicities.
+func oracleInput(rng *rand.Rand, n, d, k int) (x [][]float64, y []int, w []int, g []float64) {
+	x = make([][]float64, n)
+	y = make([]int, n)
+	g = make([]float64, n)
+	levels := make([]int, d) // 0: continuous, else that many distinct values
+	for j := range levels {
+		if rng.Intn(2) == 0 {
+			levels[j] = 1 + rng.Intn(6)
+		}
+	}
+	for i := range x {
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			switch {
+			case rng.Float64() < 0.05:
+				x[i][j] = math.NaN()
+			case levels[j] > 0:
+				x[i][j] = float64(rng.Intn(levels[j]))
+				if x[i][j] == 0 && rng.Intn(2) == 0 {
+					x[i][j] = math.Copysign(0, -1)
+				}
+			default:
+				x[i][j] = rng.NormFloat64()
+			}
+		}
+		y[i] = rng.Intn(k)
+		g[i] = float64(y[i]) - 0.3*rng.NormFloat64()
+	}
+	if rng.Intn(2) == 0 {
+		w = make([]int, n)
+		for i := 0; i < n; i++ {
+			w[rng.Intn(n)]++
+		}
+	}
+	return x, y, w, g
+}
+
+func TestClassifierMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	trials := 300
+	if testing.Short() {
+		trials = 60
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := 2 + rng.Intn(120)
+		if trial%50 == 0 {
+			n = log2Cap + 1 + rng.Intn(600) // root and upper node totals above the table
+		}
+		d, k := 1+rng.Intn(6), 2+rng.Intn(5)
+		x, y, w, _ := oracleInput(rng, n, d, k)
+		cfg := Config{
+			MaxDepth:       rng.Intn(8),
+			MinSamplesLeaf: 1 + rng.Intn(3),
+			MaxFeatures:    []int{0, -1, 2}[rng.Intn(3)],
+			Criterion:      Criterion(rng.Intn(2)),
+			Seed:           rng.Int63(),
+		}
+		checkClassifier(t, "trial", cfg, x, y, w, k)
+	}
+}
+
+func TestRegressorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	trials := 200
+	if testing.Short() {
+		trials = 40
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := 2 + rng.Intn(150)
+		d := 1 + rng.Intn(6)
+		x, _, _, g := oracleInput(rng, n, d, 4)
+		var hess []float64
+		if rng.Intn(2) == 0 {
+			hess = make([]float64, n)
+			for i := range hess {
+				hess[i] = rng.Float64()
+			}
+		}
+		cfg := Config{
+			MaxDepth:       rng.Intn(6),
+			MinSamplesLeaf: 1 + rng.Intn(3),
+			MaxFeatures:    []int{0, -1, 2}[rng.Intn(3)],
+			Seed:           rng.Int63(),
+		}
+		if trial%2 == 1 {
+			cfg.MaxLeaves = 2 + rng.Intn(30) // leaf-wise growth
+		}
+		checkRegressor(t, "trial", cfg, x, g, hess)
+	}
+}
+
+// TestEntropyTableMatchesLog2 pins the table's one promise: every entry
+// is what math.Log2 returns for that count over that total.
+func TestEntropyTableMatchesLog2(t *testing.T) {
+	tab := log2Table()
+	for total := 1; total <= log2Cap; total++ {
+		row := tab[total*(total-1)/2:]
+		for c := 1; c <= total; c++ {
+			want := math.Log2(float64(c) / float64(total))
+			if math.Float64bits(row[c-1]) != math.Float64bits(want) {
+				t.Fatalf("log2Table[%d/%d] = %v, want %v", c, total, row[c-1], want)
+			}
+		}
+	}
+}
+
+func TestFitWeightedRejectsNegativeWeight(t *testing.T) {
+	x := [][]float64{{0}, {1}, {2}}
+	y := []int{0, 1, 1}
+	if err := NewClassifier(Config{}).FitWeighted(x, y, []int{1, -1, 2}, 2); err == nil {
+		t.Fatal("negative multiplicity should error")
+	}
+	if err := NewClassifier(Config{}).FitWeighted(x, y, []int{1, 0, 2}, 2); err != nil {
+		t.Fatalf("zero multiplicity is a dropped row, not an error: %v", err)
+	}
+}
+
+// TestBestSplitAllocs is the steady-state gate: on a warm builder the
+// split search of either tree allocates nothing.
+func TestBestSplitAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	x, y, _, g := oracleInput(rng, 300, 12, 4)
+	w := make([]int, len(x))
+	for range x {
+		w[rng.Intn(len(x))]++
+	}
+	idx := activeIndices(w, len(x))
+	counts := make([]int, 4)
+	total := 0
+	for _, i := range idx {
+		counts[y[i]] += w[i]
+		total += w[i]
+	}
+	for _, crit := range []Criterion{Gini, Entropy} {
+		c := NewClassifier(Config{MaxFeatures: -1, Criterion: crit})
+		c.NClasses = 4
+		b := newClsBuilder(c, x, y, w)
+		b.bestSplit(idx, counts, total)
+		if allocs := testing.AllocsPerRun(20, func() { b.bestSplit(idx, counts, total) }); allocs != 0 {
+			t.Fatalf("%v: warm clsBuilder.bestSplit allocates %v times", crit, allocs)
+		}
+	}
+	all := make([]int, len(x))
+	for i := range all {
+		all[i] = i
+	}
+	b := newRegBuilder(NewRegressor(Config{MaxFeatures: -1}), x, g)
+	s := b.statsOf(all)
+	b.bestSplit(all, s)
+	if allocs := testing.AllocsPerRun(20, func() { b.bestSplit(all, s) }); allocs != 0 {
+		t.Fatalf("warm regBuilder.bestSplit allocates %v times", allocs)
+	}
+}
+
+// FuzzSplitReference runs both builders, both criteria and both growth
+// orders against the reference on one decoded input. flags picks the
+// criterion (bit 0), MinSamplesLeaf, the row width d and the class
+// count; total, when nonzero, spreads that many draws over the rows as
+// multiplicities, so the root total can sit exactly at the entropy
+// table's cap. Each row is d value bytes and one label byte; value byte
+// 0xff is NaN, 0x80 is -0, anything else int8/4, which is where ties
+// live.
+func FuzzSplitReference(f *testing.F) {
+	f.Add(uint8(0x09), uint16(0), []byte{1, 0, 2, 1, 3, 0, 4, 1, 5, 0})
+	f.Fuzz(func(t *testing.T, flags uint8, total uint16, data []byte) {
+		crit := Criterion(flags & 1)
+		minLeaf := 1 + int(flags>>1)%3
+		d := 1 + int(flags>>3)%4
+		k := 2 + int(flags>>5)%3
+		n := min(len(data)/(d+1), 512)
+		if n == 0 {
+			return
+		}
+		x := make([][]float64, n)
+		y := make([]int, n)
+		g := make([]float64, n)
+		for i := range x {
+			row := data[i*(d+1) : (i+1)*(d+1)]
+			x[i] = make([]float64, d)
+			for j, b := range row[:d] {
+				switch b {
+				case 0xff:
+					x[i][j] = math.NaN()
+				case 0x80:
+					x[i][j] = math.Copysign(0, -1)
+				default:
+					x[i][j] = float64(int8(b)) / 4
+				}
+			}
+			y[i] = int(row[d]) % k
+			g[i] = float64(int8(row[d])) / 8
+		}
+		var w []int
+		if total > 0 {
+			w = make([]int, n)
+			for i := range w {
+				w[i] = int(total) / n
+				if i < int(total)%n {
+					w[i]++
+				}
+			}
+		}
+		checkClassifier(t, crit.String(), Config{MinSamplesLeaf: minLeaf, Criterion: crit}, x, y, w, k)
+		checkRegressor(t, "depth-wise", Config{MinSamplesLeaf: minLeaf}, x, g, nil)
+		checkRegressor(t, "leaf-wise", Config{MinSamplesLeaf: minLeaf, MaxLeaves: 8}, x, g, nil)
+	})
 }

@@ -19,7 +19,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"sync"
@@ -450,26 +449,37 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"active_version": v})
 }
 
-// hashTraining fingerprints a training set: FNV-1a over the float bit
-// patterns of every row and the label stream. Identical training data
-// always hashes identically, so operators can tell retrain-on-same-data
-// versions apart from genuinely new ones.
+// hashTraining fingerprints a training set: FNV-1a 64 over the
+// little-endian float bit patterns of every row, then the label
+// stream. Identical training data always hashes identically, so
+// operators can tell retrain-on-same-data versions apart from genuinely
+// new ones. The hash is computed inline (the result equals hash/fnv's
+// New64a over the same bytes) because it runs on every label.
 func hashTraining(x [][]float64, y []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:]) //albacheck:ignore errsilent hash.Hash.Write is documented to never return an error
-	}
+	h := uint64(fnvOffset64)
 	for _, row := range x {
 		for _, v := range row {
-			put(math.Float64bits(v))
+			h = fnvWord(h, math.Float64bits(v))
 		}
 	}
 	for _, label := range y {
-		put(uint64(label))
+		h = fnvWord(h, uint64(label))
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a 64 parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v's eight little-endian bytes into the FNV-1a state h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }

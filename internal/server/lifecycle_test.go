@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"net/http"
@@ -507,6 +509,44 @@ func TestLifecycleRaceHammer(t *testing.T) {
 			if !everActive[v] {
 				t.Errorf("reader %d served by version %d which was never active", r, v)
 			}
+		}
+	}
+}
+
+// TestHashTrainingMatchesFNV pins the inline hash to hash/fnv's
+// FNV-1a 64 over the same little-endian words, on rows with NaN, -0
+// and ±Inf cells and negative labels.
+func TestHashTrainingMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 50; trial++ {
+		n, d := rng.Intn(20), 1+rng.Intn(30)
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i := range x {
+			x[i] = make([]float64, d)
+			for j := range x[i] {
+				x[i][j] = rng.NormFloat64()
+				if rng.Intn(5) == 0 {
+					x[i][j] = specials[rng.Intn(len(specials))]
+				}
+			}
+			y[i] = rng.Intn(7) - 3
+		}
+		want := fnv.New64a()
+		var buf [8]byte
+		for _, row := range x {
+			for _, v := range row {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				want.Write(buf[:])
+			}
+		}
+		for _, label := range y {
+			binary.LittleEndian.PutUint64(buf[:], uint64(label))
+			want.Write(buf[:])
+		}
+		if got := hashTraining(x, y); got != want.Sum64() {
+			t.Fatalf("trial %d: hashTraining = %#x, hash/fnv = %#x", trial, got, want.Sum64())
 		}
 	}
 }

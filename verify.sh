@@ -8,6 +8,7 @@
 #                        # stream ingest, WAL record decoder,
 #                        # ingest-body values scanner, ingest wire
 #                        # decoder against encoding/json, mvts kernel
+#                        # against its reference, tree split search
 #                        # against its reference) and the coverage
 #                        # floor gate against coverage_baseline.txt
 #
@@ -82,6 +83,9 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzMVTSReference (10s)"
   go test -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
+
+  echo "== fuzz smoke: FuzzSplitReference (10s)"
+  go test -run '^$' -fuzz=FuzzSplitReference -fuzztime=10s ./internal/ml/tree/
 
   echo "== coverage floors vs coverage_baseline.txt"
   # COVER_OUT (used by CI) additionally writes the same run's profile.
