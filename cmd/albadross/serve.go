@@ -68,7 +68,7 @@ func serve(args []string) {
 		minAgree  = fs.Float64("min-agreement", 0.85, "champion-agreement floor for promotion")
 		cooldown  = fs.Duration("trigger-cooldown", 30*time.Second, "min spacing between drift triggers")
 
-		ingShards  = fs.Int("ingest-shards", 0, "ingest shard workers: node streams from POST /api/ingest and /api/ingest/bulk are hashed onto them, plus /api/fleet rollup serving (0 disables ingest; see docs/FLEET.md and docs/REPLAY.md)")
+		ingShards  = fs.Int("ingest-shards", 0, "ingest shard workers: node streams from POST /api/ingest/bulk are hashed onto them, plus the /api/fleet node view and rollup serving (0 disables ingest; see docs/FLEET.md and docs/REPLAY.md)")
 		ingMetrics = fs.Int("ingest-metrics", 0, "raw metrics per ingest reading (builds the telemetry schema; required with -ingest-shards)")
 		ingExtract = fs.String("ingest-extractor", "mvts", "ingest feature extractor: mvts or tsfresh")
 		ingWindow  = fs.Int("ingest-window", 64, "ingest diagnosis window length (samples)")

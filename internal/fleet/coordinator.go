@@ -107,18 +107,12 @@ type nodeSink struct {
 	node    int
 	app     string
 	emitted int
-	// capture, when set for the duration of one OfferNode task, also
-	// collects the diagnoses that task's rows complete.
-	capture *[]stream.Diagnosis
 }
 
 // Emit folds one diagnosis into the fleet rollup.
 func (k *nodeSink) Emit(d stream.Diagnosis) error {
 	k.emitted++
 	fleetDiagnoses.Inc()
-	if k.capture != nil {
-		*k.capture = append(*k.capture, d)
-	}
 	if k.r != nil {
 		k.r.Observe(k.node, k.app, d)
 	}
@@ -126,15 +120,13 @@ func (k *nodeSink) Emit(d stream.Diagnosis) error {
 }
 
 // task is one unit of shard work: either a demuxed slice of node
-// batches with its result slot (plus, for OfferNode, the report its one
-// node fills), or a control closure (quiesce, inventory, visit) when fn
-// is set.
+// batches with its result slot, or a control closure (quiesce,
+// inventory, visit, node view) when fn is set.
 type task struct {
-	nodes  []NodeBatch
-	res    *ShardResult
-	report *NodeReport
-	fn     func(w *shardWorker)
-	wg     *sync.WaitGroup
+	nodes []NodeBatch
+	res   *ShardResult
+	fn    func(w *shardWorker)
+	wg    *sync.WaitGroup
 }
 
 // ShardResult is one shard's accounting for one bulk batch.
@@ -166,6 +158,10 @@ type BatchResult struct {
 	Shed     int           `json:"shed,omitempty"`
 	Nodes    int           `json:"nodes"`
 	PerShard []ShardResult `json:"per_shard,omitempty"`
+	// Error names why rows were refused before routing: set when the
+	// width screen rejected any row. Refusals on a shard worker carry
+	// their cause in that shard's PerShard entry.
+	Error string `json:"error,omitempty"`
 	// RetryAfter advises when shed rows are worth re-offering — an
 	// estimate of the fullest shed shard draining its queue. Zero when
 	// nothing was shed.
@@ -285,9 +281,6 @@ func (w *shardWorker) exec(t *task) {
 		if nb.App != "" {
 			st.sink.app = nb.App
 		}
-		if t.report != nil {
-			st.sink.capture = &t.report.Diagnoses
-		}
 		accepted := 0
 		for r := range nb.Rows {
 			row := &nb.Rows[r]
@@ -306,12 +299,11 @@ func (w *shardWorker) exec(t *task) {
 		}
 		t.res.Accepted += accepted
 		t.res.Rejected += len(nb.Rows) - accepted
-		if t.report != nil {
-			st.sink.capture = nil
-			t.report.NodeInfo = w.info(nb.Node, st)
-		}
 	}
 }
+
+// widthRefusal is the width screen's refusal cause.
+const widthRefusal = "row width differs from the schema's metric count"
 
 // Offer demultiplexes one bulk batch, fans it to the shard workers, and
 // waits for every enqueued task to finish. Shards whose queue is full
@@ -319,34 +311,6 @@ func (w *shardWorker) exec(t *task) {
 // the result, advised by RetryAfter — while the other shards proceed at
 // full throughput.
 func (c *Coordinator) Offer(rows []Row) (*BatchResult, error) {
-	return c.offer(rows, nil)
-}
-
-// NodeReport is what a one-node offer saw on the node's shard worker:
-// the diagnoses its rows completed, in window order, and the node's
-// accounting right after them. It stays zero when no row reached the
-// worker (everything shed, or refused before routing).
-type NodeReport struct {
-	NodeInfo
-	Diagnoses []stream.Diagnosis
-}
-
-// OfferNode is Offer for a batch that belongs to one node — every row's
-// Node is set to node — and additionally reports what the batch did to
-// that node. The capture costs only the callers that ask for it: bulk
-// tasks carry no report.
-func (c *Coordinator) OfferNode(node int, rows []Row) (*BatchResult, *NodeReport, error) {
-	for i := range rows {
-		rows[i].Node = node
-	}
-	report := &NodeReport{}
-	res, err := c.offer(rows, report)
-	return res, report, err
-}
-
-// offer is Offer with an optional report slot; a report requires every
-// row to address the same node, so the batch demuxes into one task.
-func (c *Coordinator) offer(rows []Row, report *NodeReport) (*BatchResult, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("fleet: empty batch")
 	}
@@ -364,6 +328,7 @@ func (c *Coordinator) offer(rows []Row, report *NodeReport) (*BatchResult, error
 		}
 		if bad > 0 {
 			res.Rejected = bad
+			res.Error = widthRefusal
 			filtered := make([]Row, 0, len(rows)-bad)
 			for i := range rows {
 				if len(rows[i].Values) == c.cfg.Metrics {
@@ -402,7 +367,7 @@ func (c *Coordinator) offer(rows []Row, report *NodeReport) (*BatchResult, error
 		}
 		res.Nodes += sr.Nodes
 		w := c.workers[sb.Shard]
-		tasks[i] = task{nodes: sb.Nodes, res: sr, report: report, wg: &wg}
+		tasks[i] = task{nodes: sb.Nodes, res: sr, wg: &wg}
 		wg.Add(1)
 		select {
 		case w.tasks <- &tasks[i]:
@@ -500,7 +465,28 @@ func (c *Coordinator) Visit(node int, fn func(ns *NodeStream)) error {
 	})
 }
 
-// NodeInfo is one node's state snapshot from Nodes.
+// Node snapshots one node on the shard worker that owns it: its
+// NodeInfo and, when the coordinator feeds a Rollup, its rollup entry,
+// both read while the node's only writer is paused — so info.Emitted
+// equals sum.Windows in every snapshot. ok is false when the node has
+// no stream; asking creates none. Like Visit, it waits behind that one
+// shard's queued ingest and never touches another shard.
+func (c *Coordinator) Node(id int) (info NodeInfo, sum NodeSummary, ok bool, err error) {
+	shard := c.router.Shard(id)
+	err = c.control(c.workers[shard:shard+1], func(w *shardWorker) {
+		st, found := w.nodes[id]
+		if !found {
+			return
+		}
+		info, ok = w.info(id, st), true
+		if c.cfg.Rollup != nil {
+			sum = c.cfg.Rollup.Node(id)
+		}
+	})
+	return info, sum, ok, err
+}
+
+// NodeInfo is one node's state snapshot from Nodes and Node.
 type NodeInfo struct {
 	Node      int          `json:"node"`
 	Shard     int          `json:"shard"`

@@ -5,8 +5,7 @@ import (
 	"strconv"
 )
 
-// Values is one reading's metric vector on the ingest wire (both
-// endpoints). JSON cannot carry NaN, so missing cells travel as null,
+// Values is one reading's metric vector on the ingest wire. JSON cannot carry NaN, so missing cells travel as null,
 // decoded by the wire's own scanner (wire.go) instead of a []*float64
 // detour, so a reused Row keeps its backing array across batches.
 type Values []float64

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -371,12 +372,13 @@ func TestCoordinatorBulkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOfferNodeAndVisit covers the two per-node primitives the server's
-// /api/ingest and evidence APIs stand on: a one-node offer reports
-// exactly the diagnoses ITS rows completed plus the node's snapshot,
-// and Visit hands a callback the node's stream — factory Aux included —
-// on the owning worker.
-func TestOfferNodeAndVisit(t *testing.T) {
+// TestCoordinatorNodeAndVisit covers the two per-node primitives the
+// server's node view and evidence APIs stand on: Node snapshots one
+// node's accounting and rollup entry in one pause of its worker (so
+// Emitted equals the rollup's window count) without creating unknown
+// nodes, and Visit hands a callback the node's stream — factory Aux
+// included — on the owning worker.
+func TestCoordinatorNodeAndVisit(t *testing.T) {
 	roll := fleet.NewRollup(fleet.RollupConfig{Recent: 4})
 	c, err := fleet.NewCoordinator(fleet.Config{
 		Shards: 2, Metrics: testMetrics, NewNode: testFactory(factoryOpts{}), Rollup: roll,
@@ -385,42 +387,41 @@ func TestOfferNodeAndVisit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const node = 7 // odd: runs hot
-	// The rows arrive addressed to other nodes; OfferNode re-addresses them.
-	res, rep, err := c.OfferNode(node, feedRows([]int{1}, 0, 2*testWindow+testWindow/2))
+	res, err := c.Offer(feedRows([]int{node}, 0, 2*testWindow+testWindow/2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Accepted != 20 || res.Nodes != 1 || len(res.PerShard) != 1 {
 		t.Fatalf("one-node offer accounting: %+v", res)
 	}
-	if rep.Node != node || rep.Committed != 20 || rep.Emitted != 2 || rep.Stats.Windows != 2 || rep.App != "app-1" {
-		t.Fatalf("node snapshot: %+v", rep.NodeInfo)
+	info, sum, ok, err := c.Node(node)
+	if err != nil || !ok {
+		t.Fatalf("Node(%d): ok %v, err %v", node, ok, err)
 	}
-	if len(rep.Diagnoses) != 2 || rep.Diagnoses[0].WindowEnd != testWindow-1 || rep.Diagnoses[1].WindowEnd != 2*testWindow-1 ||
-		rep.Diagnoses[0].Label != "cpuoccupy" {
-		t.Fatalf("captured diagnoses: %+v", rep.Diagnoses)
+	if info.Node != node || info.Committed != 20 || info.Emitted != 2 || info.Stats.Windows != 2 || info.App != "app-1" {
+		t.Fatalf("node snapshot: %+v", info)
 	}
-	if roll.Tracked() != 1 {
-		t.Fatalf("captured diagnoses bypassed the rollup: %d nodes tracked", roll.Tracked())
-	}
-
-	// Capture is per call: a bulk offer in between leaves nothing behind,
-	// and the next one-node offer sees only its own window.
-	if _, err := c.Offer(feedRows([]int{node}, 20, testWindow)); err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err = c.OfferNode(node, feedRows([]int{node}, 28, testWindow/2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Diagnoses) != 1 || rep.Diagnoses[0].WindowEnd != 4*testWindow-1 || rep.Emitted != 4 {
-		t.Fatalf("second one-node offer: %d captured, snapshot %+v", len(rep.Diagnoses), rep.NodeInfo)
+	if sum.Node != node || sum.Windows != info.Emitted || sum.LastWindowEnd != 2*testWindow-1 ||
+		sum.LastLabel != "cpuoccupy" || sum.Anomalies != 2 || sum != roll.TopK(1)[0] {
+		t.Fatalf("rollup entry: %+v (topk %+v)", sum, roll.TopK(1))
 	}
 
-	// Refused before routing: the report stays zero.
-	res, rep, err = c.OfferNode(node, []fleet.Row{{T: 99, Values: fleet.Values{1}}})
-	if err != nil || res.Rejected != 1 || rep.Committed != 0 || rep.Diagnoses != nil {
-		t.Fatalf("wrong-width one-node offer: res %+v report %+v err %v", res, rep, err)
+	// Refused before routing: the node does not move.
+	res, err = c.Offer([]fleet.Row{{Node: node, T: 99, Values: fleet.Values{1}}})
+	if err != nil || res.Rejected != 1 {
+		t.Fatalf("wrong-width offer: res %+v err %v", res, err)
+	}
+	if again, _, _, _ := c.Node(node); again != info {
+		t.Fatalf("a refused row moved the node: %+v, was %+v", again, info)
+	}
+
+	// An unknown node has no snapshot and asking builds none.
+	nodes := c.Stats().Nodes
+	if _, _, ok, err := c.Node(node + 1); err != nil || ok {
+		t.Fatalf("Node of an unknown id: ok %v, err %v", ok, err)
+	}
+	if c.Stats().Nodes != nodes || roll.Tracked() != 1 {
+		t.Fatalf("asking for an unknown node created one: %d nodes, %d tracked", c.Stats().Nodes, roll.Tracked())
 	}
 
 	var committed int
@@ -428,7 +429,7 @@ func TestOfferNodeAndVisit(t *testing.T) {
 	if err := c.Visit(node, func(ns *fleet.NodeStream) { committed, aux = ns.Chain.Committed(), ns.Aux }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := aux.(*thresholdPredict); !ok || committed != 32 {
+	if _, ok := aux.(*thresholdPredict); !ok || committed != 20 {
 		t.Fatalf("visit saw committed %d, aux %T", committed, aux)
 	}
 	visited := false
@@ -442,8 +443,8 @@ func TestOfferNodeAndVisit(t *testing.T) {
 	if err := c.Visit(node, func(*fleet.NodeStream) {}); err == nil {
 		t.Fatal("Visit on a closed coordinator accepted")
 	}
-	if _, _, err := c.OfferNode(node, feedRows([]int{node}, 40, 1)); err == nil {
-		t.Fatal("OfferNode on a closed coordinator accepted")
+	if _, _, _, err := c.Node(node); err == nil {
+		t.Fatal("Node on a closed coordinator accepted")
 	}
 }
 
@@ -464,8 +465,21 @@ func TestCoordinatorRejectsWrongWidthRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Offered != 3 || res.Accepted != 2 || res.Rejected != 1 {
+	if res.Offered != 3 || res.Accepted != 2 || res.Rejected != 1 || res.Error == "" {
 		t.Fatalf("width screening: %+v", res)
+	}
+	// A batch of only wrong-width rows never reaches a worker, and still
+	// says why.
+	res, err = c.Offer(rows[1:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Offered != 1 || res.Accepted != 0 || res.Rejected != 1 || res.Nodes != 0 || !strings.Contains(res.Error, "width") {
+		t.Fatalf("all-wrong-width batch: %+v", res)
+	}
+	// A clean batch carries no cause.
+	if res, err = c.Offer(rows[2:]); err != nil || res.Accepted != 1 || res.Error != "" {
+		t.Fatalf("clean batch: %+v, err %v", res, err)
 	}
 }
 
@@ -725,7 +739,9 @@ func TestRecoveryBitwise(t *testing.T) {
 		return c
 	}
 	c := mk(nil)
-	nodes := []int{5, 17, 40, 41}
+	// Negative ids are valid node ids; their directories (node--00005)
+	// must round-trip through ListNodeWALs too.
+	nodes := []int{-5, 5, 17, 40, 41}
 	// 2.5 windows per node: the third window is still forming at the
 	// crash, so recovery must rebuild mid-window ring state too.
 	if _, err := c.Offer(feedRows(nodes, 0, 2*testWindow+testWindow/2)); err != nil {

@@ -204,7 +204,8 @@ func (r *Rollup) swap(i, j int) {
 	r.heap[j].heapIdx = j
 }
 
-// NodeSummary is one node's rollup entry as served by /api/fleet/topk.
+// NodeSummary is one node's rollup entry as served by /api/fleet/topk
+// and the node view.
 type NodeSummary struct {
 	Node int    `json:"node"`
 	App  string `json:"app,omitempty"`
@@ -239,6 +240,17 @@ func summarize(nr *nodeRoll) NodeSummary {
 		s.Score = float64(nr.recent) / float64(nr.ringLen)
 	}
 	return s
+}
+
+// Node returns one node's rollup entry; a node never diagnosed has a
+// zero entry under its id.
+func (r *Rollup) Node(node int) NodeSummary {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if nr := r.nodes[node]; nr != nil {
+		return summarize(nr)
+	}
+	return NodeSummary{Node: node}
 }
 
 // TopK returns the k most anomalous nodes, most anomalous first (ties

@@ -9,11 +9,10 @@ import (
 	"unicode/utf8"
 )
 
-// The ingest wire decoder. Both ingest bodies — /api/ingest/bulk's
-// {"rows": [{"node", "app", "t", "values"}, …]} and /api/ingest's
-// {"shard", "readings": [{"t", "values"}, …]} — are parsed in one pass,
+// The ingest wire decoder. The ingest body — /api/ingest/bulk's
+// {"rows": [{"node", "app", "t", "values"}, …]} — is parsed in one pass,
 // straight into rows a Wire owns and reuses. Every body gets the verdict
-// and the rows json.Unmarshal gives into the server's request types:
+// and the rows json.Unmarshal gives into the server's request type:
 // keys match as encoding/json matches them (exactly, else under Unicode
 // case folding), unknown fields are validated and skipped, null leaves
 // a field as it was (and is refused for values, as Values.UnmarshalJSON
@@ -200,7 +199,7 @@ func unquote(tok []byte) (string, error) {
 }
 
 // values decodes one numbers-and-nulls array into dst's backing array:
-// the values pass both ingest bodies and Values.UnmarshalJSON share.
+// the values pass the ingest body and Values.UnmarshalJSON share.
 // null is a missing cell (NaN).
 func (s *scanner) values(dst []float64) ([]float64, error) {
 	out := dst[:0]
@@ -277,21 +276,6 @@ type Wire struct {
 //
 //albacheck:hotpath
 func (w *Wire) DecodeBulk(body []byte) ([]Row, error) {
-	_, rows, err := w.decode(body, "rows")
-	return rows, err
-}
-
-// DecodeNode decodes one /api/ingest body: the node the readings
-// belong to (the request's shard) and the readings, as rows without a
-// Node of their own.
-func (w *Wire) DecodeNode(body []byte) (shard int, rows []Row, err error) {
-	return w.decode(body, "readings")
-}
-
-// decode parses one request object whose row list sits under the key
-// list: "rows" for bulk rows (node, app, t, values), "readings" for one
-// node's readings (t, values) beside its "shard".
-func (w *Wire) decode(body []byte, list string) (shard int, rows []Row, err error) {
 	w.scanner = scanner{b: body}
 	w.hw = 0
 	n := 0
@@ -303,12 +287,9 @@ func (w *Wire) decode(body []byte, list string) (shard int, rows []Row, err erro
 			if key, err = w.key(); err != nil {
 				break
 			}
-			switch {
-			case keyIs(key, list):
-				n, err = w.list(list == "rows")
-			case list == "readings" && keyIs(key, "shard"):
-				err = w.integer(&shard)
-			default:
+			if keyIs(key, "rows") {
+				n, err = w.list()
+			} else {
 				err = w.skip()
 			}
 			if err != nil {
@@ -317,20 +298,20 @@ func (w *Wire) decode(body []byte, list string) (shard int, rows []Row, err erro
 			more, err = w.next('}')
 		}
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	}
 	w.ws()
 	if w.i != len(w.b) {
-		return 0, nil, w.errAt("data after the JSON object")
+		return nil, w.errAt("data after the JSON object")
 	}
-	return shard, w.rows[:n], nil
+	return w.rows[:n], nil
 }
 
 // list decodes one row array and returns the list's new length: element
 // i decodes into slot i, as encoding/json decodes into a slice that may
 // already hold elements; null and [] empty the list.
-func (w *Wire) list(bulk bool) (int, error) {
+func (w *Wire) list() (int, error) {
 	w.ws()
 	if w.lit("null") {
 		w.hw = 0
@@ -349,7 +330,7 @@ func (w *Wire) list(bulk bool) (int, error) {
 		}
 		w.ws()
 		if !w.lit("null") { // a null row leaves its slot as it was
-			if err := w.row(n, bulk); err != nil {
+			if err := w.row(n); err != nil {
 				return 0, err
 			}
 		}
@@ -371,9 +352,8 @@ func (w *Wire) fresh(i int) {
 	w.rows[i] = Row{Values: w.rows[i].Values[:0]}
 }
 
-// row decodes one row object into slot i; bulk rows also carry node
-// and app.
-func (w *Wire) row(i int, bulk bool) error {
+// row decodes one row object into slot i.
+func (w *Wire) row(i int) error {
 	r := &w.rows[i]
 	more, err := w.open('{', "a row must be an object")
 	for more {
@@ -386,9 +366,9 @@ func (w *Wire) row(i int, bulk bool) error {
 			r.Values, err = w.values(r.Values)
 		case keyIs(key, "t"):
 			err = w.integer(&r.T)
-		case bulk && keyIs(key, "node"):
+		case keyIs(key, "node"):
 			err = w.integer(&r.Node)
-		case bulk && keyIs(key, "app"):
+		case keyIs(key, "app"):
 			err = w.app(i)
 		default:
 			err = w.skip()

@@ -11,20 +11,12 @@ import (
 	"albadross/internal/fleet"
 )
 
-// bulkBody and nodeBody mirror the server's two ingest request types
-// (server.BulkIngestRequest, server.IngestRequest), so encoding/json can
-// referee the wire decoder inside this package. The server's
-// FuzzIngestWireDecode holds it to the real types.
+// bulkBody mirrors the server's ingest request type
+// (server.BulkIngestRequest), so encoding/json can referee the wire
+// decoder inside this package. The server's FuzzIngestWireDecode holds
+// it to the real type.
 type bulkBody struct {
 	Rows []fleet.Row `json:"rows"`
-}
-
-type nodeBody struct {
-	Shard    int `json:"shard"`
-	Readings []struct {
-		T      int          `json:"t"`
-		Values fleet.Values `json:"values"`
-	} `json:"readings"`
 }
 
 // wireEdges are bodies on either side of every rule the decoder shares
@@ -100,15 +92,15 @@ func sameRows(a, b []fleet.Row) bool {
 	return true
 }
 
-// dirtyWire returns a Wire whose slots hold earlier batches of both
-// shapes, so stale state would show.
+// dirtyWire returns a Wire whose slots hold earlier batches of other
+// lengths and shapes, so stale state would show.
 func dirtyWire(t *testing.T) *fleet.Wire {
 	t.Helper()
 	w := new(fleet.Wire)
 	if _, err := w.DecodeBulk([]byte(`{"rows":[{"node":9,"app":"old","t":4,"values":[1,2,3]},{"node":8,"app":"x","t":5,"values":[null]},{"node":7,"t":6},{"node":6,"values":[4,5,6,7,8]}]}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.DecodeNode([]byte(`{"shard":3,"readings":[{"t":1,"values":[1,2]},{"t":2,"values":[3]}]}`)); err != nil {
+	if _, err := w.DecodeBulk([]byte(`{"rows":[{"t":1,"values":[1,2]},{"node":3,"t":2,"values":[3]}],"x":[{}]}`)); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -120,20 +112,10 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 	for _, body := range wireEdges {
 		var bulk bulkBody
 		bulkErr := json.Unmarshal([]byte(body), &bulk)
-		var node nodeBody
-		nodeErr := json.Unmarshal([]byte(body), &node)
-		readings := make([]fleet.Row, len(node.Readings))
-		for i, rd := range node.Readings {
-			readings[i] = fleet.Row{T: rd.T, Values: rd.Values}
-		}
 		for _, w := range []*fleet.Wire{new(fleet.Wire), dirtyWire(t)} {
 			rows, err := w.DecodeBulk([]byte(body))
 			if (err == nil) != (bulkErr == nil) || err == nil && !sameRows(rows, bulk.Rows) {
-				t.Fatalf("bulk %.80q: wire %+v (err %v), encoding/json %+v (err %v)", body, rows, err, bulk.Rows, bulkErr)
-			}
-			shard, rows, err := w.DecodeNode([]byte(body))
-			if (err == nil) != (nodeErr == nil) || err == nil && (shard != node.Shard || !sameRows(rows, readings)) {
-				t.Fatalf("node %.80q: wire %d %+v (err %v), encoding/json %d %+v (err %v)", body, shard, rows, err, node.Shard, readings, nodeErr)
+				t.Fatalf("%.80q: wire %+v (err %v), encoding/json %+v (err %v)", body, rows, err, bulk.Rows, bulkErr)
 			}
 		}
 	}
@@ -180,7 +162,7 @@ func TestDecodeBulkAllocs(t *testing.T) {
 }
 
 // BenchmarkIngestWireDecode times one 64 x 806 bulk body through the
-// decode each ingest endpoint has used: encoding/json (a Decoder scan,
+// decode the ingest endpoint has used: encoding/json (a Decoder scan,
 // the decode's skip over each Values, then Values.UnmarshalJSON) and
 // the wire's one pass into warm rows.
 func BenchmarkIngestWireDecode(b *testing.B) {

@@ -3,7 +3,7 @@
 // Sink — composed by Chain, the repository's ONE window-decision loop
 // (abstain gate → feature vector → sanitation → prediction →
 // non-finite-confidence abstention). Every consumer — the
-// fleet's per-node streams behind /api/ingest and /api/ingest/bulk, the
+// fleet's per-node streams behind /api/ingest/bulk, the
 // experiments, the examples — runs a Chain over the shared seams in
 // internal/stream (stream.Windower, stream.BatchVector); the pr9_replay
 // golden fixture pins its output bitwise.

@@ -9,10 +9,13 @@
 //	                         shard workers; a full shard queue sheds
 //	                         that shard's rows with 429 + Retry-After
 //	                         while every other shard proceeds
-//	POST /api/ingest      -> the one-node special case (ingest.go)
+//	GET  /api/fleet/node/{id} -> one node's stream, journal and rollup
+//	                         entry, read on its shard worker
 //	GET  /api/fleet/topk  -> the k most anomalous nodes right now,
 //	                         served from the rollup heap (no scan)
 //	GET  /api/fleet/apps  -> per-application fleet aggregates
+//
+// One node's batch is a bulk batch whose rows all name that node.
 //
 // newNode is the only place a node's chain is built, its write-ahead
 // log opened, or a retained log replayed at start-up: with a WAL
@@ -27,6 +30,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -35,10 +39,10 @@ import (
 	"albadross/internal/wal"
 )
 
-// FleetConfig enables the ingest subsystem (POST /api/ingest,
-// POST /api/ingest/bulk and the /api/fleet/* rollup endpoints). The
-// embedded IngestConfig supplies the per-node stream geometry and WAL
-// knobs. Active when Shards > 0; requires Schema and Extractor.
+// FleetConfig enables the ingest subsystem (POST /api/ingest/bulk and
+// the /api/fleet/* endpoints). The embedded IngestConfig supplies the
+// per-node stream geometry and WAL knobs. Active when Shards > 0;
+// requires Schema and Extractor.
 type FleetConfig struct {
 	IngestConfig
 
@@ -210,9 +214,9 @@ func (g *fleetState) health() map[string]interface{} {
 
 // BulkIngestRequest is /api/ingest/bulk's body: one interleaved batch
 // of rows for any mix of nodes, in arrival order. Missing (NaN) cells
-// travel as JSON null, as on /api/ingest. The handler decodes it with
-// fleet.Wire.DecodeBulk, which gives every body the verdict and rows
-// json.Unmarshal into this type gives.
+// travel as JSON null. The handler decodes it with fleet.Wire.DecodeBulk,
+// which gives every body the verdict and rows json.Unmarshal into this
+// type gives.
 type BulkIngestRequest struct {
 	Rows []fleet.Row `json:"rows"`
 }
@@ -225,6 +229,15 @@ type BulkIngestRequest struct {
 type BulkIngestResponse struct {
 	fleet.BatchResult
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
+}
+
+// advertiseRetry sets the Retry-After header for a shed batch and
+// returns the same advice in milliseconds for the body. Retry-After is
+// whole seconds on the wire; round up so the client never comes back
+// before the advised instant.
+func advertiseRetry(w http.ResponseWriter, res *fleet.BatchResult) int64 {
+	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(res.RetryAfter.Seconds()))))
+	return res.RetryAfter.Milliseconds()
 }
 
 // handleIngestBulk serves POST /api/ingest/bulk: demultiplex one
@@ -274,6 +287,44 @@ func (s *Server) ingestBulk(w http.ResponseWriter, r *http.Request, sc *bodyScra
 		resp.RetryAfterMs = advertiseRetry(w, res)
 	}
 	writeJSON(w, status, resp)
+}
+
+// FleetNodeResponse is /api/fleet/node/{id}'s payload: the node's
+// stream and journal accounting (its inventory entry) and its rollup
+// entry (its /api/fleet/topk entry), read in one pause of the node's
+// shard worker, so Emitted == Rollup.Windows.
+type FleetNodeResponse struct {
+	fleet.NodeInfo
+	Rollup fleet.NodeSummary `json:"rollup"`
+}
+
+// handleFleetNode serves GET /api/fleet/node/{id}: what one node has
+// been fed and what it was last diagnosed, from the state the fleet
+// keeps anyway. It waits only behind the owning shard's queue.
+func (s *Server) handleFleetNode(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
+		return
+	}
+	if s.fl == nil {
+		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
+		return
+	}
+	raw := r.PathValue("id")
+	id, err := strconv.Atoi(raw)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("node id must be an integer, got %q", raw))
+		return
+	}
+	info, sum, ok, err := s.fl.coord.Node(id)
+	switch {
+	case err != nil:
+		writeErr(w, http.StatusServiceUnavailable, err)
+	case !ok:
+		writeErr(w, http.StatusNotFound, fmt.Errorf("node %d has no stream", id))
+	default:
+		writeJSON(w, http.StatusOK, FleetNodeResponse{NodeInfo: info, Rollup: sum})
+	}
 }
 
 // FleetTopKResponse is /api/fleet/topk's payload.

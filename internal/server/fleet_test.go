@@ -3,8 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,7 +76,9 @@ func testApp(node int) string {
 }
 
 // postBulk runs one /api/ingest/bulk request directly against the
-// handler and decodes the accounting regardless of status.
+// handler and decodes the response regardless of status (refusals
+// before the offer carry only an error string, which decodes into
+// Error).
 func postBulk(t *testing.T, srv *Server, rows []fleet.Row) (BulkIngestResponse, *httptest.ResponseRecorder) {
 	t.Helper()
 	raw, err := json.Marshal(BulkIngestRequest{Rows: rows})
@@ -82,10 +88,8 @@ func postBulk(t *testing.T, srv *Server, rows []fleet.Row) (BulkIngestResponse, 
 	rec := httptest.NewRecorder()
 	srv.handleIngestBulk(rec, httptest.NewRequest(http.MethodPost, "/api/ingest/bulk", bytes.NewReader(raw)))
 	var resp BulkIngestResponse
-	if rec.Code == http.StatusOK || rec.Code == http.StatusTooManyRequests {
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("status %d, undecodable body %q: %v", rec.Code, rec.Body, err)
 	}
 	return resp, rec
 }
@@ -167,8 +171,13 @@ func TestFleetBulkRoundTripAndRollup(t *testing.T) {
 	mixed := bulkRows(nodes[:2], 16, 1)
 	mixed = append(mixed, fleet.Row{Node: 3, T: 17, Values: fleet.Values{1, 2}})
 	resp, rec = postBulk(t, srv, mixed)
-	if rec.Code != http.StatusOK || resp.Accepted != 2 || resp.Rejected != 1 {
+	if rec.Code != http.StatusOK || resp.Accepted != 2 || resp.Rejected != 1 || resp.Error == "" {
 		t.Fatalf("mixed-width bulk: status %d, %+v", rec.Code, resp.BatchResult)
+	}
+	// Only wrong-width rows: nothing reaches a shard, and the reply says why.
+	resp, rec = postBulk(t, srv, mixed[2:])
+	if rec.Code != http.StatusOK || resp.Accepted != 0 || resp.Rejected != 1 || resp.Nodes != 0 || !strings.Contains(resp.Error, "width") {
+		t.Fatalf("wrong-width bulk: status %d, %+v", rec.Code, resp.BatchResult)
 	}
 
 	// Error paths.
@@ -340,6 +349,132 @@ func TestFleetWedgedShardSheds429(t *testing.T) {
 	}
 	if results[0].Accepted != 8 || results[1].Accepted != 4 {
 		t.Fatalf("parked bulks after release: %+v / %+v", results[0].BatchResult, results[1].BatchResult)
+	}
+}
+
+// TestFleetNodeView pins GET /api/fleet/node/{id}: the body is the
+// node's inventory entry plus its /api/fleet/topk entry, read in one
+// pause of its shard worker (emitted == windows_total); an unknown id is
+// a 404 that creates no node; the view of a node on a healthy shard
+// answers while another shard is wedged; the route is counted under its
+// pattern; and the retired one-node endpoint is gone.
+func TestFleetNodeView(t *testing.T) {
+	var armed atomic.Bool
+	var calls atomic.Int32
+	release := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	srv := newFleetServer(t, t.TempDir(), func(c *Config) {
+		base := c.Factory
+		c.Factory = func() ml.Classifier {
+			return &gatedModel{Classifier: base(), armed: &armed, calls: &calls, release: release}
+		}
+	})
+	router, err := fleet.NewRouter(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, other := 3, -1
+	for n := 4; n < 64 && other < 0; n++ {
+		if router.Shard(n) != router.Shard(victim) {
+			other = n
+		}
+	}
+	if other < 0 {
+		t.Fatal("no node found on the other shard")
+	}
+	nodes := []int{victim, other}
+	// 2.5 windows per node: the view sees a node mid-window.
+	if resp, rec := postBulk(t, srv, bulkRows(nodes, 0, 20)); rec.Code != http.StatusOK || resp.Accepted != 40 {
+		t.Fatalf("bulk: status %d, %+v", rec.Code, resp.BatchResult)
+	}
+	infos, err := srv.FleetNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := srv.fl.roll.TopK(len(nodes))
+	for _, info := range infos {
+		view := nodeView(t, srv, info.Node)
+		if !reflect.DeepEqual(view.NodeInfo, info) {
+			t.Fatalf("node %d view %+v, inventory %+v", info.Node, view.NodeInfo, info)
+		}
+		var entry fleet.NodeSummary
+		for _, e := range top {
+			if e.Node == info.Node {
+				entry = e
+			}
+		}
+		if view.Rollup != entry || view.Emitted != view.Rollup.Windows || view.Emitted != 2 || view.WAL == nil {
+			t.Fatalf("node %d view rollup %+v (emitted %d), topk entry %+v", info.Node, view.Rollup, view.Emitted, entry)
+		}
+	}
+
+	// Status codes, through the routed handler.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	nodesBefore := srv.FleetStats().Nodes
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/api/fleet/node/x", http.StatusBadRequest},
+		{http.MethodGet, "/api/fleet/node/1.5", http.StatusBadRequest},
+		{http.MethodGet, "/api/fleet/node/99", http.StatusNotFound},
+		{http.MethodGet, "/api/fleet/node/-5", http.StatusNotFound},
+		{http.MethodPost, "/api/fleet/node/" + strconv.Itoa(other), http.StatusMethodNotAllowed},
+		{http.MethodPost, "/api/ingest", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{"shard":5,"readings":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		if r.StatusCode != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, r.StatusCode, tc.want)
+		}
+	}
+	if st := srv.FleetStats(); st.Nodes != nodesBefore || srv.fl.roll.Tracked() != len(nodes) {
+		t.Fatalf("GETs of unknown ids created nodes: %+v, %d tracked", st, srv.fl.roll.Tracked())
+	}
+	var metrics metricsJSON
+	getJSON(t, ts, "/api/metrics", &metrics)
+	if got := metrics.counterValue("http_requests_total", map[string]string{"endpoint": "/api/fleet/node/{id}"}); got < 5 {
+		t.Errorf("node view requests counted under the pattern: %v, want >= 5", got)
+	}
+	if got := metrics.counterValue("http_requests_total", map[string]string{"endpoint": "/api/fleet/node/99"}); got != 0 {
+		t.Errorf("node view requests counted under an id: %v", got)
+	}
+
+	// Wedge the victim's shard behind a stuck prediction: the other
+	// node's view still answers, from its own worker.
+	armed.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		postBulk(t, srv, bulkRows([]int{victim}, 20, 8))
+	}()
+	waitFor(t, "gated prediction to block", func() bool { return calls.Load() >= 1 })
+	if view := nodeView(t, srv, other); view.Committed != 20 || view.Emitted != view.Rollup.Windows {
+		t.Fatalf("healthy node's view under a wedge: %+v", view)
+	}
+	armed.Store(false)
+	once.Do(func() { close(release) })
+	wg.Wait()
+	if view := nodeView(t, srv, victim); view.Emitted != 3 || view.Rollup.Windows != 3 {
+		t.Fatalf("victim after release: %+v", view)
+	}
+
+	// A server without the fleet has no node view.
+	plain, _ := newTestServer(t)
+	defer plain.Close()
+	if _, code := getNode(t, plain, "7"); code != http.StatusNotFound {
+		t.Fatalf("node view on plain server: status %d", code)
 	}
 }
 

@@ -1,12 +1,8 @@
-// Per-node ingest and its evidence trail. POST /api/ingest is the
-// one-node special case of POST /api/ingest/bulk: the addressed shard IS
-// the fleet node id, the batch is offered to the fleet coordinator
-// (fleet.go) like any other, and the response is filled from that node
-// on its shard worker — the diagnoses the batch completed, the chain's
-// accounting, the journal's. Every node's predict stage runs the window
-// through the REAL serving path (preprocessor transform + the same
-// classify call /api/diagnose makes, on the shard worker's goroutine),
-// so ingest-driven diagnoses feed the drift monitor and
+// Per-node ingest state and its evidence trail. Every fleet node's
+// predict stage (fleet.go builds the chains) runs the window through
+// the REAL serving path (preprocessor transform + the same classify
+// call /api/diagnose makes, on the shard worker's goroutine), so
+// ingest-driven diagnoses feed the drift monitor and
 // champion–challenger shadow gate exactly like /api/diagnose traffic,
 // and folds what it served into a per-node evidence fingerprint that
 // WAL replay can reproduce (docs/REPLAY.md).
@@ -16,16 +12,12 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"net/http"
-	"strconv"
 
 	"albadross/internal/fleet"
 	"albadross/internal/ml"
 	"albadross/internal/pipeline"
 	"albadross/internal/stream"
-	"albadross/internal/wal"
 )
 
 // IngestConfig is the per-node stream geometry and journaling of the
@@ -98,132 +90,6 @@ func (p *servePredict) Predict(vec []float64) (string, float64, error) {
 // replayed for its evidence, not its diagnoses.
 func (p *servePredict) Emit(stream.Diagnosis) error { return nil }
 
-// IngestReading is one timestamped raw metric row.
-type IngestReading struct {
-	// T is the claimed timestep.
-	T int `json:"t"`
-	// Values is the reading; NaN cells mark missing metrics and travel
-	// as JSON null.
-	Values fleet.Values `json:"values"`
-}
-
-// IngestRequest is /api/ingest's body: a batch of readings for one
-// node, in arrival order. The handler decodes it with
-// fleet.Wire.DecodeNode, which gives every body the verdict, shard and
-// readings json.Unmarshal into this type gives.
-type IngestRequest struct {
-	// Shard addresses the node stream: it is the fleet node id (the
-	// name predates the fleet; any non-negative id the coordinator's
-	// MaxNodesPerShard admission accepts is valid).
-	Shard int `json:"shard"`
-	// Readings are delivered in order through the node's chain.
-	Readings []IngestReading `json:"readings"`
-}
-
-// IngestResponse reports what one ingest batch did: always
-// len(readings) == Accepted + Rejected + Shed. Accepted readings are
-// journaled, applied and synced before the reply; Diagnoses are the
-// windows they completed. Stats, Committed, Pending and WAL snapshot
-// the node right after the batch (zero when nothing reached it). The
-// status is 200 when anything was accepted, 429 (with Retry-After and
-// RetryAfterMs) when the node's shard queue was full and the batch was
-// shed, and 400 with Error when every reading was refused.
-type IngestResponse struct {
-	Shard        int                `json:"shard"`
-	Accepted     int                `json:"accepted"`
-	Rejected     int                `json:"rejected,omitempty"`
-	Shed         int                `json:"shed,omitempty"`
-	RetryAfterMs int64              `json:"retry_after_ms,omitempty"`
-	Error        string             `json:"error,omitempty"`
-	Diagnoses    []stream.Diagnosis `json:"diagnoses,omitempty"`
-	Stats        stream.Stats       `json:"stats"`
-	Committed    int                `json:"committed"`
-	Pending      int                `json:"pending"`
-	WAL          *wal.Stats         `json:"wal,omitempty"`
-}
-
-// advertiseRetry sets the Retry-After header for a shed batch and
-// returns the same advice in milliseconds for the body. Retry-After is
-// whole seconds on the wire; round up so the client never comes back
-// before the advised instant.
-func advertiseRetry(w http.ResponseWriter, res *fleet.BatchResult) int64 {
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(res.RetryAfter.Seconds()))))
-	return res.RetryAfter.Milliseconds()
-}
-
-// handleIngest serves POST /api/ingest: offer one node's batch of
-// timestamped readings to the fleet coordinator and report what it did
-// to that node. Overload sheds with 429 + Retry-After like bulk; the
-// request never queues behind a lock.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	if s.fl == nil {
-		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
-		return
-	}
-	sc := scratchPool.Get().(*bodyScratch)
-	s.ingestNode(w, r, sc)
-	scratchPool.Put(sc)
-}
-
-// ingestNode decodes one node's body (an IngestRequest, in one pass
-// into sc's reused rows) and offers it.
-func (s *Server) ingestNode(w http.ResponseWriter, r *http.Request, sc *bodyScratch) {
-	if !readBody(w, r, &sc.body) {
-		return
-	}
-	shard, rows, err := sc.wire.DecodeNode(sc.body.Bytes())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if shard < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative shard %d", shard))
-		return
-	}
-	if len(rows) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no readings"))
-		return
-	}
-	res, node, err := s.fl.coord.OfferNode(shard, rows)
-	if err != nil {
-		// The batch was screened non-empty above, so the offer only fails
-		// when the coordinator is shutting down.
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	resp := IngestResponse{
-		Shard:     shard,
-		Accepted:  res.Accepted,
-		Rejected:  res.Rejected,
-		Shed:      res.Shed,
-		Diagnoses: node.Diagnoses,
-		Stats:     node.Stats,
-		Committed: node.Committed,
-		Pending:   node.Pending,
-		WAL:       node.WAL,
-	}
-	if len(res.PerShard) > 0 {
-		// One node, so at most one shard slice; its last refusal cause.
-		resp.Error = res.PerShard[0].Error
-	}
-	status := http.StatusOK
-	switch {
-	case res.Shed > 0:
-		status = http.StatusTooManyRequests
-		resp.RetryAfterMs = advertiseRetry(w, res)
-	case res.Accepted == 0:
-		status = http.StatusBadRequest
-		if resp.Error == "" {
-			resp.Error = "no reading has the schema's width"
-		}
-	}
-	writeJSON(w, status, resp)
-}
-
 // visitNode runs fn on the shard worker that owns one existing fleet
 // node, so fn reads the node's stream with its single writer paused.
 func (s *Server) visitNode(node int, fn func(ns *fleet.NodeStream) error) error {
@@ -244,9 +110,9 @@ func (s *Server) visitNode(node int, fn func(ns *fleet.NodeStream) error) error 
 }
 
 // EvidenceHash returns one node's running FNV-1a fold over every
-// (model-space row, champion label) evidence pair its ingest traffic —
-// through either endpoint — delivered to the serving path: the
-// fingerprint the shadow-replay vetting is checked against.
+// (model-space row, champion label) evidence pair its ingest traffic
+// delivered to the serving path: the fingerprint the shadow-replay
+// vetting is checked against.
 func (s *Server) EvidenceHash(node int) (uint64, error) {
 	var hash uint64
 	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
@@ -284,24 +150,21 @@ func (s *Server) ReplayShadowEvidence(node int) (int, uint64, error) {
 }
 
 // evidenceFold extends an FNV-1a evidence fingerprint by one
-// (model-space row, champion label) pair. A zero accumulator seeds the
-// FNV offset basis, so folds compose associatively left-to-right.
+// (model-space row, champion label) pair: the previous state as one
+// word, each float's bits, then each label byte. A zero accumulator
+// seeds the FNV offset basis, so folds compose associatively
+// left-to-right.
 func evidenceFold(h uint64, row []float64, label string) uint64 {
-	hs := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = hs.Write(buf[:]) //albacheck:ignore errsilent hash.Hash.Write is documented to never return an error
-	}
 	if h == 0 {
-		h = 14695981039346656037
+		h = fnvOffset64
 	}
-	put(h)
+	h = fnvWord(fnvOffset64, h)
 	for _, v := range row {
-		put(math.Float64bits(v))
+		h = fnvWord(h, math.Float64bits(v))
 	}
-	_, _ = hs.Write([]byte(label)) //albacheck:ignore errsilent hash.Hash.Write is documented to never return an error
-	return hs.Sum64()
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= fnvPrime64
+	}
+	return h
 }

@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -106,13 +109,14 @@ func ingestTestServer(t *testing.T, walDir string, mutate func(*Config)) *Server
 	return srv
 }
 
-// ingestFeed synthesizes a deterministic arrival sequence: in-order
-// timestamps with occasional adjacent swaps, duplicates and missing
-// (NaN) cells — enough disorder to exercise the reordering buffer and
-// gap policy without abstaining every window.
-func ingestFeed(metrics, steps int, seed int64) []IngestReading {
+// ingestFeed synthesizes a deterministic arrival sequence for one node
+// (rows without a node of their own): in-order timestamps with
+// occasional adjacent swaps, duplicates and missing (NaN) cells —
+// enough disorder to exercise the reordering buffer and gap policy
+// without abstaining every window.
+func ingestFeed(metrics, steps int, seed int64) []fleet.Row {
 	rng := rand.New(rand.NewSource(seed))
-	var feed []IngestReading
+	var feed []fleet.Row
 	for s := 0; s < steps; s++ {
 		vals := make([]float64, metrics)
 		for m := range vals {
@@ -121,34 +125,51 @@ func ingestFeed(metrics, steps int, seed int64) []IngestReading {
 				vals[m] = math.NaN()
 			}
 		}
-		feed = append(feed, IngestReading{T: s, Values: vals})
+		feed = append(feed, fleet.Row{T: s, Values: vals})
 	}
 	for i := 0; i+1 < len(feed); i += 7 {
 		feed[i], feed[i+1] = feed[i+1], feed[i]
 	}
 	for i := 10; i < len(feed); i += 23 {
-		dup := IngestReading{T: feed[i].T, Values: append([]float64(nil), feed[i].Values...)}
-		feed = append(feed[:i+1], append([]IngestReading{dup}, feed[i+1:]...)...)
+		dup := fleet.Row{T: feed[i].T, Values: append([]float64(nil), feed[i].Values...)}
+		feed = append(feed[:i+1], append([]fleet.Row{dup}, feed[i+1:]...)...)
 	}
 	return feed
 }
 
-// postIngest runs one /api/ingest request directly against the handler
-// and decodes the response whatever the status (refusals before the
-// offer carry only an error string, which decodes into Error).
-func postIngest(t *testing.T, srv *Server, shard int, readings []IngestReading) (IngestResponse, int) {
+// postNode posts one node's batch: a bulk body whose rows all name the
+// node.
+func postNode(t *testing.T, srv *Server, node int, rows []fleet.Row) (BulkIngestResponse, *httptest.ResponseRecorder) {
 	t.Helper()
-	raw, err := json.Marshal(IngestRequest{Shard: shard, Readings: readings})
-	if err != nil {
-		t.Fatal(err)
+	batch := make([]fleet.Row, len(rows))
+	for i, r := range rows {
+		r.Node = node
+		batch[i] = r
 	}
+	return postBulk(t, srv, batch)
+}
+
+// getNode runs GET /api/fleet/node/{id} through the routed handler and
+// decodes the view whatever the status (refusals carry only an error).
+func getNode(t *testing.T, srv *Server, id string) (FleetNodeResponse, int) {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", bytes.NewReader(raw)))
-	var resp IngestResponse
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/fleet/node/"+id, nil))
+	var resp FleetNodeResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("status %d, undecodable body %q: %v", rec.Code, rec.Body, err)
 	}
 	return resp, rec.Code
+}
+
+// nodeView reads one node's view, which must exist.
+func nodeView(t *testing.T, srv *Server, node int) FleetNodeResponse {
+	t.Helper()
+	view, code := getNode(t, srv, strconv.Itoa(node))
+	if code != http.StatusOK {
+		t.Fatalf("GET /api/fleet/node/%d: status %d", node, code)
+	}
+	return view
 }
 
 // nodeInfo snapshots one fleet node through the inventory walk.
@@ -167,31 +188,26 @@ func nodeInfo(t *testing.T, srv *Server, node int) fleet.NodeInfo {
 	return fleet.NodeInfo{}
 }
 
-// feedIngest streams a feed through /api/ingest in fixed-size chunks
-// and returns the final response.
-func feedIngest(t *testing.T, srv *Server, shard int, feed []IngestReading) IngestResponse {
+// feedIngest streams one node's feed through /api/ingest/bulk in
+// fixed-size chunks and returns the node's view after the last one.
+func feedIngest(t *testing.T, srv *Server, node int, feed []fleet.Row) FleetNodeResponse {
 	t.Helper()
-	var last IngestResponse
 	for start := 0; start < len(feed); start += 40 {
-		end := start + 40
-		if end > len(feed) {
-			end = len(feed)
-		}
-		resp, code := postIngest(t, srv, shard, feed[start:end])
-		if code != http.StatusOK {
-			t.Fatalf("ingest chunk [%d:%d): status %d", start, end, code)
+		end := min(start+40, len(feed))
+		resp, rec := postNode(t, srv, node, feed[start:end])
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest chunk [%d:%d): status %d", start, end, rec.Code)
 		}
 		if resp.Accepted != end-start {
 			t.Fatalf("ingest chunk [%d:%d): accepted %d", start, end, resp.Accepted)
 		}
-		last = resp
 	}
-	return last
+	return nodeView(t, srv, node)
 }
 
-// TestIngestHTTPRoundTrip drives the full HTTP surface: readings in,
-// diagnoses and WAL accounting out, health reporting, and the error
-// paths.
+// TestIngestHTTPRoundTrip drives the full HTTP surface: one node's
+// readings in through the bulk endpoint, windows and WAL accounting out
+// through the node view, health reporting, and the error paths.
 func TestIngestHTTPRoundTrip(t *testing.T) {
 	srv := ingestTestServer(t, t.TempDir(), nil)
 	final := feedIngest(t, srv, 0, ingestFeed(3, 300, 9))
@@ -223,31 +239,24 @@ func TestIngestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("health fleet section = %v", fl)
 	}
 
-	// Error paths.
-	if resp, code := postIngest(t, srv, -1, ingestFeed(3, 2, 1)); code != http.StatusBadRequest || resp.Error == "" {
-		t.Fatalf("negative shard: status %d, %+v", code, resp)
+	// Error paths. A width-screened batch is accepted as a request and
+	// names its cause.
+	if resp, rec := postNode(t, srv, 0, nil); rec.Code != http.StatusBadRequest || resp.Error == "" {
+		t.Fatalf("empty batch: status %d, %+v", rec.Code, resp)
 	}
-	if _, code := postIngest(t, srv, 0, nil); code != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", code)
-	}
-	if resp, code := postIngest(t, srv, 0, []IngestReading{{T: 1001, Values: []float64{1, 2}}}); code != http.StatusBadRequest ||
+	if resp, rec := postNode(t, srv, 0, []fleet.Row{{T: 1001, Values: []float64{1, 2}}}); rec.Code != http.StatusOK ||
 		resp.Accepted != 0 || resp.Rejected != 1 || resp.Error == "" {
-		t.Fatalf("width mismatch: status %d, %+v", code, resp)
+		t.Fatalf("width mismatch: status %d, %+v", rec.Code, resp.BatchResult)
 	}
-	resp, err := http.Get(hts.URL + "/api/ingest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /api/ingest: status %d", resp.StatusCode)
+	if after := nodeView(t, srv, 0); after.Stats != final.Stats || after.Committed != final.Committed {
+		t.Fatalf("a refused batch moved the node: %+v, was %+v", after.NodeInfo, final.NodeInfo)
 	}
 
-	// A server without ingest refuses the route and the evidence APIs.
+	// A server without ingest refuses the routes and the evidence APIs.
 	plain, _ := newTestServer(t)
 	defer plain.Close()
-	if _, code := postIngest(t, plain, 0, ingestFeed(3, 2, 1)); code != http.StatusNotFound {
-		t.Fatalf("ingest on plain server: status %d", code)
+	if _, rec := postNode(t, plain, 0, ingestFeed(3, 2, 1)); rec.Code != http.StatusNotFound {
+		t.Fatalf("ingest on plain server: status %d", rec.Code)
 	}
 	if _, err := plain.EvidenceHash(0); err == nil {
 		t.Fatal("EvidenceHash on plain server accepted")
@@ -291,8 +300,8 @@ func TestIngestConfigValidation(t *testing.T) {
 
 	// WAL-less ingest still answers, just without a wal section.
 	noWAL := ingestTestServer(t, "", nil)
-	if resp := feedIngest(t, noWAL, 0, ingestFeed(3, 40, 1)); resp.WAL != nil || resp.Committed == 0 {
-		t.Fatalf("WAL-less ingest response = %+v", resp)
+	if view := feedIngest(t, noWAL, 0, ingestFeed(3, 40, 1)); view.WAL != nil || view.Committed == 0 {
+		t.Fatalf("WAL-less node view = %+v", view)
 	}
 }
 
@@ -437,75 +446,76 @@ func TestIngestShadowReplayVetting(t *testing.T) {
 	}
 }
 
-// TestIngestPartialBatch pins the unified path's batch semantics: a
-// refused reading no longer stops the batch — every other reading is
-// journaled, applied and counted, the response carries accepted and
-// rejected, and 400 is reserved for a batch nothing of which landed.
-// Admission is the coordinator's: any non-negative id until the shard
-// worker's node capacity is reached.
+// TestIngestPartialBatch pins one node's batch semantics on the bulk
+// wire: a refused reading does not stop the batch — every other reading
+// is journaled, applied and counted, the response carries accepted,
+// rejected and the refusal's cause, and the status stays 200 even when
+// nothing landed. Admission is the coordinator's: any id until the
+// shard worker's node capacity is reached.
 func TestIngestPartialBatch(t *testing.T) {
 	srv := ingestTestServer(t, t.TempDir(), func(c *Config) {
 		c.Fleet.Shards = 1
 		c.Fleet.MaxNodesPerShard = 2
 	})
 	feed := ingestFeed(3, 4, 7)[:4]
-	bad := IngestReading{T: 2, Values: []float64{1, 2}} // wrong width, mid-batch
-	batch := []IngestReading{feed[0], feed[1], bad, feed[2], feed[3]}
+	bad := fleet.Row{T: 2, Values: []float64{1, 2}} // wrong width, mid-batch
+	batch := []fleet.Row{feed[0], feed[1], bad, feed[2], feed[3]}
 
-	resp, code := postIngest(t, srv, 41, batch)
-	if code != http.StatusOK {
-		t.Fatalf("partial batch: status %d, %+v", code, resp)
+	resp, rec := postNode(t, srv, 41, batch)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("partial batch: status %d, %+v", rec.Code, resp.BatchResult)
 	}
-	if resp.Shard != 41 || resp.Accepted != 4 || resp.Rejected != 1 || resp.Shed != 0 {
-		t.Fatalf("partial batch accounting = %+v", resp)
+	if resp.Nodes != 1 || resp.Accepted != 4 || resp.Rejected != 1 || resp.Shed != 0 || resp.Error == "" {
+		t.Fatalf("partial batch accounting = %+v", resp.BatchResult)
 	}
 	// The readings after the refused one were journaled and applied.
-	if resp.WAL == nil || resp.WAL.Records != 4 || resp.Stats.Pushed+resp.Stats.Duplicates+resp.Stats.Late != 4 {
-		t.Fatalf("accepted readings not all journaled and applied: %+v", resp)
+	view := nodeView(t, srv, 41)
+	if view.Node != 41 || view.WAL == nil || view.WAL.Records != 4 || view.Stats.Pushed+view.Stats.Duplicates+view.Stats.Late != 4 {
+		t.Fatalf("accepted readings not all journaled and applied: %+v", view.NodeInfo)
 	}
 	if st := srv.FleetStats(); st.Offered != 5 || st.Accepted != 4 || st.Rejected != 1 {
 		t.Fatalf("coordinator accounting = %+v", st)
 	}
 
-	// Nothing accepted: 400, still with the counts and a cause.
-	resp, code = postIngest(t, srv, 41, []IngestReading{bad, bad})
-	if code != http.StatusBadRequest || resp.Accepted != 0 || resp.Rejected != 2 || resp.Error == "" {
-		t.Fatalf("all-refused batch: status %d, %+v", code, resp)
+	// Nothing accepted: still 200, with the counts and a cause.
+	resp, rec = postNode(t, srv, 41, []fleet.Row{bad, bad})
+	if rec.Code != http.StatusOK || resp.Accepted != 0 || resp.Rejected != 2 || resp.Error == "" {
+		t.Fatalf("all-refused batch: status %d, %+v", rec.Code, resp.BatchResult)
 	}
 
 	// A second node is admitted, a third exceeds the worker's capacity.
-	if resp, code = postIngest(t, srv, 1000003, feed); code != http.StatusOK || resp.Accepted != 4 {
-		t.Fatalf("second node: status %d, %+v", code, resp)
+	if resp, rec = postNode(t, srv, 1000003, feed); rec.Code != http.StatusOK || resp.Accepted != 4 {
+		t.Fatalf("second node: status %d, %+v", rec.Code, resp.BatchResult)
 	}
-	resp, code = postIngest(t, srv, 7, feed)
-	if code != http.StatusBadRequest || resp.Accepted != 0 || resp.Rejected != 4 || !strings.Contains(resp.Error, "capacity") {
-		t.Fatalf("node beyond MaxNodesPerShard: status %d, %+v", code, resp)
+	resp, rec = postNode(t, srv, 7, feed)
+	if rec.Code != http.StatusOK || resp.Accepted != 0 || resp.Rejected != 4 || len(resp.PerShard) != 1 ||
+		!strings.Contains(resp.PerShard[0].Error, "capacity") {
+		t.Fatalf("node beyond MaxNodesPerShard: status %d, %+v", rec.Code, resp.BatchResult)
+	}
+	if _, code := getNode(t, srv, "7"); code != http.StatusNotFound {
+		t.Fatalf("refused node has a view: status %d", code)
 	}
 }
 
-// TestIngestBodyLimit checks both ingest endpoints stop reading at
-// maxBody and answer 413 instead of buffering whatever a client
+// TestIngestBodyLimit checks the ingest endpoint stops reading at
+// maxBody and answers 413 instead of buffering whatever a client
 // sends: one byte over the limit — of JSON whitespace, so nothing else
 // about the body can be what is refused — is too many.
 func TestIngestBodyLimit(t *testing.T) {
 	srv := ingestTestServer(t, "", nil)
 	body := strings.Repeat(" ", maxBody+1)
-	for path, handler := range map[string]http.HandlerFunc{
-		"/api/ingest":      srv.handleIngest,
-		"/api/ingest/bulk": srv.handleIngestBulk,
-	} {
-		rec := httptest.NewRecorder()
-		handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s with a %d-byte body: status %d body %s", path, len(body), rec.Code, rec.Body)
-		}
+	rec := httptest.NewRecorder()
+	srv.handleIngestBulk(rec, httptest.NewRequest(http.MethodPost, "/api/ingest/bulk", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte body: status %d body %s", len(body), rec.Code, rec.Body)
 	}
 }
 
 // TestDiagnoseWindowEqualsIngestWindow pins the single window → model
 // space path: one window posted to /api/diagnose {"windows": …} and the
-// same rows pushed through /api/ingest under GapInterpolate yield the
-// bitwise-identical label and confidence, clean and with missing cells.
+// same rows pushed through /api/ingest/bulk under GapInterpolate yield
+// the bitwise-identical label and confidence (read from the node view's
+// last diagnosis), clean and with missing cells.
 // Both go through stream.BlockVector, sanitation, toModelSpace and
 // classify; a second copy of any of those steps would have to match to
 // the last bit to keep this green.
@@ -522,15 +532,17 @@ func TestDiagnoseWindowEqualsIngestWindow(t *testing.T) {
 				win[cell[0]][cell[1]] = math.NaN()
 			}
 		}
-		readings := make([]IngestReading, 32)
+		readings := make([]fleet.Row, 32)
 		for s := range readings {
-			readings[s] = IngestReading{T: s, Values: fleet.Values{win[0][s], win[1][s], win[2][s]}}
+			readings[s] = fleet.Row{T: s, Values: fleet.Values{win[0][s], win[1][s], win[2][s]}}
 		}
-		resp, code := postIngest(t, srv, node, readings)
-		if code != http.StatusOK || len(resp.Diagnoses) != 1 || resp.Diagnoses[0].Abstained {
-			t.Fatalf("gappy=%v ingest: status %d, %+v", gappy, code, resp)
+		if resp, rec := postNode(t, srv, node, readings); rec.Code != http.StatusOK || resp.Accepted != 32 {
+			t.Fatalf("gappy=%v ingest: status %d, %+v", gappy, rec.Code, resp.BatchResult)
 		}
-		want := resp.Diagnoses[0]
+		want := nodeView(t, srv, node).Rollup
+		if want.Windows != 1 || want.LastAbstained || want.LastWindowEnd != 31 {
+			t.Fatalf("gappy=%v: node view %+v, want one diagnosed window", gappy, want)
+		}
 
 		var got DiagnoseResponse
 		req := DiagnoseRequest{Windows: [][][]float64{win}}
@@ -559,9 +571,9 @@ func TestDiagnoseWindowEqualsIngestWindow(t *testing.T) {
 			}
 			got = batch.Results[0]
 		}
-		if got.Label != want.Label || math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
-			t.Fatalf("gappy=%v: /api/diagnose says %q %v, /api/ingest %q %v",
-				gappy, got.Label, got.Confidence, want.Label, want.Confidence)
+		if got.Label != want.LastLabel || math.Float64bits(got.Confidence) != math.Float64bits(want.LastConfidence) {
+			t.Fatalf("gappy=%v: /api/diagnose says %q %v, the ingest window %q %v",
+				gappy, got.Label, got.Confidence, want.LastLabel, want.LastConfidence)
 		}
 	}
 }
@@ -585,106 +597,40 @@ func walBytes(t *testing.T, root string, node int) map[string][]byte {
 	return out
 }
 
-// TestIngestEqualsOneNodeBulk is the collapse's equivalence contract:
-// /api/ingest is the one-node special case of /api/ingest/bulk, so the
-// same readings through either endpoint must leave the node with
-// identical stream accounting, evidence fingerprint, rollup entry and
-// journal bytes. The bulk-only node also closes the evidence loop —
-// live hash == replayed hash — which the per-shard subsystem could
-// never offer a fleet node.
-func TestIngestEqualsOneNodeBulk(t *testing.T) {
-	const node = 23
-	feed := ingestFeed(3, 300, 77)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a := ingestTestServer(t, dirA, nil)
-	b := ingestTestServer(t, dirB, nil)
-
-	var viaIngest IngestResponse
-	for start := 0; start < len(feed); start += 40 {
-		end := min(start+40, len(feed))
-		viaIngest = feedIngest(t, a, node, feed[start:end])
-		rows := make([]fleet.Row, 0, end-start)
-		for _, rd := range feed[start:end] {
-			rows = append(rows, fleet.Row{Node: node, T: rd.T, Values: rd.Values})
-		}
-		if resp, rec := postBulk(t, b, rows); rec.Code != http.StatusOK || resp.Accepted != end-start {
-			t.Fatalf("bulk chunk [%d:%d): status %d, %+v", start, end, rec.Code, resp.BatchResult)
-		}
-	}
-	if viaIngest.Stats.Windows == 0 {
-		t.Fatal("feed completed no windows; the equivalence check is vacuous")
-	}
-
-	ia, ib := nodeInfo(t, a, node), nodeInfo(t, b, node)
-	if ia.Stats != ib.Stats || ia.Committed != ib.Committed || ia.Pending != ib.Pending || ia.Emitted != ib.Emitted {
-		t.Fatalf("node state diverged:\n/api/ingest      %+v\n/api/ingest/bulk %+v", ia, ib)
-	}
-	if ia.Stats != viaIngest.Stats || ia.Committed != viaIngest.Committed || ia.Pending != viaIngest.Pending {
-		t.Fatalf("ingest response %+v disagrees with the inventory %+v", viaIngest, ia)
-	}
-	if *ia.WAL != *ib.WAL || *ia.WAL != *viaIngest.WAL {
-		t.Fatalf("journal accounting diverged: %+v vs %+v (response %+v)", ia.WAL, ib.WAL, viaIngest.WAL)
-	}
-	ha, err := a.EvidenceHash(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := b.EvidenceHash(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha == 0 || ha != hb {
-		t.Fatalf("evidence hash %x via /api/ingest, %x via bulk", ha, hb)
-	}
-	if ra, rb := topkSansApp(t, a, 4), topkSansApp(t, b, 4); !bytes.Equal(ra, rb) {
-		t.Fatalf("rollup diverged:\n/api/ingest      %s\n/api/ingest/bulk %s", ra, rb)
-	}
-	wa, wb := walBytes(t, dirA, node), walBytes(t, dirB, node)
-	if len(wa) == 0 || len(wa) != len(wb) {
-		t.Fatalf("journal segments: %d via /api/ingest, %d via bulk", len(wa), len(wb))
-	}
-	for name, raw := range wa {
-		if !bytes.Equal(raw, wb[name]) {
-			t.Fatalf("journal segment %s differs between the endpoints", name)
-		}
-	}
-
-	rows, replayed, err := b.ReplayShadowEvidence(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows == 0 || replayed != hb {
-		t.Fatalf("bulk-fed node: replayed %d rows to hash %x, live hash %x", rows, replayed, hb)
-	}
-}
-
-// TestIngestEndpointsConcurrently hammers one coordinator through both
-// endpoints and the evidence hook at once (run under -race): each
-// goroutine owns its nodes, every request lands or is shed with 429,
-// and the coordinator's accounting identity holds at the end.
+// TestIngestEndpointsConcurrently hammers one coordinator through the
+// ingest endpoint, the node view and the evidence hook at once (run
+// under -race): each goroutine owns its nodes, every request lands or
+// is shed with 429, every node view is read in one pause of its worker
+// (emitted == windows_total), and the coordinator's accounting identity
+// holds at the end.
 func TestIngestEndpointsConcurrently(t *testing.T) {
 	srv := ingestTestServer(t, t.TempDir(), nil)
 	const workers, rounds, chunk = 4, 6, 16
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func(single, bulk int) {
+		go func(viewed, hashed int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				readings := make([]IngestReading, chunk)
 				rows := make([]fleet.Row, chunk)
-				for i := range readings {
-					readings[i] = IngestReading{T: r*chunk + i, Values: fleet.Values{1 + 0.01*float64(i), 2, 0.5}}
-					rows[i] = fleet.Row{Node: bulk, T: readings[i].T, Values: readings[i].Values}
+				for i := range rows {
+					rows[i] = fleet.Row{T: r*chunk + i, Values: fleet.Values{1 + 0.01*float64(i), 2, 0.5}}
 				}
-				if resp, code := postIngest(t, srv, single, readings); code != http.StatusOK && code != http.StatusTooManyRequests {
-					t.Errorf("/api/ingest node %d round %d: status %d, %+v", single, r, code, resp)
+				for _, node := range []int{viewed, hashed} {
+					if resp, rec := postNode(t, srv, node, rows); rec.Code != http.StatusOK && rec.Code != http.StatusTooManyRequests {
+						t.Errorf("node %d round %d: status %d, %+v", node, r, rec.Code, resp.BatchResult)
+					}
 				}
-				if resp, rec := postBulk(t, srv, rows); rec.Code != http.StatusOK && rec.Code != http.StatusTooManyRequests {
-					t.Errorf("/api/ingest/bulk node %d round %d: status %d, %+v", bulk, r, rec.Code, resp.BatchResult)
+				view, code := getNode(t, srv, strconv.Itoa(viewed))
+				switch {
+				case code == http.StatusNotFound && srv.FleetStats().Shed > 0:
+				case code != http.StatusOK:
+					t.Errorf("node view %d round %d: status %d", viewed, r, code)
+				case view.Emitted != view.Rollup.Windows:
+					t.Errorf("node view %d round %d: emitted %d, windows_total %d", viewed, r, view.Emitted, view.Rollup.Windows)
 				}
-				if _, err := srv.EvidenceHash(bulk); err != nil && srv.FleetStats().Shed == 0 {
-					t.Errorf("EvidenceHash(%d): %v", bulk, err)
+				if _, err := srv.EvidenceHash(hashed); err != nil && srv.FleetStats().Shed == 0 {
+					t.Errorf("EvidenceHash(%d): %v", hashed, err)
 				}
 			}
 		}(100+g, 200+g)
@@ -696,5 +642,46 @@ func TestIngestEndpointsConcurrently(t *testing.T) {
 	st := srv.FleetStats()
 	if st.Offered != workers*rounds*chunk*2 || st.Offered != st.Accepted+st.Rejected+st.Shed || st.Rejected != 0 {
 		t.Fatalf("accounting after the storm: %+v", st)
+	}
+}
+
+// TestEvidenceFoldMatchesFNV pins the inline evidence fold to hash/fnv's
+// FNV-1a 64 over the same bytes — the previous state as one
+// little-endian word, each float's bits, then the label's bytes — at
+// every step of a chain of folds over rows with NaN, -0 and ±Inf cells,
+// empty rows, and empty and non-ASCII labels.
+func TestEvidenceFoldMatchesFNV(t *testing.T) {
+	oracle := func(h uint64, row []float64, label string) uint64 {
+		hs := fnv.New64a()
+		var buf [8]byte
+		if h == 0 {
+			h = 14695981039346656037
+		}
+		binary.LittleEndian.PutUint64(buf[:], h)
+		hs.Write(buf[:])
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			hs.Write(buf[:])
+		}
+		hs.Write([]byte(label))
+		return hs.Sum64()
+	}
+	rng := rand.New(rand.NewSource(13))
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	labels := []string{"", "healthy", "memleak", "cpuoccupy", "ürün", "内存泄漏"}
+	var got, want uint64
+	for step := 0; step < 2000; step++ {
+		row := make([]float64, rng.Intn(40))
+		for j := range row {
+			row[j] = rng.NormFloat64()
+			if rng.Intn(5) == 0 {
+				row[j] = specials[rng.Intn(len(specials))]
+			}
+		}
+		label := labels[rng.Intn(len(labels))]
+		got, want = evidenceFold(got, row, label), oracle(want, row, label)
+		if got != want {
+			t.Fatalf("step %d: evidenceFold = %#x, hash/fnv = %#x", step, got, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"albadross/internal/fleet"
 	"albadross/internal/obs"
 )
 
@@ -153,8 +154,8 @@ func TestMetricsEndpointReflectsTraffic(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointIncludesStream pushes telemetry through the ingest
-// endpoint and asserts the stream accounting — the delivery counters
+// TestMetricsEndpointIncludesStream pushes one node's telemetry through
+// the ingest endpoint and asserts the stream accounting — the delivery counters
 // and the decision loop's per-window families — is visible on
 // /api/metrics for the SERVING path: the server exports the
 // process-wide registry, so the streaming families appear next to the
@@ -167,12 +168,12 @@ func TestMetricsEndpointIncludesStream(t *testing.T) {
 	var before metricsJSON
 	getJSON(t, ts, "/api/metrics", &before)
 
-	var feed []IngestReading
+	var feed []fleet.Row
 	for i := 0; i < 60; i++ {
 		if i == 5 {
 			continue // a dropped reading: the gap is synthesized
 		}
-		feed = append(feed, IngestReading{T: i, Values: []float64{float64(i), 1, 0.5}})
+		feed = append(feed, fleet.Row{T: i, Values: []float64{float64(i), 1, 0.5}})
 	}
 	final := feedIngest(t, srv, 0, feed)
 	if final.Stats.Windows < 2 {

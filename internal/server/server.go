@@ -17,8 +17,8 @@
 //	                      (Config.Fleet) with write-ahead journaling,
 //	                      crash recovery and back-pressure (429 +
 //	                      Retry-After) on overload
-//	POST /api/ingest   -> the same path for one node's batch, answering
-//	                      with the diagnoses it completed
+//	GET  /api/fleet/node/{id} -> one node's accounting and latest
+//	                      diagnosis
 //	GET  /api/fleet/topk  -> most-anomalous nodes from the fleet rollup
 //	GET  /api/fleet/apps  -> per-application fleet aggregates
 //	GET  /api/health   -> liveness/readiness probe
@@ -156,12 +156,12 @@ type Config struct {
 	// insufficient evidence (default 60s).
 	ShadowMaxWait time.Duration
 
-	// Fleet enables the ingest subsystem (POST /api/ingest,
-	// POST /api/ingest/bulk and the /api/fleet/* rollup endpoints): one
-	// stage chain per node with an optional write-ahead window log and
-	// crash recovery, the whole node population consistent-hashed onto
-	// Fleet.Shards shard workers with bounded queues and explicit
-	// back-pressure (see fleet.go, docs/FLEET.md and docs/REPLAY.md).
+	// Fleet enables the ingest subsystem (POST /api/ingest/bulk and the
+	// /api/fleet/* endpoints): one stage chain per node with an optional
+	// write-ahead window log and crash recovery, the whole node
+	// population consistent-hashed onto Fleet.Shards shard workers with
+	// bounded queues and explicit back-pressure (see fleet.go,
+	// docs/FLEET.md and docs/REPLAY.md).
 	// Active when Fleet.Shards > 0; requires Schema and Extractor (plus
 	// Prep when the model was trained on transformed vectors).
 	Fleet FleetConfig
@@ -566,8 +566,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/label", s.instrument("/api/label", s.handleLabel))
 	mux.HandleFunc("/api/status", s.instrument("/api/status", s.handleStatus))
 	mux.HandleFunc("/api/diagnose", s.instrument("/api/diagnose", s.handleDiagnose))
-	mux.HandleFunc("/api/ingest", s.instrument("/api/ingest", s.handleIngest))
 	mux.HandleFunc("/api/ingest/bulk", s.instrument("/api/ingest/bulk", s.handleIngestBulk))
+	mux.HandleFunc("/api/fleet/node/{id}", s.instrument("/api/fleet/node/{id}", s.handleFleetNode))
 	mux.HandleFunc("/api/fleet/topk", s.instrument("/api/fleet/topk", s.handleFleetTopK))
 	mux.HandleFunc("/api/fleet/apps", s.instrument("/api/fleet/apps", s.handleFleetApps))
 	mux.HandleFunc("/api/schema", s.instrument("/api/schema", s.handleSchema))
@@ -617,7 +617,7 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 const maxBody = 64 << 20
 
 // bodyScratch is one request's reusable memory: the body bytes and, on
-// the ingest endpoints, the rows decoded from them. Reusing the rows is
+// the ingest endpoint, the rows decoded from them. Reusing the rows is
 // safe because nothing holds them once Coordinator.Offer returns, which
 // is only after every task it enqueued has run: the windower copies
 // each row it keeps and the WAL encodes a row before Append returns. A

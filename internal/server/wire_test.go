@@ -35,24 +35,14 @@ func sameWireRows(a, b []fleet.Row) bool {
 	return true
 }
 
-// readingRows is what /api/ingest offers for a decoded IngestRequest:
-// its readings as rows without a node.
-func readingRows(req IngestRequest) []fleet.Row {
-	rows := make([]fleet.Row, len(req.Readings))
-	for i, rd := range req.Readings {
-		rows[i] = fleet.Row{T: rd.T, Values: rd.Values}
-	}
-	return rows
-}
-
 // FuzzIngestWireDecode holds the one-pass ingest wire decoder to
-// encoding/json on the real request types: every body, through both
-// decoders, must get json.Unmarshal's verdict into a fresh
-// BulkIngestRequest or IngestRequest and, when accepted, bitwise the
-// same rows (and shard) — whether the Wire is fresh or has decoded
-// other batches of both shapes before. The committed corpus
-// (testdata/fuzz/FuzzIngestWireDecode/) holds one body per parity edge
-// and replays in tier 1.
+// encoding/json on the real request type: every body must get
+// json.Unmarshal's verdict into a fresh BulkIngestRequest and, when
+// accepted, bitwise the same rows — whether the Wire is fresh or has
+// decoded other batches of other lengths and shapes before. The
+// committed corpus (testdata/fuzz/FuzzIngestWireDecode/) holds one body
+// per parity edge and replays in tier 1; bodies with "shard" and
+// "readings" keys exercise the unknown-field skip.
 func FuzzIngestWireDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"rows":[{"node":1,"app":"BT","t":2,"values":[1,null,-2.5e-3]},{"node":2,"t":2,"values":[0.1,2,3]}]}`,
@@ -65,7 +55,7 @@ func FuzzIngestWireDecode(f *testing.F) {
 		if _, err := w.DecodeBulk([]byte(`{"rows":[{"node":9,"app":"old","t":4,"values":[1,2,3]},{"node":8,"app":"x","t":5,"values":[null]},{"node":7,"t":6}]}`)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := w.DecodeNode([]byte(`{"shard":3,"readings":[{"t":1,"values":[1,2]},{"t":2,"values":[3]},{"t":8}]}`)); err != nil {
+		if _, err := w.DecodeBulk([]byte(`{"rows":[{"t":1,"values":[1,2]},{"node":3,"t":2,"values":[3]}],"x":[{}]}`)); err != nil {
 			t.Fatal(err)
 		}
 		return w
@@ -73,50 +63,41 @@ func FuzzIngestWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var bulk BulkIngestRequest
 		bulkErr := json.Unmarshal(body, &bulk)
-		var node IngestRequest
-		nodeErr := json.Unmarshal(body, &node)
 		for _, w := range []*fleet.Wire{new(fleet.Wire), dirty(t)} {
 			rows, err := w.DecodeBulk(body)
 			if (err == nil) != (bulkErr == nil) || err == nil && !sameWireRows(rows, bulk.Rows) {
-				t.Fatalf("bulk body %q: wire %+v (err %v), encoding/json %+v (err %v)", body, rows, err, bulk.Rows, bulkErr)
-			}
-			shard, rows, err := w.DecodeNode(body)
-			if (err == nil) != (nodeErr == nil) || err == nil && (shard != node.Shard || !sameWireRows(rows, readingRows(node))) {
-				t.Fatalf("node body %q: wire shard %d %+v (err %v), encoding/json shard %d %+v (err %v)",
-					body, shard, rows, err, node.Shard, readingRows(node), nodeErr)
+				t.Fatalf("body %q: wire %+v (err %v), encoding/json %+v (err %v)", body, rows, err, bulk.Rows, bulkErr)
 			}
 		}
 	})
 }
 
-// TestIngestTrailingDataRefused pins the rule both ingest endpoints
-// share with json.Unmarshal: nothing but whitespace may follow the
+// TestIngestTrailingDataRefused pins the rule the ingest endpoint
+// shares with json.Unmarshal: nothing but whitespace may follow the
 // object, so a second object is refused with the first instead of
 // vanishing from every count (offered, accepted, rejected, shed) behind
 // a 200.
 func TestIngestTrailingDataRefused(t *testing.T) {
 	srv := ingestTestServer(t, "", nil)
 	bulk := `{"rows":[{"node":1,"t":0,"values":[1,2,3]}]}`
-	single := `{"shard":2,"readings":[{"t":0,"values":[1,2,3]}]}`
+	single := `{"rows":[{"node":2,"t":0,"values":[1,2,3]}]}`
 	for _, tc := range []struct {
-		path    string
-		handler http.HandlerFunc
-		body    string
-		want    int
+		body string
+		want int
 	}{
-		{"/api/ingest/bulk", srv.handleIngestBulk, bulk + `{"rows":[{"node":3,"t":0,"values":[1,2,3]}]}`, http.StatusBadRequest},
-		{"/api/ingest/bulk", srv.handleIngestBulk, bulk + `]`, http.StatusBadRequest},
-		{"/api/ingest/bulk", srv.handleIngestBulk, bulk + ` x`, http.StatusBadRequest},
-		{"/api/ingest/bulk", srv.handleIngestBulk, bulk + " \n", http.StatusOK},
-		{"/api/ingest", srv.handleIngest, single + `{"shard":4,"readings":[{"t":0,"values":[1,2,3]}]}`, http.StatusBadRequest},
-		{"/api/ingest", srv.handleIngest, single + `}`, http.StatusBadRequest},
-		{"/api/ingest", srv.handleIngest, single + ` 0`, http.StatusBadRequest},
-		{"/api/ingest", srv.handleIngest, single + "\t\r\n", http.StatusOK},
+		{bulk + `{"rows":[{"node":3,"t":0,"values":[1,2,3]}]}`, http.StatusBadRequest},
+		{bulk + `]`, http.StatusBadRequest},
+		{bulk + ` x`, http.StatusBadRequest},
+		{bulk + " \n", http.StatusOK},
+		{single + `{"shard":4,"readings":[{"t":0,"values":[1,2,3]}]}`, http.StatusBadRequest},
+		{single + `}`, http.StatusBadRequest},
+		{single + ` 0`, http.StatusBadRequest},
+		{single + "\t\r\n", http.StatusOK},
 	} {
 		rec := httptest.NewRecorder()
-		tc.handler(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		srv.handleIngestBulk(rec, httptest.NewRequest(http.MethodPost, "/api/ingest/bulk", strings.NewReader(tc.body)))
 		if rec.Code != tc.want {
-			t.Errorf("%s %q: status %d, want %d (%s)", tc.path, tc.body, rec.Code, tc.want, rec.Body)
+			t.Errorf("%q: status %d, want %d (%s)", tc.body, rec.Code, tc.want, rec.Body)
 		}
 	}
 	if st := srv.FleetStats(); st.Offered != 2 || st.Accepted != 2 {
@@ -124,7 +105,7 @@ func TestIngestTrailingDataRefused(t *testing.T) {
 	}
 }
 
-// TestIngestNestingBounded sends both ingest endpoints a maxBody body of
+// TestIngestNestingBounded sends the ingest endpoint a maxBody body of
 // '[' inside an unknown field: the decoder stops at encoding/json's
 // depth limit and answers 400, without reading the nesting into memory
 // or recursing through it.
@@ -132,23 +113,18 @@ func TestIngestNestingBounded(t *testing.T) {
 	srv := ingestTestServer(t, "", nil)
 	head := `{"x":`
 	body := head + strings.Repeat("[", maxBody-len(head))
-	for path, handler := range map[string]http.HandlerFunc{
-		"/api/ingest":      srv.handleIngest,
-		"/api/ingest/bulk": srv.handleIngestBulk,
-	} {
-		rec := httptest.NewRecorder()
-		handler(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "depth") {
-			t.Fatalf("%s with %d bytes of nesting: status %d body %.200s", path, len(body), rec.Code, rec.Body)
-		}
+	rec := httptest.NewRecorder()
+	srv.handleIngestBulk(rec, httptest.NewRequest(http.MethodPost, "/api/ingest/bulk", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "depth") {
+		t.Fatalf("%d bytes of nesting: status %d body %.200s", len(body), rec.Code, rec.Body)
 	}
 }
 
-// pooledBodies builds a feed alternating three body shapes over the
-// same nodes — a wide bulk batch with apps and missing cells, a short
-// bulk batch in another node order without apps, and one node's
-// readings — with per-node timestamps advancing across all of them, so
-// pooled rows are reused across shapes and lengths.
+// pooledBodies builds a feed alternating three bulk body shapes over
+// the same nodes — a wide batch with apps and missing cells, a short
+// batch in another node order without apps, and one node's batch — with
+// per-node timestamps advancing across all of them, so pooled rows are
+// reused across shapes and lengths.
 func pooledBodies(t *testing.T, steps int) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -164,10 +140,9 @@ func pooledBodies(t *testing.T, steps int) [][]byte {
 	}
 	var bodies [][]byte
 	for s := 0; s < steps; s++ {
-		var body any
+		var rows []fleet.Row
 		switch s % 3 {
 		case 0:
-			var rows []fleet.Row
 			for r := 0; r < 3; r++ {
 				for _, n := range []int{3, 7, 11, 12, 20, 21} {
 					row := reading(n)
@@ -175,22 +150,16 @@ func pooledBodies(t *testing.T, steps int) [][]byte {
 					rows = append(rows, row)
 				}
 			}
-			body = BulkIngestRequest{Rows: rows}
 		case 1:
-			var rows []fleet.Row
 			for _, n := range []int{21, 12, 7} {
 				rows = append(rows, reading(n), reading(n))
 			}
-			body = BulkIngestRequest{Rows: rows}
 		default:
-			req := IngestRequest{Shard: 11}
 			for r := 0; r < 5; r++ {
-				row := reading(11)
-				req.Readings = append(req.Readings, IngestReading{T: row.T, Values: row.Values})
+				rows = append(rows, reading(11))
 			}
-			body = req
 		}
-		raw, err := json.Marshal(body)
+		raw, err := json.Marshal(BulkIngestRequest{Rows: rows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,36 +181,24 @@ func TestPooledIngestMatchesFreshDecode(t *testing.T) {
 	live := ingestTestServer(t, dirLive, nil)
 	ref := ingestTestServer(t, dirRef, nil)
 	for i, body := range pooledBodies(t, 60) {
-		bulk := bytes.HasPrefix(body, []byte(`{"rows"`))
 		var wg sync.WaitGroup
 		for c := 0; c < 2; c++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				path, handler := "/api/ingest", live.handleIngest
-				if bulk {
-					path, handler = "/api/ingest/bulk", live.handleIngestBulk
-				}
 				rec := httptest.NewRecorder()
-				handler(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				live.handleIngestBulk(rec, httptest.NewRequest(http.MethodPost, "/api/ingest/bulk", bytes.NewReader(body)))
 				if rec.Code != http.StatusOK {
-					t.Errorf("body %d via %s: status %d %s", i, path, rec.Code, rec.Body)
+					t.Errorf("body %d: status %d %s", i, rec.Code, rec.Body)
 				}
 			}()
 		}
 		wg.Wait()
 		for c := 0; c < 2; c++ {
-			var err error
-			if bulk {
-				var req BulkIngestRequest
-				if err = json.Unmarshal(body, &req); err == nil {
-					_, err = ref.fl.coord.Offer(req.Rows)
-				}
-			} else {
-				var req IngestRequest
-				if err = json.Unmarshal(body, &req); err == nil {
-					_, _, err = ref.fl.coord.OfferNode(req.Shard, readingRows(req))
-				}
+			var req BulkIngestRequest
+			err := json.Unmarshal(body, &req)
+			if err == nil {
+				_, err = ref.fl.coord.Offer(req.Rows)
 			}
 			if err != nil {
 				t.Fatalf("reference body %d: %v", i, err)

@@ -65,7 +65,8 @@ func (g GapPolicy) String() string {
 }
 
 // Diagnosis is the result of one completed window; the JSON shape is
-// the one /api/ingest answers with and the replay golden fixture pins.
+// the one the replay golden fixture pins. A fleet node's latest one is
+// served by the node view as its rollup entry's last_* fields.
 type Diagnosis struct {
 	// Label is the diagnosed class, or AbstainLabel.
 	Label string `json:"label"`

@@ -6,8 +6,8 @@
 #   ./verify.sh          # the standard gate
 #   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
 #                        # stream ingest, WAL record decoder,
-#                        # ingest-body values scanner, ingest wire
-#                        # decoder against encoding/json, mvts kernel
+#                        # ingest-body values scanner, bulk ingest
+#                        # wire decoder against encoding/json, mvts kernel
 #                        # against its reference, tree split search
 #                        # against its reference) and the coverage
 #                        # floor gate against coverage_baseline.txt
