@@ -235,6 +235,37 @@ func BenchmarkForestFitEntropy(b *testing.B) {
 	}
 }
 
+// BenchmarkForestRefit is the label refit as the annotation server
+// runs it: the session's ranking of 200 labeled samples × 2000
+// features takes one appended row, then a 20-tree depth-8 entropy
+// forest fits on it. The ranking is built outside the timer and has
+// grown once, so the timed Append fits its capacity, as most of a
+// session's do. It is what walkShare in internal/ml/tree was measured
+// with.
+func BenchmarkForestRefit(b *testing.B) {
+	x, y := benchMatrix(201, 2000, 6, 2)
+	f := forest.New(forest.Config{NEstimators: 20, MaxDepth: 8, Criterion: tree.Entropy, Seed: 3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := ml.NewColumns(x[:199], 0)
+		if err == nil {
+			err = c.Append(x[199])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := c.Append(x[200]); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.FitColumns(c, y, 6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGBMFit(b *testing.B) {
 	x, y := benchMatrix(300, 100, 6, 3)
 	m := gbm.New(gbm.Config{NEstimators: 10, NumLeaves: 16, Seed: 4})

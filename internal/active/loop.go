@@ -122,10 +122,9 @@ func (l *Loop) Run(d *dataset.Dataset, initial, pool []int, test *dataset.Datase
 	sess := NewSession(d, initial, pool, l.Annotator, l.Strategy, l.Seed, l.Workers)
 
 	train := func() (ml.Classifier, error) {
-		x, y := sess.Training()
 		m := l.Factory()
-		if err := m.Fit(x, y, nClasses); err != nil {
-			return nil, fmt.Errorf("active: retraining with %d labels: %w", len(x), err)
+		if err := sess.Fit(m, nClasses); err != nil {
+			return nil, fmt.Errorf("active: retraining with %d labels: %w", len(sess.Labeled()), err)
 		}
 		return m, nil
 	}

@@ -12,9 +12,9 @@ import (
 
 // Session is the query step of the paper's loop (Fig. 1), driven one
 // call at a time: Next lets the strategy pick a pool sample, Label moves
-// it into the labeled set, Training is what the caller refits on.
-// Fitting and evaluation stay with the caller, so Loop.Run and the
-// annotation server share it. Not safe for concurrent use.
+// it into the labeled set, Fit refits a model on it. Evaluation stays
+// with the caller, so Loop.Run and the annotation server share it. Not
+// safe for concurrent use.
 type Session struct {
 	strategy Strategy
 	rng      *rand.Rand
@@ -30,6 +30,10 @@ type Session struct {
 	trainX, poolX [][]float64
 	trainY        []int
 	poolMeta      []telemetry.RunMeta
+	// cols ranks trainX's columns for models that fit on a ranking
+	// (ml.ColumnFitter): built by the first such Fit, extended by every
+	// Label, so a refit after a label ranks nothing.
+	cols *ml.Columns
 
 	pending      int       // dataset index awaiting its label, -1 when none
 	pendingPos   int       // its pool position
@@ -101,6 +105,9 @@ func (s *Session) Label(y int) {
 	pos := s.pendingPos
 	s.labeled = append(s.labeled, s.pending)
 	s.trainX = append(s.trainX, s.poolX[pos])
+	if s.cols != nil && s.cols.Append(s.poolX[pos]) != nil {
+		s.cols = nil // the next Fit ranks afresh and reports the row
+	}
 	s.trainY = append(s.trainY, y)
 	s.pool = append(s.pool[:pos], s.pool[pos+1:]...)
 	s.poolX = append(s.poolX[:pos], s.poolX[pos+1:]...)
@@ -109,6 +116,28 @@ func (s *Session) Label(y int) {
 	s.queries++
 	labelsSpent.Inc()
 	poolSize.Set(float64(len(s.pool)))
+}
+
+// Fit trains m on the labeled set. A model that fits on a ranking
+// (ml.ColumnFitter, the random forest) fits on the session's own,
+// ranked over the session's workers on first use and extended by each
+// Label since; any other model, or any model once the pool is empty
+// and no Label can extend a ranking, fits on Training's rows. Either
+// way the model is the one m.Fit on Training would give.
+func (s *Session) Fit(m ml.Classifier, nClasses int) error {
+	x, y := s.Training()
+	cf, ok := m.(ml.ColumnFitter)
+	if !ok || (s.cols == nil && len(s.pool) == 0) {
+		return m.Fit(x, y, nClasses)
+	}
+	if s.cols == nil {
+		c, err := ml.NewColumns(x, s.workers)
+		if err != nil {
+			return err
+		}
+		s.cols = c
+	}
+	return cf.FitColumns(s.cols, y, nClasses)
 }
 
 // Training returns the labeled set's rows and labels: initial samples,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"albadross/internal/ml/forest"
+	"albadross/internal/ml/tree"
 )
 
 // outOfRange is a strategy bug: a pool position past the end.
@@ -57,5 +58,34 @@ func TestSessionSteps(t *testing.T) {
 	bad := NewSession(d, initial, pool, Oracle{D: d}, outOfRange{}, 5, 0)
 	if _, _, err := bad.Next(model); err == nil || !strings.Contains(err.Error(), "pool position") || bad.Pending() != -1 {
 		t.Fatalf("out-of-range strategy: err %v, pending %d", err, bad.Pending())
+	}
+}
+
+// TestSessionFitMatchesRowFit pins Fit's ranking path: after every
+// label, a forest fit on the session's appended ranking predicts
+// bit for bit what one fit on Training's rows does.
+func TestSessionFitMatchesRowFit(t *testing.T) {
+	d, initial, pool, _ := buildALProblem(t, 4)
+	s := NewSession(d, initial, pool, Oracle{D: d}, Uncertainty{}, 5, 0)
+	cfg := forest.Config{NEstimators: 6, MaxDepth: 6, Criterion: tree.Entropy, Seed: 2}
+	for step := 0; step < 12; step++ {
+		ranked := forest.New(cfg)
+		if err := s.Fit(ranked, len(d.Classes)); err != nil {
+			t.Fatal(err)
+		}
+		rows := forest.New(cfg)
+		x, y := s.Training()
+		if err := rows.Fit(x, y, len(d.Classes)); err != nil {
+			t.Fatal(err)
+		}
+		got, want := ranked.PredictProbaBatch(d.X), rows.PredictProbaBatch(d.X)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d labels the ranking-fit forest differs from the row fit", step)
+		}
+		di, _, err := s.Next(ranked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Label(d.Y[di])
 	}
 }

@@ -84,13 +84,35 @@ func NewFactory(cfg Config) ml.Factory {
 func (f *Forest) NumClasses() int { return f.NClasses }
 
 // Fit trains NEstimators trees on bootstrap resamples of (x, y), in
-// parallel. Training is deterministic for a fixed seed regardless of the
-// worker count.
+// parallel. It ranks x's columns once (ml.NewColumns, over the forest's
+// workers) and every tree grows on that ranking. Training is
+// deterministic for a fixed seed regardless of the worker count.
 func (f *Forest) Fit(x [][]float64, y []int, nClasses int) error {
 	start := time.Now()
 	if err := ml.ValidateTrainingInput(x, y, nClasses); err != nil {
 		return err
 	}
+	c, err := ml.NewColumns(x, f.Cfg.Workers)
+	if err != nil {
+		return err
+	}
+	return f.fit(start, c, y, nClasses)
+}
+
+// FitColumns is Fit on an existing ranking of the rows
+// (ml.ColumnFitter): the active-learning session keeps one across
+// labels, so a refit pays for no ranking at all.
+func (f *Forest) FitColumns(c *ml.Columns, y []int, nClasses int) error {
+	start := time.Now()
+	if err := ml.ValidateColumns(c, y, nClasses); err != nil {
+		return err
+	}
+	return f.fit(start, c, y, nClasses)
+}
+
+// fit grows the trees on a validated ranking; start is when the public
+// call began, for the fit-time and utilization metrics.
+func (f *Forest) fit(start time.Time, c *ml.Columns, y []int, nClasses int) error {
 	cfg := f.Cfg
 	f.NClasses = nClasses
 	f.flatFore = nil
@@ -109,7 +131,7 @@ func (f *Forest) Fit(x [][]float64, y []int, nClasses int) error {
 			defer func() { busy.Add(int64(time.Since(treeStart))) }()
 			seed := cfg.Seed*1_000_003 + int64(t)
 			rng := rand.New(rand.NewSource(seed))
-			w := bootstrapWeights(len(x), rng)
+			w := bootstrapWeights(c.Len(), rng)
 			tr := tree.NewClassifier(tree.Config{
 				MaxDepth:       cfg.MaxDepth,
 				MinSamplesLeaf: cfg.MinSamplesLeaf,
@@ -117,7 +139,7 @@ func (f *Forest) Fit(x [][]float64, y []int, nClasses int) error {
 				Criterion:      cfg.Criterion,
 				Seed:           seed + 17,
 			})
-			if err := tr.FitWeighted(x, y, w, nClasses); err != nil {
+			if err := tr.FitWeightedColumns(c, y, w, nClasses); err != nil {
 				errs[t] = fmt.Errorf("forest: tree %d: %w", t, err)
 				return
 			}

@@ -193,6 +193,11 @@ func ValidateTrainingInput(x [][]float64, y []int, nClasses int) error {
 			}
 		}
 	}
+	return validateLabels(y, nClasses)
+}
+
+// validateLabels checks that every label lies in [0, nClasses).
+func validateLabels(y []int, nClasses int) error {
 	for i, c := range y {
 		if c < 0 || c >= nClasses {
 			return fmt.Errorf("ml: label %d at row %d outside [0,%d)", c, i, nClasses)

@@ -3,6 +3,13 @@
 // "RF") and a regression tree with variance-reduction splits supporting
 // both depth-wise and LightGBM-style leaf-wise growth (the substrate of
 // the gradient-boosting machine, Table IV "LGBM").
+//
+// The classification tree grows on an ml.Columns ranking of its input
+// and refuses NaN cells with an error naming the row and column: a NaN
+// has no place in the ranking, and left in, it could win a split at
+// threshold NaN and collapse the tree into one leaf. The regression
+// tree still accepts NaN cells and keeps the sort order its reference
+// grower gives them.
 package tree
 
 import (
@@ -168,34 +175,61 @@ func (t *Classifier) Fit(x [][]float64, y []int, nClasses int) error {
 // multiplicities (nil means one each; zero drops the row). Integer
 // weights are how the forest feeds bootstrap counts without copying
 // rows, and they keep every class count and node total an exact
-// integer, which the entropy table in impurity relies on.
+// integer, which the entropy table in impurity relies on. It ranks x's
+// columns (ml.NewColumns) and grows on the ranking, so a NaN cell is
+// refused with its row and column.
 func (t *Classifier) FitWeighted(x [][]float64, y []int, w []int, nClasses int) error {
-	if err := validateFitInput(x, y, w, nClasses); err != nil {
+	if err := validateFitInput(len(x), y, w, nClasses); err != nil {
+		return err
+	}
+	c, err := ml.NewColumns(x, 1)
+	if err != nil {
+		return err
+	}
+	return t.FitWeightedColumns(c, y, w, nClasses)
+}
+
+// FitWeightedColumns is FitWeighted on an existing ranking of the rows,
+// which any number of trees may read at once: the forest ranks its
+// input once for all of them, and an active-learning session keeps one
+// across labels.
+func (t *Classifier) FitWeightedColumns(c *ml.Columns, y []int, w []int, nClasses int) error {
+	if err := validateFitInput(c.Len(), y, w, nClasses); err != nil {
 		return err
 	}
 	t.NClasses = nClasses
 	t.Nodes = t.Nodes[:0]
 	t.flatFore = nil
-	t.Importances = make([]float64, len(x[0]))
-	idx := activeIndices(w, len(x))
-	b := newClsBuilder(t, x, y, w)
+	t.Importances = make([]float64, c.Dim())
+	idx := activeIndices(w, c.Len())
+	b := newClsBuilder(t, c, y, w)
 	b.rootSize = float64(len(idx))
 	b.grow(idx, 1)
 	return nil
 }
+
+// walkShare sets where bestSplit stops sorting: a node holding at least
+// 1/walkShare of the ranked rows walks each candidate column's full row
+// order and keeps its own rows, which beats a comparison sort of its
+// keys. Measured with BenchmarkForestRefit (root bench_test.go).
+const walkShare = 8
 
 // clsBuilder holds shared state while growing a classification tree.
 // The scratch buffers are sized once per fit and reused by every node,
 // so bestSplit allocates nothing.
 type clsBuilder struct {
 	t        *Classifier
+	cols     *ml.Columns
 	x        [][]float64
 	y        []int
 	w        []int
 	picker   *featurePicker
 	rootSize float64
-	// keys is bestSplit's (value, row) scratch, one entry per row.
-	keys []splitKey
+	// keys is bestSplit's packed rank<<32 | row scratch, one per row.
+	keys []uint64
+	// mark[i] == stamp marks row i as a member of the node being walked.
+	mark  []int32
+	stamp int32
 	// leftCounts and rightCounts are bestSplit's running class counts.
 	leftCounts, rightCounts []int
 	// spill holds the right side during partition.
@@ -204,15 +238,17 @@ type clsBuilder struct {
 	log2 []float64
 }
 
-func newClsBuilder(t *Classifier, x [][]float64, y []int, w []int) *clsBuilder {
+func newClsBuilder(t *Classifier, c *ml.Columns, y []int, w []int) *clsBuilder {
 	rng := rand.New(rand.NewSource(t.Cfg.Seed))
+	n := c.Len()
 	b := &clsBuilder{
-		t: t, x: x, y: y, w: w,
-		picker:      newFeaturePicker(len(x[0]), t.Cfg.MaxFeatures, rng),
-		keys:        make([]splitKey, len(x)),
+		t: t, cols: c, x: c.Rows(), y: y, w: w,
+		picker:      newFeaturePicker(c.Dim(), t.Cfg.MaxFeatures, rng),
+		keys:        make([]uint64, n),
+		mark:        make([]int32, n),
 		leftCounts:  make([]int, t.NClasses),
 		rightCounts: make([]int, t.NClasses),
-		spill:       make([]int, len(x)),
+		spill:       make([]int, n),
 	}
 	if t.Cfg.Criterion == Entropy {
 		b.log2 = log2Table()
@@ -272,6 +308,11 @@ func (b *clsBuilder) grow(idx []int, depth int) int32 {
 }
 
 // bestSplit scans candidate features for the impurity-minimizing split.
+// It reads the ranking only: the class counts, leftN, the gain and the
+// threshold at a value boundary do not depend on how ties are ordered,
+// so any correct order grows the reference grower's tree, and a
+// boundary is where the rank changes. Cells are read only to place the
+// threshold of a split that improves on the best so far.
 //
 //albacheck:hotpath
 func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat int, thr, gain float64) {
@@ -279,23 +320,29 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 	if total <= 0 {
 		return -1, 0, 0
 	}
+	walk := len(idx)*walkShare >= b.cols.Len()
+	if walk {
+		b.stamp++
+		for _, i := range idx {
+			b.mark[i] = b.stamp
+		}
+	}
 	parentImp := b.impurity(parentCounts, total)
 	feat, gain = -1, 0
 	leftCounts, rightCounts := b.leftCounts, b.rightCounts
 	for _, f := range b.picker.pick() {
-		keys := sortedKeys(b.keys, b.x, idx, f)
+		keys := b.rankedKeys(idx, f, walk)
 		copy(rightCounts, parentCounts)
 		clear(leftCounts)
 		leftTotal := 0
 		for k := 0; k < len(keys)-1; k++ {
-			i := keys[k].row
+			i := int(uint32(keys[k]))
 			w := b.weight(i)
 			leftCounts[b.y[i]] += w
 			rightCounts[b.y[i]] -= w
 			leftTotal += w
 			leftN := k + 1
-			v, next := keys[k].v, keys[k+1].v
-			if v == next { //albacheck:ignore floatsafe adjacent equal values in the feature-sorted order are not a split point; exact tie test intended
+			if keys[k]>>32 == keys[k+1]>>32 {
 				continue
 			}
 			if leftN < t.Cfg.MinSamplesLeaf || len(keys)-leftN < t.Cfg.MinSamplesLeaf {
@@ -311,11 +358,38 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 			if g > gain {
 				gain = g
 				feat = f
-				thr = (v + next) / 2
+				thr = (b.x[i][f] + b.x[uint32(keys[k+1])][f]) / 2
 			}
 		}
 	}
 	return feat, thr, gain
+}
+
+// rankedKeys fills b.keys with rank<<32 | row for the node's rows in
+// column f's value order. A node marked for walking (see walkShare)
+// keeps its rows from the column's full order; a smaller one sorts its
+// packed keys.
+func (b *clsBuilder) rankedKeys(idx []int, f int, walk bool) []uint64 {
+	keys := b.keys[:len(idx)]
+	rank := b.cols.Rank(f)
+	if !walk {
+		for k, i := range idx {
+			keys[k] = uint64(rank[i])<<32 | uint64(i)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	k := 0
+	for _, i := range b.cols.Order(f) {
+		if b.mark[i] == b.stamp {
+			keys[k] = uint64(rank[i])<<32 | uint64(i)
+			k++
+			if k == len(keys) {
+				break
+			}
+		}
+	}
+	return keys
 }
 
 // PredictProba walks the tree and returns the leaf class distribution.
@@ -721,15 +795,15 @@ func (t *Regressor) Depth() int { return depthOf(t.Nodes, 0) }
 // ---------------------------------------------------------------------------
 // Shared helpers
 
-func validateFitInput(x [][]float64, y []int, w []int, nClasses int) error {
-	if len(x) == 0 {
+func validateFitInput(n int, y []int, w []int, nClasses int) error {
+	if n == 0 {
 		return fmt.Errorf("tree: empty training set")
 	}
-	if len(y) != len(x) {
-		return fmt.Errorf("tree: %d labels for %d rows", len(y), len(x))
+	if len(y) != n {
+		return fmt.Errorf("tree: %d labels for %d rows", len(y), n)
 	}
-	if w != nil && len(w) != len(x) {
-		return fmt.Errorf("tree: %d weights for %d rows", len(w), len(x))
+	if w != nil && len(w) != n {
+		return fmt.Errorf("tree: %d weights for %d rows", len(w), n)
 	}
 	if nClasses < 2 {
 		return fmt.Errorf("tree: need at least 2 classes, got %d", nClasses)
@@ -825,7 +899,8 @@ func (b *clsBuilder) impurity(counts []int, total int) float64 {
 	}
 }
 
-// splitKey is one row's value of the feature under evaluation.
+// splitKey is one row's value of the feature under evaluation in the
+// regression tree's split search.
 type splitKey struct {
 	v   float64
 	row int
@@ -834,7 +909,8 @@ type splitKey struct {
 // cmpSplitKey orders keys by value. Its "< 0" is exactly a.v < b.v, and
 // slices.SortFunc asks nothing else, so ties and NaN cells land where
 // the reference grower in tree_test.go puts them (sort.Slice is the same
-// pdqsort); the regressor's gradient sums and every tree depend on that.
+// pdqsort); the regressor's gradient sums depend on that tie order,
+// which is why it does not read a rank order as the classifier does.
 // cmp.Compare would order NaN first and move them.
 func cmpSplitKey(a, b splitKey) int {
 	switch {

@@ -3,9 +3,13 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"albadross/internal/ml"
 )
 
 // blobs generates two well-separated Gaussian clusters.
@@ -702,10 +706,21 @@ func sameFloats(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// checkClassifier fits both growers on one input and compares the
-// trees, the importances and the root split.
+// checkClassifier asserts that the classifier refuses x when it holds a
+// NaN cell, then fits both growers on x with its NaN cells replaced
+// (nanFree) and compares the trees, the importances and the root split.
+// It grows the tree twice: on x's own ranking, where wide nodes walk,
+// and on a ranking padded with zero-weight rows to eight times x's
+// length, where every node sorts. Both must be the reference tree.
 func checkClassifier(t *testing.T, label string, cfg Config, x [][]float64, y []int, w []int, nClasses int) {
 	t.Helper()
+	if clean := nanFree(x); clean != nil {
+		err := NewClassifier(cfg).FitWeighted(x, y, w, nClasses)
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("%s: NaN input: err %v, want a refusal", label, err)
+		}
+		x = clean
+	}
 	var wf []float64
 	if w != nil {
 		wf = make([]float64, len(w))
@@ -720,6 +735,18 @@ func checkClassifier(t *testing.T, label string, cfg Config, x [][]float64, y []
 	nodes, imp := refClassifier(cfg, x, y, wf, nClasses)
 	sameNodes(t, label, tr.Nodes, nodes)
 	sameFloats(t, label+" importances", tr.Importances, imp)
+
+	px, py, pw := padRanking(x, y, w)
+	pc, err := ml.NewColumns(px, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sorted := NewClassifier(cfg)
+	if err := sorted.FitWeightedColumns(pc, py, pw, nClasses); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	sameNodes(t, label+" (sorted nodes)", sorted.Nodes, nodes)
+	sameFloats(t, label+" importances (sorted nodes)", sorted.Importances, imp)
 
 	// The root split on its own, from fresh builders with equal pickers.
 	idx := activeIndices(w, len(x))
@@ -737,13 +764,62 @@ func checkClassifier(t *testing.T, label string, cfg Config, x [][]float64, y []
 	}
 	c := NewClassifier(cfg)
 	c.NClasses = nClasses
-	f1, thr1, g1 := newClsBuilder(c, x, y, w).bestSplit(idx, counts, total)
+	cols, err := ml.NewColumns(x, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	f1, thr1, g1 := newClsBuilder(c, cols, y, w).bestSplit(idx, counts, total)
 	rng := rand.New(rand.NewSource(c.Cfg.Seed))
 	ref := &refClsBuilder{t: c, x: x, y: y, w: wf, picker: newFeaturePicker(len(x[0]), c.Cfg.MaxFeatures, rng)}
 	f2, thr2, g2 := ref.bestSplit(idx, countsF, float64(total))
 	if f1 != f2 || math.Float64bits(thr1) != math.Float64bits(thr2) || math.Float64bits(g1) != math.Float64bits(g2) {
 		t.Fatalf("%s: root split (%d, %v, %v), reference (%d, %v, %v)", label, f1, thr1, g1, f2, thr2, g2)
 	}
+}
+
+// nanFree returns a copy of x with every NaN cell set to 0.5, or nil
+// when x has none.
+func nanFree(x [][]float64) [][]float64 {
+	var out [][]float64
+	for i, row := range x {
+		for j, v := range row {
+			if !math.IsNaN(v) {
+				continue
+			}
+			if out == nil {
+				out = make([][]float64, len(x))
+				for r := range x {
+					out[r] = append([]float64(nil), x[r]...)
+				}
+			}
+			out[i][j] = 0.5
+		}
+	}
+	return out
+}
+
+// padRanking appends rows of weight zero to a training set until it is
+// walkShare·len(x)+1 rows long, so every node of a tree grown on it
+// holds less than walkShare's share of the ranked rows and sorts. The
+// padding repeats x's values with a small shift, so its ranks
+// interleave with the real rows'.
+func padRanking(x [][]float64, y []int, w []int) ([][]float64, []int, []int) {
+	n := len(x)
+	px, py, pw := append([][]float64(nil), x...), append([]int(nil), y...), make([]int, walkShare*n+1)
+	for i := range x {
+		pw[i] = 1
+		if w != nil {
+			pw[i] = w[i]
+		}
+	}
+	for i := 0; i < (walkShare-1)*n+1; i++ {
+		row := make([]float64, len(x[0]))
+		for j, v := range x[i%n] {
+			row[j] = v + float64(i%3-1)/8
+		}
+		px, py = append(px, row), append(py, y[i%n])
+	}
+	return px, py, pw
 }
 
 // checkRegressor fits both growers on one input and compares the trees.
@@ -878,7 +954,8 @@ func TestFitWeightedRejectsNegativeWeight(t *testing.T) {
 }
 
 // TestBestSplitAllocs is the steady-state gate: on a warm builder the
-// split search of either tree allocates nothing.
+// split search of either tree allocates nothing, whether the classifier
+// walks a wide node's rank order or sorts a small node's keys.
 func TestBestSplitAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, y, _, g := oracleInput(rng, 300, 12, 4)
@@ -886,20 +963,27 @@ func TestBestSplitAllocs(t *testing.T) {
 	for range x {
 		w[rng.Intn(len(x))]++
 	}
-	idx := activeIndices(w, len(x))
-	counts := make([]int, 4)
-	total := 0
-	for _, i := range idx {
-		counts[y[i]] += w[i]
-		total += w[i]
+	cols, err := ml.NewColumns(nanFree(x), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wide := activeIndices(w, len(x))
+	small := wide[:len(x)/(2*walkShare)]
 	for _, crit := range []Criterion{Gini, Entropy} {
-		c := NewClassifier(Config{MaxFeatures: -1, Criterion: crit})
-		c.NClasses = 4
-		b := newClsBuilder(c, x, y, w)
-		b.bestSplit(idx, counts, total)
-		if allocs := testing.AllocsPerRun(20, func() { b.bestSplit(idx, counts, total) }); allocs != 0 {
-			t.Fatalf("%v: warm clsBuilder.bestSplit allocates %v times", crit, allocs)
+		for _, idx := range [][]int{wide, small} {
+			counts := make([]int, 4)
+			total := 0
+			for _, i := range idx {
+				counts[y[i]] += w[i]
+				total += w[i]
+			}
+			c := NewClassifier(Config{MaxFeatures: -1, Criterion: crit})
+			c.NClasses = 4
+			b := newClsBuilder(c, cols, y, w)
+			b.bestSplit(idx, counts, total)
+			if allocs := testing.AllocsPerRun(20, func() { b.bestSplit(idx, counts, total) }); allocs != 0 {
+				t.Fatalf("%v, %d of %d rows: warm clsBuilder.bestSplit allocates %v times", crit, len(idx), len(x), allocs)
+			}
 		}
 	}
 	all := make([]int, len(x))
@@ -911,6 +995,27 @@ func TestBestSplitAllocs(t *testing.T) {
 	b.bestSplit(all, s)
 	if allocs := testing.AllocsPerRun(20, func() { b.bestSplit(all, s) }); allocs != 0 {
 		t.Fatalf("warm regBuilder.bestSplit allocates %v times", allocs)
+	}
+}
+
+// TestClassifierRefusesNaN pins the NaN contract on the input that used
+// to collapse: column 0's NaN cell won the root split at threshold NaN,
+// and the tree gave up as one [0.5 0.5] leaf although column 1
+// separates the classes.
+func TestClassifierRefusesNaN(t *testing.T) {
+	x := [][]float64{{0, 0}, {0, 0}, {math.NaN(), 1}, {5, 1}}
+	y := []int{0, 0, 1, 1}
+	err := NewClassifier(Config{}).Fit(x, y, 2)
+	if err == nil || !strings.Contains(err.Error(), "NaN feature at row 2 col 0") {
+		t.Fatalf("err %v, want a refusal naming row 2 col 0", err)
+	}
+	x[2][0] = 0
+	tr := NewClassifier(Config{})
+	if err := tr.Fit(x, y, 2); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Nodes[0].Feature != 1 || tr.LeafCount() != 2 {
+		t.Fatalf("root splits on %d with %d leaves, want column 1 and 2 leaves", tr.Nodes[0].Feature, tr.LeafCount())
 	}
 }
 
@@ -965,5 +1070,83 @@ func FuzzSplitReference(f *testing.F) {
 		checkClassifier(t, crit.String(), Config{MinSamplesLeaf: minLeaf, Criterion: crit}, x, y, w, k)
 		checkRegressor(t, "depth-wise", Config{MinSamplesLeaf: minLeaf}, x, g, nil)
 		checkRegressor(t, "leaf-wise", Config{MinSamplesLeaf: minLeaf, MaxLeaves: 8}, x, g, nil)
+	})
+}
+
+// FuzzColumnsAppend grows a ranking one appended row at a time, as an
+// active-learning session does, and checks it against a fresh ranking
+// of the same rows after every append; then it fits a classification
+// tree on the appended ranking and compares it with the reference
+// grower node for node. flags picks the criterion (bit 0),
+// MinSamplesLeaf, the row width d and the class count; start is how
+// many rows the ranking is built from before the appends; bootstrap
+// draws multiplicities from that seed when nonzero. Rows decode as in
+// FuzzSplitReference, minus NaN: value byte 0x80 is -0, anything else
+// int8/4, so ties and duplicate rows are common.
+func FuzzColumnsAppend(f *testing.F) {
+	f.Add(uint8(0x09), uint8(1), int64(0), []byte{1, 0, 2, 1, 0x80, 0, 4, 1, 0, 0, 2, 1, 3, 0})
+	f.Add(uint8(0x2a), uint8(3), int64(7), []byte{4, 4, 0, 0x80, 0, 1, 4, 4, 2, 0, 0, 0, 9, 9, 1, 0xfc, 4, 2})
+	f.Fuzz(func(t *testing.T, flags, start uint8, bootstrap int64, data []byte) {
+		crit := Criterion(flags & 1)
+		minLeaf := 1 + int(flags>>1)%3
+		d := 1 + int(flags>>3)%4
+		k := 2 + int(flags>>5)%3
+		n := min(len(data)/(d+1), 256)
+		if n == 0 {
+			return
+		}
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i := range x {
+			row := data[i*(d+1) : (i+1)*(d+1)]
+			x[i] = make([]float64, d)
+			for j, b := range row[:d] {
+				if b == 0x80 {
+					x[i][j] = math.Copysign(0, -1)
+				} else {
+					x[i][j] = float64(int8(b)) / 4
+				}
+			}
+			y[i] = int(row[d]) % k
+		}
+		n0 := 1 + int(start)%n
+		c, err := ml.NewColumns(x[:n0], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := n0; m < n; m++ {
+			if err := c.Append(x[m]); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ml.NewColumns(x[:m+1], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < d; j++ {
+				if !slices.Equal(c.Rank(j), fresh.Rank(j)) || !slices.Equal(c.Order(j), fresh.Order(j)) {
+					t.Fatalf("%d rows, col %d: appended ranks %v order %v, fresh %v %v",
+						m+1, j, c.Rank(j), c.Order(j), fresh.Rank(j), fresh.Order(j))
+				}
+			}
+		}
+		var w []int
+		var wf []float64
+		if bootstrap != 0 {
+			rng := rand.New(rand.NewSource(bootstrap))
+			w, wf = make([]int, n), make([]float64, n)
+			for range w {
+				i := rng.Intn(n)
+				w[i]++
+				wf[i]++
+			}
+		}
+		cfg := Config{MinSamplesLeaf: minLeaf, Criterion: crit, MaxFeatures: -1, Seed: bootstrap}
+		tr := NewClassifier(cfg)
+		if err := tr.FitWeightedColumns(c, y, w, k); err != nil {
+			t.Fatal(err)
+		}
+		nodes, imp := refClassifier(cfg, x, y, wf, k)
+		sameNodes(t, crit.String(), tr.Nodes, nodes)
+		sameFloats(t, crit.String()+" importances", tr.Importances, imp)
 	})
 }

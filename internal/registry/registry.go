@@ -160,13 +160,53 @@ func (r *Registry[T]) Add(build func(version uint64) T, meta Meta) *Entry[T] {
 func (r *Registry[T]) Promote(version uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	e, err := r.candidateLocked(version)
+	if err != nil {
+		return err
+	}
+	r.promoteLocked(e)
+	return nil
+}
+
+// PromoteUnlessStale is Promote for models fit on a training set that
+// only grows: when the active entry was fit on more rows
+// (Meta.TrainSize), the candidate is stale and is quarantined instead,
+// in the same step, so the active TrainSize never goes backwards
+// through this call. It reports whether the candidate was promoted.
+func (r *Registry[T]) PromoteUnlessStale(version uint64) (bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, err := r.candidateLocked(version)
+	if err != nil {
+		return false, err
+	}
+	if a := r.active.Load(); a != nil && a.Meta.TrainSize > e.Meta.TrainSize {
+		e.state = Quarantined
+		e.reason = fmt.Sprintf("stale: version %d serves a model fit on %d rows, this one %d",
+			a.Version, a.Meta.TrainSize, e.Meta.TrainSize)
+		r.evictLocked()
+		registryEntries.Set(float64(len(r.entries)))
+		return false, nil
+	}
+	r.promoteLocked(e)
+	return true, nil
+}
+
+// candidateLocked returns version's entry when it is a Candidate.
+func (r *Registry[T]) candidateLocked(version uint64) (*Entry[T], error) {
 	e, ok := r.entries[version]
 	if !ok {
-		return fmt.Errorf("registry: version %d not found", version)
+		return nil, fmt.Errorf("registry: version %d not found", version)
 	}
 	if e.state != Candidate {
-		return fmt.Errorf("registry: version %d is %s, only candidates promote", version, e.state)
+		return nil, fmt.Errorf("registry: version %d is %s, only candidates promote", version, e.state)
 	}
+	return e, nil
+}
+
+// promoteLocked makes the candidate e active and retires the previous
+// active entry.
+func (r *Registry[T]) promoteLocked(e *Entry[T]) {
 	if prev := r.active.Load(); prev != nil {
 		prev.state = Retired
 	}
@@ -174,7 +214,6 @@ func (r *Registry[T]) Promote(version uint64) error {
 	r.active.Store(e)
 	r.evictLocked()
 	registryEntries.Set(float64(len(r.entries)))
-	return nil
 }
 
 // Quarantine marks a Candidate as failed vetting; it can never serve.

@@ -118,6 +118,40 @@ func TestRollbackSkipsQuarantinedAndRolledBack(t *testing.T) {
 	}
 }
 
+func TestPromoteUnlessStale(t *testing.T) {
+	r := New[*fake](5)
+	first := r.Add(mk("first"), Meta{TrainSize: 10})
+	if ok, err := r.PromoteUnlessStale(first.Version); !ok || err != nil {
+		t.Fatalf("first promotion: %v, %v", ok, err)
+	}
+	newer := r.Add(mk("newer"), Meta{TrainSize: 11})
+	same := r.Add(mk("same"), Meta{TrainSize: 11})
+	stale := r.Add(mk("stale"), Meta{TrainSize: 10})
+	if ok, err := r.PromoteUnlessStale(newer.Version); !ok || err != nil {
+		t.Fatalf("newer: %v, %v", ok, err)
+	}
+	if ok, err := r.PromoteUnlessStale(stale.Version); ok || err != nil {
+		t.Fatalf("stale: %v, %v", ok, err)
+	}
+	if r.Active() != newer {
+		t.Fatalf("active = %+v after a stale candidate, want newer", r.Active().Payload)
+	}
+	for _, info := range r.List() {
+		if info.Version == stale.Version && (info.State != Quarantined || !strings.Contains(info.Reason, "stale")) {
+			t.Fatalf("stale entry recorded as %+v", info)
+		}
+	}
+	if ok, err := r.PromoteUnlessStale(same.Version); !ok || err != nil || r.Active() != same {
+		t.Fatalf("equal size: %v, %v", ok, err)
+	}
+	if _, err := r.PromoteUnlessStale(stale.Version); err == nil {
+		t.Fatal("a quarantined entry promoted")
+	}
+	if _, err := r.PromoteUnlessStale(99); err == nil {
+		t.Fatal("an unknown version promoted")
+	}
+}
+
 func TestRollbackWithoutActive(t *testing.T) {
 	r := New[*fake](5)
 	if _, err := r.Rollback("x"); err == nil {

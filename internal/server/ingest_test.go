@@ -396,7 +396,8 @@ func TestIngestShadowReplayVetting(t *testing.T) {
 
 	// A challenger enters shadow evaluation, then is vetted against the
 	// journaled slice instead of waiting for fresh traffic.
-	x, y := srv.training()
+	view := srv.training()
+	x, y := view.x, view.y
 	cand, err := srv.trainCandidate(x, y)
 	if err != nil {
 		t.Fatal(err)

@@ -316,13 +316,13 @@ func (lc *lifecycle) maybeTrigger() {
 func (lc *lifecycle) retrainFromDrift() {
 	defer lc.retraining.Store(false)
 	s := lc.s
-	x, y := s.training()
-	m, err := s.trainCandidate(x, y)
+	v := s.training()
+	m, err := s.trainCandidate(v.x, v.y)
 	if err != nil {
 		s.cfg.Log.Printf("server: drift-triggered retrain failed: %v", err)
 		return
 	}
-	if _, err := s.startChallenger(m, x, y, "drift-retrain"); err != nil {
+	if _, err := s.startChallenger(m, v, "drift-retrain"); err != nil {
 		s.cfg.Log.Printf("server: drift-triggered challenger rejected: %v", err)
 	}
 }
@@ -333,13 +333,12 @@ func (lc *lifecycle) retrainFromDrift() {
 // assigned to the candidate. Errors if the lifecycle is disabled or a
 // trial is already in flight.
 func (s *Server) StartChallenger(m ml.Classifier, origin string) (uint64, error) {
-	x, y := s.training()
-	return s.startChallenger(m, x, y, origin)
+	return s.startChallenger(m, s.training(), origin)
 }
 
 // startChallenger installs the trial with an explicit training
-// snapshot (recorded for the drift re-anchor on promotion).
-func (s *Server) startChallenger(m ml.Classifier, x [][]float64, y []int, origin string) (uint64, error) {
+// snapshot, whose size and hash the registry records.
+func (s *Server) startChallenger(m ml.Classifier, v trainView, origin string) (uint64, error) {
 	if s.lc == nil {
 		return 0, errors.New("server: lifecycle is disabled")
 	}
@@ -348,7 +347,7 @@ func (s *Server) startChallenger(m ml.Classifier, x [][]float64, y []int, origin
 	}
 	e := s.reg.Add(func(version uint64) *snapshot {
 		return s.newSnapshot(m, version)
-	}, registry.Meta{TrainHash: hashTraining(x, y), TrainSize: len(x), Origin: origin})
+	}, registry.Meta{TrainHash: v.hash, TrainSize: len(v.x), Origin: origin})
 	t := &trial{entry: e, deadline: time.Now().Add(s.cfg.ShadowMaxWait)}
 	s.lc.trialMu.Lock()
 	if s.lc.trial != nil {
@@ -449,19 +448,31 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"active_version": v})
 }
 
-// hashTraining fingerprints a training set: FNV-1a 64 over the
-// little-endian float bit patterns of every row, then the label
-// stream. Identical training data always hashes identically, so
+// trainFold computes TrainHash, which fingerprints a training set:
+// FNV-1a 64 over the little-endian float bit patterns of every row,
+// then the label stream (the result equals hash/fnv's New64a over the
+// same bytes). Identical training data always hashes identically, so
 // operators can tell retrain-on-same-data versions apart from genuinely
-// new ones. The hash is computed inline (the result equals hash/fnv's
-// New64a over the same bytes) because it runs on every label.
-func hashTraining(x [][]float64, y []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, row := range x {
+// new ones. It runs on every label, so it carries the row fold forward
+// and folds only the rows appended since the last call.
+type trainFold struct {
+	h    uint64 // FNV-1a state after the first rows rows
+	rows int
+}
+
+func newTrainFold() trainFold { return trainFold{h: fnvOffset64} }
+
+// hash folds x's rows past those already folded, then returns the
+// hash of the whole set: the labels folded on a copy of the state. x
+// must extend the rows of every earlier call.
+func (f *trainFold) hash(x [][]float64, y []int) uint64 {
+	for _, row := range x[f.rows:] {
 		for _, v := range row {
-			h = fnvWord(h, math.Float64bits(v))
+			f.h = fnvWord(f.h, math.Float64bits(v))
 		}
 	}
+	f.rows = len(x)
+	h := f.h
 	for _, label := range y {
 		h = fnvWord(h, uint64(label))
 	}

@@ -169,7 +169,8 @@ func TestModelEndpointListsRegistry(t *testing.T) {
 // same way — shadow agreement is ~1 and holdout F1 matches.
 func TestChallengerPromotedWhenGatePasses(t *testing.T) {
 	srv, d := newLifecycleServer(t, nil)
-	x, y := srv.training()
+	view := srv.training()
+	x, y := view.x, view.y
 	cand := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})()
 	if err := cand.Fit(x, y, len(d.Classes)); err != nil {
 		t.Fatal(err)
@@ -223,7 +224,8 @@ func (p permutedClassifier) PredictProba(x []float64) []float64 {
 
 func TestPoisonedChallengerQuarantinedAndNeverServes(t *testing.T) {
 	srv, d := newLifecycleServer(t, nil)
-	x, y := srv.training()
+	view := srv.training()
+	x, y := view.x, view.y
 	inner := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})()
 	if err := inner.Fit(x, y, len(d.Classes)); err != nil {
 		t.Fatal(err)
@@ -388,7 +390,8 @@ func TestShadowOverloadShedsWithoutSlowingChampion(t *testing.T) {
 		cfg.ShadowQueue = 2 // tiny bounded queue: overload is immediate
 		cfg.ShadowMinRows = 1 << 20
 	})
-	x, y := srv.training()
+	view := srv.training()
+	x, y := view.x, view.y
 	inner := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})()
 	if err := inner.Fit(x, y, len(d.Classes)); err != nil {
 		t.Fatal(err)
@@ -511,6 +514,21 @@ func TestLifecycleRaceHammer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hashTraining is the TrainHash of a whole training set in one pass,
+// the oracle for the server's incremental trainFold.
+func hashTraining(x [][]float64, y []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, row := range x {
+		for _, v := range row {
+			h = fnvWord(h, math.Float64bits(v))
+		}
+	}
+	for _, label := range y {
+		h = fnvWord(h, uint64(label))
+	}
+	return h
 }
 
 // TestHashTrainingMatchesFNV pins the inline hash to hash/fnv's

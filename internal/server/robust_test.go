@@ -419,3 +419,72 @@ func TestOverlappingAnnotatorsAreSequential(t *testing.T) {
 		}
 	}
 }
+
+// sizeParked parks the Fit of one training-set size until released,
+// signalling entry; fits of any other size run straight through.
+type sizeParked struct {
+	ml.Classifier
+	rows             int
+	entered, release chan struct{}
+}
+
+func (p sizeParked) Fit(x [][]float64, y []int, nClasses int) error {
+	if len(x) == p.rows {
+		p.entered <- struct{}{}
+		<-p.release
+	}
+	return p.Classifier.Fit(x, y, nClasses)
+}
+
+// TestStaleRetrainKeepsNewerModel parks an operator Retrain inside its
+// fit, lands a label meanwhile, then lets the Retrain finish: the
+// label's model, fit on one more row, must stay active.
+func TestStaleRetrainKeepsNewerModel(t *testing.T) {
+	d, split := newTestProblem(t)
+	initial := len(split.Initial)
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	cfg := testConfig(d, split)
+	cfg.Factory = afterInitial(cfg.Factory, func(m ml.Classifier) ml.Classifier {
+		return sizeParked{Classifier: m, rows: initial, entered: entered, release: release}
+	})
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var next NextResponse
+	getJSON(t, ts, "/api/next", &next)
+	retrained := make(chan error, 1)
+	go func() { retrained <- srv.Retrain() }()
+	select {
+	case <-entered: // the operator fit is parked on the initial rows
+	case <-time.After(5 * time.Second):
+		t.Fatal("Retrain never started its fit")
+	}
+	resp := postJSON(t, ts, "/api/label", LabelRequest{ID: next.ID, Label: d.Classes[d.Y[next.ID]]})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("label: status %d", resp.StatusCode)
+	}
+	labelVersion := srv.Model().ActiveVersion
+	close(release)
+	if err := <-retrained; err != nil {
+		t.Fatal(err)
+	}
+	var st ModelStatus
+	getJSON(t, ts, "/api/model", &st)
+	if st.ActiveVersion != labelVersion {
+		t.Fatalf("active version %d after the stale Retrain, want the label's %d", st.ActiveVersion, labelVersion)
+	}
+	for _, e := range st.Registry {
+		if e.Version == st.ActiveVersion && e.TrainSize != initial+1 {
+			t.Fatalf("active train_size %d, want %d", e.TrainSize, initial+1)
+		}
+		if e.Origin == "operator" && e.State != registry.Quarantined {
+			t.Fatalf("stale operator model recorded as %s, want quarantined", e.State)
+		}
+	}
+}

@@ -195,17 +195,20 @@ type Server struct {
 
 	test *dataset.Dataset // the split's test rows; immutable after New
 
-	// annMu guards sess. /api/next and /api/label hold it from selection
-	// through fit, publish and score; nothing else takes it.
+	// annMu guards sess and rowFold. /api/next and /api/label hold it
+	// from selection through fit, publish and score; nothing else takes
+	// it.
 	annMu sync.Mutex
 	sess  *active.Session
+	// rowFold carries TrainHash's row fold from one refit to the next
+	// (see trainFold).
+	rowFold trainFold
 
 	// mu guards what that path publishes for every other endpoint: the
-	// training view and pool count as of the last label and the score
+	// training view as of the last label, the pool count and the score
 	// history. Never held across a slow call.
 	mu      sync.Mutex
-	trainX  [][]float64
-	trainY  []int
+	view    trainView
 	poolN   int
 	history []StatusPoint
 	started time.Time
@@ -281,6 +284,7 @@ func New(cfg Config) (*Server, error) {
 		reg:       registry.New[*snapshot](cfg.RegistryKeep),
 		started:   time.Now(),
 		jitterRng: rand.New(rand.NewSource(cfg.Seed + jitterSeedOffset)),
+		rowFold:   newTrainFold(),
 	}
 	s.sess = active.NewSession(cfg.Data, cfg.Split.Initial, cfg.Split.Pool,
 		active.Oracle{D: cfg.Data}, cfg.Strategy, cfg.Seed, cfg.BatchWorkers)
@@ -337,17 +341,27 @@ func (s *Server) Close() {
 // publish registers a freshly trained model as a new registry version
 // and promotes it immediately — the direct path used by initial
 // training, annotation retrains and forced Retrain, where the new model
-// is by construction the best available. Readers that loaded the
-// previous snapshot keep using it for the requests they already started
-// (RCU semantics). Drift-triggered candidates do NOT take this path:
-// they go through the shadow champion–challenger gate (lifecycle.go).
-func (s *Server) publish(m ml.Classifier, x [][]float64, y []int, origin string) {
+// is by construction the best available unless a model fit on a newer
+// view already serves: a Retrain that fit outside annMu while a label
+// landed is then quarantined as stale (registry.PromoteUnlessStale), so
+// the active TrainSize never goes backwards on this path. Readers that
+// loaded the previous snapshot keep using it for the requests they
+// already started (RCU semantics). Drift-triggered candidates do NOT
+// take this path: they go through the shadow champion–challenger gate
+// (lifecycle.go).
+func (s *Server) publish(m ml.Classifier, v trainView, origin string) {
 	e := s.reg.Add(func(version uint64) *snapshot {
 		return s.newSnapshot(m, version)
-	}, registry.Meta{TrainHash: hashTraining(x, y), TrainSize: len(x), Origin: origin})
-	if err := s.reg.Promote(e.Version); err != nil {
-		// Unreachable: a just-added candidate always promotes.
+	}, registry.Meta{TrainHash: v.hash, TrainSize: len(v.x), Origin: origin})
+	promoted, err := s.reg.PromoteUnlessStale(e.Version)
+	if err != nil {
+		// Unreachable: a just-added entry is a candidate.
 		s.cfg.Log.Printf("server: promoting version %d: %v", e.Version, err)
+		return
+	}
+	if !promoted {
+		s.cfg.Log.Printf("server: %s model version %d fit on %d rows is stale; a newer model keeps serving",
+			origin, e.Version, len(v.x))
 		return
 	}
 	s.afterSwap(e.Payload)
@@ -388,41 +402,52 @@ func (s *Server) afterSwap(sn *snapshot) {
 // Retrain retrains on the current labeled set and atomically swaps the
 // result in, without ever blocking diagnosis reads. It is the forced
 // path the concurrency tests hammer and an operational escape hatch;
-// /api/label performs the same sequence after each annotation.
+// /api/label performs the same sequence after each annotation. When a
+// label lands while it fits, the label's model (fit on more rows) keeps
+// serving and Retrain's is quarantined as stale.
 func (s *Server) Retrain() error {
-	x, y := s.training()
-	m, err := s.trainCandidate(x, y)
+	v := s.training()
+	m, err := s.trainCandidate(v.x, v.y)
 	if err != nil {
 		return err
 	}
-	s.publish(m, x, y, "operator")
+	s.publish(m, v, "operator")
 	return nil
 }
 
 // refit is the tail of New and of every annotation: publish the
 // session's training view and pool count for the endpoints that do not
-// take annMu, fit on that view, promote the model and score it. Retry
+// take annMu, fit on the session, promote the model and score it. Retry
 // backoff delays only the next annotation, and diagnosis keeps reading
 // the previous snapshot meanwhile. Callers hold annMu (or are New).
 func (s *Server) refit(origin string) (StatusPoint, error) {
 	x, y := s.sess.Training()
+	v := trainView{x: x, y: y, hash: s.rowFold.hash(x, y)}
 	s.mu.Lock()
-	s.trainX, s.trainY, s.poolN = x, y, s.sess.PoolSize()
+	s.view, s.poolN = v, s.sess.PoolSize()
 	s.mu.Unlock()
-	m, err := s.trainCandidate(x, y)
+	nClasses := len(s.cfg.Data.Classes)
+	m, err := s.retrying(func(m ml.Classifier) error { return s.sess.Fit(m, nClasses) })
 	if err != nil {
 		return StatusPoint{}, err
 	}
-	s.publish(m, x, y, origin)
+	s.publish(m, v, origin)
 	return s.score(m), nil
+}
+
+// trainView is the labeled set as of one annotation, with its TrainHash.
+type trainView struct {
+	x    [][]float64
+	y    []int
+	hash uint64
 }
 
 // training returns the labeled set as of the last annotation, for the
 // retrains that run outside the annotation path.
-func (s *Server) training() ([][]float64, []int) {
+func (s *Server) training() trainView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.trainX, s.trainY
+	return s.view
 }
 
 // jitterSeedOffset decorrelates the backoff-jitter stream from
@@ -442,10 +467,18 @@ func (s *Server) nextRetryDelay(base time.Duration) time.Duration {
 }
 
 // trainCandidate fits a fresh model on a training snapshot, retrying
-// transient failures with doubling, seeded-jittered backoff. It holds
-// no locks — the previous model keeps serving (and /api/health keeps
-// answering) while retries back off; the caller publishes the candidate.
+// transient failures (see retrying).
 func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
+	nClasses := len(s.cfg.Data.Classes)
+	return s.retrying(func(m ml.Classifier) error { return m.Fit(x, y, nClasses) })
+}
+
+// retrying fits fresh models from the factory with fit until one
+// succeeds, backing off between attempts with doubling, seeded-jittered
+// delays. It holds no locks — the previous model keeps serving (and
+// /api/health keeps answering) while retries back off; the caller
+// publishes the candidate.
+func (s *Server) retrying(fit func(ml.Classifier) error) (ml.Classifier, error) {
 	var err error
 	backoff := s.cfg.RetrainBackoff
 	defer retrainBackoff.Set(0)
@@ -459,7 +492,7 @@ func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
 		}
 		retrainAttempts.Inc()
 		m := s.cfg.Factory()
-		if ferr := m.Fit(x, y, len(s.cfg.Data.Classes)); ferr != nil {
+		if ferr := fit(m); ferr != nil {
 			retrainFailures.Inc()
 			err = fmt.Errorf("server: retraining: %w", ferr)
 			continue
@@ -743,7 +776,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	labeled, pool, history := len(s.trainX), s.poolN, s.history
+	labeled, pool, history := len(s.view.x), s.poolN, s.history
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"labeled":   labeled,
@@ -794,7 +827,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	sn := s.serving()
 	ready := sn != nil && sn.model != nil
 	s.mu.Lock()
-	labeled, pool := len(s.trainX), s.poolN
+	labeled, pool := len(s.view.x), s.poolN
 	s.mu.Unlock()
 	status := "ok"
 	code := http.StatusOK

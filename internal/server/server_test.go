@@ -308,3 +308,41 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("missing factory should error")
 	}
 }
+
+// TestTrainHashFoldsAppendedRows runs 50 labels and checks after every
+// one that the published TrainHash, folded incrementally, equals the
+// one-pass hashTraining of the session's labeled set, and that an
+// operator Retrain on the same view publishes the same hash.
+func TestTrainHashFoldsAppendedRows(t *testing.T) {
+	srv, d := newTestServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	check := func(step int) {
+		t.Helper()
+		srv.annMu.Lock()
+		x, y := srv.sess.Training()
+		srv.annMu.Unlock()
+		e := srv.reg.Active()
+		if want := hashTraining(x, y); e.Meta.TrainHash != want || e.Meta.TrainSize != len(x) {
+			t.Fatalf("step %d: active TrainHash %#x over %d rows, one-pass hash %#x over %d",
+				step, e.Meta.TrainHash, e.Meta.TrainSize, want, len(x))
+		}
+	}
+	check(0)
+	for step := 1; step <= 50; step++ {
+		var next NextResponse
+		getJSON(t, ts, "/api/next", &next)
+		resp := postJSON(t, ts, "/api/label", LabelRequest{ID: next.ID, Label: d.Classes[d.Y[next.ID]]})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: label status %d", step, resp.StatusCode)
+		}
+		check(step)
+		if step%10 == 0 {
+			if err := srv.Retrain(); err != nil {
+				t.Fatal(err)
+			}
+			check(step)
+		}
+	}
+}

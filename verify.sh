@@ -9,7 +9,9 @@
 #                        # ingest-body values scanner, bulk ingest
 #                        # wire decoder against encoding/json, mvts kernel
 #                        # against its reference, tree split search
-#                        # against its reference) and the coverage
+#                        # against its reference, a ranking grown by
+#                        # appends against a fresh one and the
+#                        # reference tree) and the coverage
 #                        # floor gate against coverage_baseline.txt
 #
 # Speed is measured end to end by BENCHMARK.json (sh benchmark/run.sh),
@@ -86,6 +88,9 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzSplitReference (10s)"
   go test -run '^$' -fuzz=FuzzSplitReference -fuzztime=10s ./internal/ml/tree/
+
+  echo "== fuzz smoke: FuzzColumnsAppend (10s)"
+  go test -run '^$' -fuzz=FuzzColumnsAppend -fuzztime=10s ./internal/ml/tree/
 
   echo "== coverage floors vs coverage_baseline.txt"
   # COVER_OUT (used by CI) additionally writes the same run's profile.
