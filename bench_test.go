@@ -241,29 +241,72 @@ func BenchmarkForestFitEntropy(b *testing.B) {
 // forest fits on it. The ranking is built outside the timer and has
 // grown once, so the timed Append fits its capacity, as most of a
 // session's do. It is what walkShare in internal/ml/tree was measured
-// with.
+// with. Its labels are independent of the features, the adverse case
+// for bestSplit's pruning of cuts between same-class value groups;
+// BenchmarkForestRefitStructured is the same refit on labels that a
+// few features carry.
 func BenchmarkForestRefit(b *testing.B) {
 	x, y := benchMatrix(201, 2000, 6, 2)
+	benchRefit(b, x, y)
+}
+
+// BenchmarkForestRefitStructured is BenchmarkForestRefit on
+// structuredMatrix's labels: the campaign's class balance, and classes
+// that a few features separate, as the annotation loop's are.
+func BenchmarkForestRefitStructured(b *testing.B) {
+	x, y := structuredMatrix(201, 2000, 2)
+	benchRefit(b, x, y)
+}
+
+func benchRefit(b *testing.B, x [][]float64, y []int) {
+	n := len(x)
 	f := forest.New(forest.Config{NEstimators: 20, MaxDepth: 8, Criterion: tree.Entropy, Seed: 3})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := ml.NewColumns(x[:199], 0)
+		c, err := ml.NewColumns(x[:n-2], 0)
 		if err == nil {
-			err = c.Append(x[199])
+			err = c.Append(x[n-2])
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := c.Append(x[200]); err != nil {
+		if err := c.Append(x[n-1]); err != nil {
 			b.Fatal(err)
 		}
 		if err := f.FitColumns(c, y, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// structuredMatrix draws n rows of d uniform features with the Compact
+// campaign's class balance (1155 of its 1320 samples are healthy, the
+// rest split evenly over five anomalies) and labels that five features
+// carry: anomaly a (class a+1) lifts feature a into [0.4, 1), where
+// every other row's feature a stays in [0, 0.6).
+func structuredMatrix(n, d int, seed int64) ([][]float64, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		if rng.Intn(8) == 0 {
+			y[i] = 1 + rng.Intn(5)
+		}
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			x[i][j] = rng.Float64()
+			if j < 5 {
+				x[i][j] *= 0.6
+				if y[i] == j+1 {
+					x[i][j] += 0.4
+				}
+			}
+		}
+	}
+	return x, y
 }
 
 func BenchmarkGBMFit(b *testing.B) {

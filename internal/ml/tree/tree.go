@@ -10,6 +10,26 @@
 // threshold NaN and collapse the tree into one leaf. The regression
 // tree still accepts NaN cells and keeps the sort order its reference
 // grower gives them.
+//
+// The classifier's split search does not score a cut that cannot win.
+// A cut between two neighbouring value groups that are both pure in one
+// class c differs from its neighbouring cuts only by weight of class c
+// moved across, and the weighted child impurity, Gini or entropy, is
+// strictly concave in that weight unless the node is pure, and pure
+// nodes are leaves. So every cut inside a run of c-pure groups is
+// strictly worse than one of the run's two end cuts (Fayyad & Irani,
+// Machine Learning 8, 1992; Elomaa & Rousu, Machine Learning 36, 1999).
+// A feasible end cut is scored; an end at the node's edge is the
+// unsplit node, gain 0, which no scored split falls below; and where
+// MinSamplesLeaf puts the first or last feasible cut inside a run, that
+// cut is scored in the end's place. The scan therefore picks the cut it
+// would pick scoring them all, and the reference grower in tree_test.go,
+// which does, checks it node for node.
+//
+// A threshold sits halfway between the two values it separates, or at
+// the lower one where the midpoint rounds up to the upper value or a+b
+// overflows (sklearn's rule): x <= thr must send the lower value left
+// and the upper one right, else the node would fall back to a leaf.
 package tree
 
 import (
@@ -314,6 +334,10 @@ func (b *clsBuilder) grow(idx []int, depth int) int32 {
 // boundary is where the rank changes. Cells are read only to place the
 // threshold of a split that improves on the best so far.
 //
+// A cut between two value groups pure in one class is skipped when the
+// cuts on both sides of the pair are feasible or the node's edges; the
+// package comment has the rule and why it is exact.
+//
 //albacheck:hotpath
 func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat int, thr, gain float64) {
 	t := b.t
@@ -330,23 +354,46 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 	parentImp := b.impurity(parentCounts, total)
 	feat, gain = -1, 0
 	leftCounts, rightCounts := b.leftCounts, b.rightCounts
+	minLeaf := t.Cfg.MinSamplesLeaf
 	for _, f := range b.picker.pick() {
 		keys := b.rankedKeys(idx, f, walk)
+		n := len(keys)
 		copy(rightCounts, parentCounts)
 		clear(leftCounts)
 		leftTotal := 0
-		for k := 0; k < len(keys)-1; k++ {
+		// The value group being scanned starts at keys[start]; group is
+		// its class while every row so far has it, else -1.
+		start, group := 0, b.y[uint32(keys[0])]
+		for k := 0; k < n-1; k++ {
 			i := int(uint32(keys[k]))
-			w := b.weight(i)
-			leftCounts[b.y[i]] += w
-			rightCounts[b.y[i]] -= w
+			w, c := b.weight(i), b.y[i]
+			leftCounts[c] += w
+			rightCounts[c] -= w
 			leftTotal += w
-			leftN := k + 1
-			if keys[k]>>32 == keys[k+1]>>32 {
+			if c != group {
+				group = -1
+			}
+			next := keys[k+1] >> 32
+			if keys[k]>>32 == next {
 				continue
 			}
-			if leftN < t.Cfg.MinSamplesLeaf || len(keys)-leftN < t.Cfg.MinSamplesLeaf {
+			leftN, pure, prev := k+1, group, start
+			start, group = leftN, b.y[uint32(keys[leftN])]
+			if leftN < minLeaf || n-leftN < minLeaf {
 				continue
+			}
+			if pure >= 0 && (prev == 0 || prev >= minLeaf) {
+				// The group just left is pure and the cut before it is
+				// feasible or the node's edge: skip this cut if the next
+				// group is pure in the same class and the cut after it
+				// is feasible or the edge too.
+				e := leftN
+				for e < n && keys[e]>>32 == next && b.y[uint32(keys[e])] == pure {
+					e++
+				}
+				if e == n || e <= n-minLeaf && keys[e]>>32 != next {
+					continue
+				}
 			}
 			rightTotal := total - leftTotal
 			if leftTotal == 0 || rightTotal == 0 {
@@ -358,7 +405,7 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 			if g > gain {
 				gain = g
 				feat = f
-				thr = (b.x[i][f] + b.x[uint32(keys[k+1])][f]) / 2
+				thr = splitThreshold(b.x[i][f], b.x[uint32(keys[leftN])][f])
 			}
 		}
 	}
@@ -367,8 +414,10 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 
 // rankedKeys fills b.keys with rank<<32 | row for the node's rows in
 // column f's value order. A node marked for walking (see walkShare)
-// keeps its rows from the column's full order; a smaller one sorts its
-// packed keys.
+// keeps its rows from the column's full order: every row is written at
+// the next free slot, and the slot is taken only by a member, which
+// compiles to a conditional move rather than a branch that a level-1
+// node mispredicts half the time. A smaller node sorts its packed keys.
 func (b *clsBuilder) rankedKeys(idx []int, f int, walk bool) []uint64 {
 	keys := b.keys[:len(idx)]
 	rank := b.cols.Rank(f)
@@ -379,14 +428,15 @@ func (b *clsBuilder) rankedKeys(idx []int, f int, walk bool) []uint64 {
 		slices.Sort(keys)
 		return keys
 	}
+	mark, stamp := b.mark, b.stamp
 	k := 0
 	for _, i := range b.cols.Order(f) {
-		if b.mark[i] == b.stamp {
-			keys[k] = uint64(rank[i])<<32 | uint64(i)
+		keys[k] = uint64(rank[i])<<32 | uint64(i)
+		if mark[i] == stamp {
 			k++
-			if k == len(keys) {
-				break
-			}
+		}
+		if k == len(keys) {
+			break
 		}
 	}
 	return keys
@@ -727,7 +777,7 @@ func (b *regBuilder) bestSplit(idx []int, parent regStats) (feat int, thr, gain 
 			if g > gain {
 				gain = g
 				feat = f
-				thr = (x1 + x2) / 2
+				thr = splitThreshold(x1, x2)
 			}
 		}
 	}
@@ -931,6 +981,18 @@ func sortedKeys(keys []splitKey, x [][]float64, idx []int, f int) []splitKey {
 	}
 	slices.SortFunc(keys, cmpSplitKey)
 	return keys
+}
+
+// splitThreshold places a cut between neighbouring values a < b: their
+// midpoint, or a where the midpoint rounds up to b or overflows to an
+// infinity (sklearn's rule), since x <= thr must send a left and b
+// right. A NaN midpoint (the regressor's NaN cells) is kept as it is.
+func splitThreshold(a, b float64) float64 {
+	m := (a + b) / 2
+	if m >= b || math.IsInf(m, -1) {
+		return a
+	}
+	return m
 }
 
 // partition stably reorders idx so the samples with x[f] <= thr come

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -491,6 +492,9 @@ func (b *refClsBuilder) bestSplit(idx []int, parentCounts []float64, total float
 				gain = g
 				feat = f
 				thr = (v + next) / 2
+				if thr >= next || math.IsInf(thr, -1) { // the midpoint rounded up to next or overflowed
+					thr = v
+				}
 			}
 		}
 	}
@@ -662,6 +666,9 @@ func (b *refRegBuilder) bestSplit(idx []int, parent regStats) (feat int, thr, ga
 				gain = g
 				feat = f
 				thr = (x1 + x2) / 2
+				if thr >= x2 || math.IsInf(thr, -1) {
+					thr = x1
+				}
 			}
 		}
 	}
@@ -1016,6 +1023,140 @@ func TestClassifierRefusesNaN(t *testing.T) {
 	}
 	if tr.Nodes[0].Feature != 1 || tr.LeafCount() != 2 {
 		t.Fatalf("root splits on %d with %d leaves, want column 1 and 2 leaves", tr.Nodes[0].Feature, tr.LeafCount())
+	}
+}
+
+// TestSplitThresholdBelowUpperValue pins the threshold rule on
+// neighbouring values whose midpoint is not strictly between them: it
+// rounds up to the upper value, or a+b overflows to an infinity. Such a
+// threshold sent every row left, and the node became one [0.5 0.5]
+// leaf although the feature separates the classes; the cut now sits at
+// the lower value, for both builders and both regressor growth modes.
+func TestSplitThresholdBelowUpperValue(t *testing.T) {
+	for _, p := range [][2]float64{
+		{1.0000000000000002, 1.0000000000000004},   // (a+b)/2 rounds to b
+		{0.9 * math.MaxFloat64, math.MaxFloat64},   // a+b overflows to +Inf
+		{-math.MaxFloat64, -0.9 * math.MaxFloat64}, // a+b overflows to -Inf
+	} {
+		a, b := p[0], p[1]
+		x := [][]float64{{a}, {a}, {b}, {b}}
+		label := fmt.Sprintf("a=%v b=%v", a, b)
+		c := NewClassifier(Config{})
+		if err := c.Fit(x, []int{0, 0, 1, 1}, 2); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Nodes) != 3 || math.Float64bits(c.Nodes[0].Threshold) != math.Float64bits(a) ||
+			c.PredictProba([]float64{a})[0] != 1 || c.PredictProba([]float64{b})[1] != 1 {
+			t.Fatalf("classifier, %s: nodes %+v, want one split at a", label, c.Nodes)
+		}
+		checkClassifier(t, "classifier, "+label, Config{}, x, []int{0, 0, 1, 1}, nil, 2)
+		for _, cfg := range []Config{{}, {MaxLeaves: 4}} {
+			r := NewRegressor(cfg)
+			if err := r.Fit(x, []float64{0, 0, 1, 1}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Nodes) != 3 || math.Float64bits(r.Nodes[0].Threshold) != math.Float64bits(a) ||
+				r.Predict([]float64{a}) != 0 || r.Predict([]float64{b}) != 1 {
+				t.Fatalf("regressor %+v, %s: nodes %+v, want one split at a", cfg, label, r.Nodes)
+			}
+			checkRegressor(t, "regressor, "+label, cfg, x, []float64{0, 0, 1, 1}, nil)
+		}
+	}
+}
+
+// runInput draws a training set whose labels come in runs along
+// column 0's order, so most value boundaries of the upper nodes lie
+// between two groups pure in one class, where bestSplit skips the cut.
+// Column 0 ties rows in groups of one to three; a group inside a run
+// shares its class, and every few runs a group is mixed. Column 1 is
+// noise with ties.
+func runInput(rng *rand.Rand, n, k int) (x [][]float64, y []int) {
+	x, y = make([][]float64, n), make([]int, n)
+	v, class, left := 0, rng.Intn(k), 0
+	for i := 0; i < n; {
+		if left == 0 {
+			class, left = rng.Intn(k), 1+rng.Intn(12)
+		}
+		size, mixed := 1+rng.Intn(3), rng.Intn(6) == 0
+		for j := 0; j < size && i < n; j, i = j+1, i+1 {
+			x[i] = []float64{float64(v), float64(rng.Intn(5))}
+			y[i] = class
+			if mixed && j > 0 {
+				y[i] = rng.Intn(k)
+			}
+		}
+		v++
+		left--
+	}
+	return x, y
+}
+
+// TestPrunedCutsMatchReference grows trees where the pruning rule has
+// the most to skip: long same-class runs at the start, the end and the
+// middle of a node, pure tied groups beside mixed ones, and
+// MinSamplesLeaf up to 6, so the first or last feasible cut falls
+// inside a run. Every tree must be the reference grower's, which scores
+// every cut. The fixed cases are the smallest inputs where a cut inside
+// a run is the only feasible one.
+func TestPrunedCutsMatchReference(t *testing.T) {
+	seq := func(n int) [][]float64 {
+		x := make([][]float64, n)
+		for i := range x {
+			x[i] = []float64{float64(i)}
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name    string
+		x       [][]float64
+		y       []int
+		minLeaf int
+	}{
+		{"first feasible cut inside a run", seq(10), []int{0, 0, 1, 1, 1, 1, 1, 1, 1, 1}, 5},
+		{"last feasible cut inside a run", seq(10), []int{1, 1, 1, 1, 1, 1, 1, 1, 0, 0}, 5},
+		{"both limits inside one run", seq(12), []int{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0}, 2},
+		{"run at the start", seq(16), []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0}, 1},
+		{"run at the end", seq(16), []int{0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{"run in the middle", seq(16), []int{0, 1, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 0, 1, 0, 1}, 1},
+		{"pure tied groups beside a mixed one",
+			[][]float64{{0}, {0}, {0}, {1}, {1}, {1}, {2}, {2}, {2}, {3}, {3}, {3}},
+			[]int{0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1}, 1},
+	} {
+		for _, crit := range []Criterion{Gini, Entropy} {
+			cfg := Config{MinSamplesLeaf: tc.minLeaf, Criterion: crit}
+			tr := NewClassifier(cfg)
+			if err := tr.Fit(tc.x, tc.y, 3); err != nil {
+				t.Fatal(err)
+			}
+			if tr.LeafCount() < 2 {
+				t.Fatalf("%s, %v: one leaf; the input has a split", tc.name, crit)
+			}
+			checkClassifier(t, tc.name+", "+crit.String(), cfg, tc.x, tc.y, nil, 3)
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	trials := 300
+	if testing.Short() {
+		trials = 60
+	}
+	for trial := 0; trial < trials; trial++ {
+		k := 2 + rng.Intn(3)
+		x, y := runInput(rng, 8+rng.Intn(120), k)
+		var w []int
+		if rng.Intn(2) == 0 {
+			w = make([]int, len(x))
+			for range w {
+				w[rng.Intn(len(w))]++
+			}
+		}
+		cfg := Config{
+			MaxDepth:       rng.Intn(6),
+			MinSamplesLeaf: 1 + rng.Intn(6),
+			MaxFeatures:    []int{0, 1}[rng.Intn(2)],
+			Criterion:      Criterion(rng.Intn(2)),
+			Seed:           rng.Int63(),
+		}
+		checkClassifier(t, fmt.Sprintf("trial %d", trial), cfg, x, y, w, k)
 	}
 }
 
