@@ -38,33 +38,37 @@ func rankInput(rng *rand.Rand, n, d int) [][]float64 {
 	return x
 }
 
-// checkRanking asserts c is x's ranking: each column's order is sorted
-// by value with ties in row order, and ranks are dense and agree with
-// the values.
+// checkRanking asserts c is x's ranking: each column's words are sorted
+// by value with ties in row order, each word's high half is its row's
+// dense rank, and ranks are dense and agree with the values.
 func checkRanking(t *testing.T, c *Columns, x [][]float64) {
 	t.Helper()
 	if c.Len() != len(x) {
 		t.Fatalf("ranking of %d rows, want %d", c.Len(), len(x))
 	}
 	for f := 0; f < c.Dim(); f++ {
-		order, rank := c.Order(f), c.Rank(f)
-		if len(order) != len(x) || len(rank) != len(x) {
-			t.Fatalf("col %d: %d order and %d rank entries for %d rows", f, len(order), len(rank), len(x))
+		words, rank := c.Words(f), c.Rank(f)
+		if len(words) != len(x) || len(rank) != len(x) {
+			t.Fatalf("col %d: %d words and %d rank entries for %d rows", f, len(words), len(rank), len(x))
 		}
-		for k, i := range order {
+		for k, wd := range words {
+			i, r := int(uint32(wd)), int32(wd>>32)
+			if i >= len(x) || r != rank[i] {
+				t.Fatalf("col %d: word %d is row %d rank %d, the row's rank is %v", f, k, i, r, rank[min(i, len(x)-1)])
+			}
 			if k == 0 {
-				if rank[i] != 0 {
-					t.Fatalf("col %d: lowest row %d has rank %d", f, i, rank[i])
+				if r != 0 {
+					t.Fatalf("col %d: lowest row %d has rank %d", f, i, r)
 				}
 				continue
 			}
-			p := order[k-1]
+			p, pr := int(uint32(words[k-1])), int32(words[k-1]>>32)
 			v, pv := x[i][f], x[p][f]
 			switch {
 			case v < pv, v == pv && i < p:
 				t.Fatalf("col %d: row %d (%v) after row %d (%v)", f, i, v, p, pv)
-			case v == pv && rank[i] != rank[p], v > pv && rank[i] != rank[p]+1:
-				t.Fatalf("col %d: rows %d (%v) and %d (%v) ranked %d and %d", f, p, pv, i, v, rank[p], rank[i])
+			case v == pv && r != pr, v > pv && r != pr+1:
+				t.Fatalf("col %d: rows %d (%v) and %d (%v) ranked %d and %d", f, p, pv, i, v, pr, r)
 			}
 		}
 	}
@@ -90,9 +94,9 @@ func TestColumnsRankAndAppend(t *testing.T) {
 				t.Fatal(err)
 			}
 			for f := 0; f < d; f++ {
-				if !slices.Equal(c.Order(f), fresh.Order(f)) || !slices.Equal(c.Rank(f), fresh.Rank(f)) {
-					t.Fatalf("trial %d, %d rows, col %d: appended order %v ranks %v, fresh %v %v",
-						trial, m+1, f, c.Order(f), c.Rank(f), fresh.Order(f), fresh.Rank(f))
+				if !slices.Equal(c.Words(f), fresh.Words(f)) || !slices.Equal(c.Rank(f), fresh.Rank(f)) {
+					t.Fatalf("trial %d, %d rows, col %d: appended words %x ranks %v, fresh %x %v",
+						trial, m+1, f, c.Words(f), c.Rank(f), fresh.Words(f), fresh.Rank(f))
 				}
 			}
 		}
@@ -162,7 +166,7 @@ func TestColumnsAppendAllocs(t *testing.T) {
 	}
 	for f := range c.keys {
 		c.keys[f] = slices.Grow(c.keys[f], runs+1)
-		c.order[f] = slices.Grow(c.order[f], runs+1)
+		c.words[f] = slices.Grow(c.words[f], runs+1)
 		c.rank[f] = slices.Grow(c.rank[f], runs+1)
 	}
 	c.rows = slices.Grow(c.rows, runs+1)

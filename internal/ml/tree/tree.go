@@ -30,6 +30,34 @@
 // the lower one where the midpoint rounds up to the upper value or a+b
 // overflows (sklearn's rule): x <= thr must send the lower value left
 // and the upper one right, else the node would fall back to a leaf.
+//
+// Below termCap a scored cut costs one pass over the classes, which
+// reads a table, and no division unless it wins. Each step below leaves
+// every tree bitwise what the reference grower builds:
+//
+//   - Impurity is base - Σ term(c, T) over the classes, base 1 for Gini
+//     and 0 for entropy, with term p·p or p·log2(p) for p = c/T and 0
+//     for c = 0. For node totals up to termCap the terms come from a
+//     table per criterion. Class counts and node totals are exact
+//     integers, so p is the same float64 on every call, and an entry is
+//     the rounded product the reference computes before it subtracts.
+//     That holds where Go does not fuse the product into the
+//     subtraction, which it does not on amd64 at GOAMD64=v1 (the
+//     default); where it fuses (arm64, GOAMD64=v3) the reference and
+//     the table can differ in the last bit. Larger totals compute each
+//     term the same way.
+//   - A cut keeps only its left child's class counts. Both children's
+//     impurities are summed in one loop over the classes, the right
+//     counts as parent - left, each sum in class order, so each is the
+//     value a separate pass would give.
+//   - The cut's weighted child impurity s = L·li + R·ri is compared
+//     with the best so far before it is turned into a gain, and a cut
+//     with s >= best is skipped. Correctly rounded division and
+//     subtraction are monotone, so s >= best implies parent - s/T <=
+//     parent - best/T, the current gain, which the cut would not beat.
+//   - The winner's threshold is placed once per node, from the rows on
+//     either side of its cut; splitThreshold is a pure function of
+//     their values.
 package tree
 
 import (
@@ -195,7 +223,7 @@ func (t *Classifier) Fit(x [][]float64, y []int, nClasses int) error {
 // multiplicities (nil means one each; zero drops the row). Integer
 // weights are how the forest feeds bootstrap counts without copying
 // rows, and they keep every class count and node total an exact
-// integer, which the entropy table in impurity relies on. It ranks x's
+// integer, which the impurity term tables rely on. It ranks x's
 // columns (ml.NewColumns) and grows on the ranking, so a NaN cell is
 // refused with its row and column.
 func (t *Classifier) FitWeighted(x [][]float64, y []int, w []int, nClasses int) error {
@@ -250,12 +278,14 @@ type clsBuilder struct {
 	// mark[i] == stamp marks row i as a member of the node being walked.
 	mark  []int32
 	stamp int32
-	// leftCounts and rightCounts are bestSplit's running class counts.
-	leftCounts, rightCounts []int
+	// leftCounts is bestSplit's running left-child class counts.
+	leftCounts []int
 	// spill holds the right side during partition.
 	spill []int
-	// log2 is log2Table() when the criterion is entropy.
-	log2 []float64
+	// base is the criterion's impurity before any term is taken off and
+	// terms its term table (see termTable).
+	base  float64
+	terms []float64
 }
 
 func newClsBuilder(t *Classifier, c *ml.Columns, y []int, w []int) *clsBuilder {
@@ -263,15 +293,16 @@ func newClsBuilder(t *Classifier, c *ml.Columns, y []int, w []int) *clsBuilder {
 	n := c.Len()
 	b := &clsBuilder{
 		t: t, cols: c, x: c.Rows(), y: y, w: w,
-		picker:      newFeaturePicker(c.Dim(), t.Cfg.MaxFeatures, rng),
-		keys:        make([]uint64, n),
-		mark:        make([]int32, n),
-		leftCounts:  make([]int, t.NClasses),
-		rightCounts: make([]int, t.NClasses),
-		spill:       make([]int, n),
+		picker:     newFeaturePicker(c.Dim(), t.Cfg.MaxFeatures, rng),
+		keys:       make([]uint64, n),
+		mark:       make([]int32, n),
+		leftCounts: make([]int, t.NClasses),
+		spill:      make([]int, n),
 	}
 	if t.Cfg.Criterion == Entropy {
-		b.log2 = log2Table()
+		b.terms = entropyTerms()
+	} else {
+		b.base, b.terms = 1, giniTerms()
 	}
 	return b
 }
@@ -332,11 +363,13 @@ func (b *clsBuilder) grow(idx []int, depth int) int32 {
 // threshold at a value boundary do not depend on how ties are ordered,
 // so any correct order grows the reference grower's tree, and a
 // boundary is where the rank changes. Cells are read only to place the
-// threshold of a split that improves on the best so far.
+// winner's threshold.
 //
 // A cut between two value groups pure in one class is skipped when the
-// cuts on both sides of the pair are feasible or the node's edges; the
-// package comment has the rule and why it is exact.
+// cuts on both sides of the pair are feasible or the node's edges, and
+// a cut whose weighted child impurity does not beat the best so far is
+// not turned into a gain; the package comment has both rules and why
+// they are exact.
 //
 //albacheck:hotpath
 func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat int, thr, gain float64) {
@@ -353,12 +386,14 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 	}
 	parentImp := b.impurity(parentCounts, total)
 	feat, gain = -1, 0
-	leftCounts, rightCounts := b.leftCounts, b.rightCounts
+	// bestS is the winner's weighted child impurity; lo and hi are the
+	// rows on either side of its cut.
+	bestS, lo, hi := math.Inf(1), 0, 0
+	leftCounts := b.leftCounts
 	minLeaf := t.Cfg.MinSamplesLeaf
 	for _, f := range b.picker.pick() {
 		keys := b.rankedKeys(idx, f, walk)
 		n := len(keys)
-		copy(rightCounts, parentCounts)
 		clear(leftCounts)
 		leftTotal := 0
 		// The value group being scanned starts at keys[start]; group is
@@ -368,7 +403,6 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 			i := int(uint32(keys[k]))
 			w, c := b.weight(i), b.y[i]
 			leftCounts[c] += w
-			rightCounts[c] -= w
 			leftTotal += w
 			if c != group {
 				group = -1
@@ -399,29 +433,34 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 			if leftTotal == 0 || rightTotal == 0 {
 				continue
 			}
-			li := b.impurity(leftCounts, leftTotal)
-			ri := b.impurity(rightCounts, rightTotal)
-			g := parentImp - (float64(leftTotal)*li+float64(rightTotal)*ri)/float64(total)
-			if g > gain {
-				gain = g
-				feat = f
-				thr = splitThreshold(b.x[i][f], b.x[uint32(keys[leftN])][f])
+			li, ri := b.cutImpurities(leftCounts, parentCounts, leftTotal, rightTotal)
+			s := float64(leftTotal)*li + float64(rightTotal)*ri
+			if s >= bestS {
+				continue
+			}
+			if g := parentImp - s/float64(total); g > gain {
+				gain, bestS, feat = g, s, f
+				lo, hi = i, int(uint32(keys[leftN]))
 			}
 		}
+	}
+	if feat >= 0 {
+		thr = splitThreshold(b.x[lo][feat], b.x[hi][feat])
 	}
 	return feat, thr, gain
 }
 
 // rankedKeys fills b.keys with rank<<32 | row for the node's rows in
 // column f's value order. A node marked for walking (see walkShare)
-// keeps its rows from the column's full order: every row is written at
-// the next free slot, and the slot is taken only by a member, which
-// compiles to a conditional move rather than a branch that a level-1
-// node mispredicts half the time. A smaller node sorts its packed keys.
+// keeps its rows from the column's words, which are already in that
+// form: every word is written at the next free slot, and the slot is
+// taken only by a member, which compiles to a conditional move rather
+// than a branch that a level-1 node mispredicts half the time. A
+// smaller node packs its rows' ranks and sorts them.
 func (b *clsBuilder) rankedKeys(idx []int, f int, walk bool) []uint64 {
 	keys := b.keys[:len(idx)]
-	rank := b.cols.Rank(f)
 	if !walk {
+		rank := b.cols.Rank(f)
 		for k, i := range idx {
 			keys[k] = uint64(rank[i])<<32 | uint64(i)
 		}
@@ -430,9 +469,9 @@ func (b *clsBuilder) rankedKeys(idx []int, f int, walk bool) []uint64 {
 	}
 	mark, stamp := b.mark, b.stamp
 	k := 0
-	for _, i := range b.cols.Order(f) {
-		keys[k] = uint64(rank[i])<<32 | uint64(i)
-		if mark[i] == stamp {
+	for _, wd := range b.cols.Words(f) {
+		keys[k] = wd
+		if mark[uint32(wd)] == stamp {
 			k++
 		}
 		if k == len(keys) {
@@ -896,24 +935,47 @@ func isPure(counts []int) bool {
 	return true
 }
 
-// log2Cap is the largest node total whose entropy terms come from
-// log2Table; larger nodes call math.Log2.
-const log2Cap = 1024
+// termCap is the largest node total whose impurity terms come from a
+// term table; larger nodes compute each term.
+const termCap = 1024
 
-// log2Table holds math.Log2(float64(c)/float64(T)) for 1 <= c <= T <=
-// log2Cap, row T starting at T(T-1)/2 (about 4 MB). Class counts and
-// node totals are exact integers, so p = c/T is the same float64 on
-// every call and a lookup returns exactly what math.Log2(p) would.
-var log2Table = sync.OnceValue(func() []float64 {
-	tab := make([]float64, log2Cap*(log2Cap+1)/2)
-	for total := 1; total <= log2Cap; total++ {
-		row := tab[total*(total-1)/2:]
-		for c := 1; c <= total; c++ {
-			row[c-1] = math.Log2(float64(c) / float64(total))
+// term is class count c's term in the impurity of a node of total
+// samples, which is base - Σ term: p·log2(p) for entropy and p·p for
+// Gini, where p = c/total, and 0 for an empty class.
+func (k Criterion) term(c, total int) float64 {
+	if c == 0 || total == 0 {
+		return 0
+	}
+	p := float64(c) / float64(total)
+	if k == Entropy {
+		return p * math.Log2(p) //albacheck:ignore floatsafe p > 0: counts are non-negative and c and total are nonzero past the check above
+	}
+	return p * p
+}
+
+// termTable holds k.term(c, T) for 0 <= c <= T <= termCap, row T
+// starting at T(T+1)/2 (about 4 MB). Class counts and node totals are
+// exact integers, so an entry is exactly what term computes.
+func termTable(k Criterion) []float64 {
+	tab := make([]float64, (termCap+1)*(termCap+2)/2)
+	for total := 1; total <= termCap; total++ {
+		row := termRow(tab, total)
+		for c := range row {
+			row[c] = k.term(c, total)
 		}
 	}
 	return tab
-})
+}
+
+// termRow returns row total of a term table, entries 0..total.
+func termRow(tab []float64, total int) []float64 {
+	return tab[total*(total+1)/2:][:total+1]
+}
+
+var (
+	giniTerms    = sync.OnceValue(func() []float64 { return termTable(Gini) })
+	entropyTerms = sync.OnceValue(func() []float64 { return termTable(Entropy) })
+)
 
 // impurity is the node impurity of class counts summing to total under
 // the tree's criterion.
@@ -921,32 +983,42 @@ func (b *clsBuilder) impurity(counts []int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
-	switch b.t.Cfg.Criterion {
-	case Entropy:
-		var row []float64 // row[c-1] = log2(c/total), when tabulated
-		if total <= log2Cap {
-			row = b.log2[total*(total-1)/2:]
-		}
-		h := 0.0
+	h := b.base
+	if total <= termCap {
+		row := termRow(b.terms, total)
 		for _, c := range counts {
-			if c > 0 {
-				p := float64(c) / float64(total)
-				if row != nil {
-					h -= p * row[c-1]
-				} else {
-					h -= p * math.Log2(p) //albacheck:ignore floatsafe p > 0 because c > 0 is checked and total > 0 past the prologue
-				}
-			}
+			h -= row[c]
 		}
 		return h
-	default: // Gini
-		g := 1.0
-		for _, c := range counts {
-			p := float64(c) / float64(total)
-			g -= p * p
-		}
-		return g
 	}
+	for _, c := range counts {
+		h -= b.t.Cfg.Criterion.term(c, total)
+	}
+	return h
+}
+
+// cutImpurities returns a cut's two child impurities: the left child's
+// class counts are left, summing to lt, and the right child's are
+// parent - left, summing to rt, both totals positive. One loop over the
+// classes sums both, each in class order, so li and ri are bitwise what
+// impurity returns for them.
+func (b *clsBuilder) cutImpurities(left, parent []int, lt, rt int) (li, ri float64) {
+	li, ri = b.base, b.base
+	parent = parent[:len(left)]
+	if lt <= termCap && rt <= termCap {
+		lrow, rrow := termRow(b.terms, lt), termRow(b.terms, rt)
+		for c, l := range left {
+			li -= lrow[l]
+			ri -= rrow[parent[c]-l]
+		}
+		return li, ri
+	}
+	crit := b.t.Cfg.Criterion
+	for c, l := range left {
+		li -= crit.term(l, lt)
+		ri -= crit.term(parent[c]-l, rt)
+	}
+	return li, ri
 }
 
 // splitKey is one row's value of the feature under evaluation in the

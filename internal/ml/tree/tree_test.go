@@ -728,13 +728,7 @@ func checkClassifier(t *testing.T, label string, cfg Config, x [][]float64, y []
 		}
 		x = clean
 	}
-	var wf []float64
-	if w != nil {
-		wf = make([]float64, len(w))
-		for i, m := range w {
-			wf[i] = float64(m)
-		}
-	}
+	wf := floats(w)
 	tr := NewClassifier(cfg)
 	if err := tr.FitWeighted(x, y, w, nClasses); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -889,7 +883,7 @@ func TestClassifierMatchesReference(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 2 + rng.Intn(120)
 		if trial%50 == 0 {
-			n = log2Cap + 1 + rng.Intn(600) // root and upper node totals above the table
+			n = termCap + 1 + rng.Intn(600) // root and upper node totals above the tables
 		}
 		d, k := 1+rng.Intn(6), 2+rng.Intn(5)
 		x, y, w, _ := oracleInput(rng, n, d, k)
@@ -934,19 +928,85 @@ func TestRegressorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEntropyTableMatchesLog2 pins the table's one promise: every entry
-// is what math.Log2 returns for that count over that total.
-func TestEntropyTableMatchesLog2(t *testing.T) {
-	tab := log2Table()
-	for total := 1; total <= log2Cap; total++ {
-		row := tab[total*(total-1)/2:]
-		for c := 1; c <= total; c++ {
-			want := math.Log2(float64(c) / float64(total))
-			if math.Float64bits(row[c-1]) != math.Float64bits(want) {
-				t.Fatalf("log2Table[%d/%d] = %v, want %v", c, total, row[c-1], want)
+// TestTermTablesMatchTerm pins the term tables' one promise: every
+// entry of either criterion's table is bitwise what term computes for
+// that count over that total, and entry 0, the empty class, is 0.
+func TestTermTablesMatchTerm(t *testing.T) {
+	for crit, tab := range map[Criterion][]float64{Gini: giniTerms(), Entropy: entropyTerms()} {
+		if len(tab) != (termCap+1)*(termCap+2)/2 {
+			t.Fatalf("%v: table of %d entries", crit, len(tab))
+		}
+		for total := 1; total <= termCap; total++ {
+			row := termRow(tab, total)
+			if math.Float64bits(row[0]) != 0 {
+				t.Fatalf("%v: entry 0/%d = %v, want 0", crit, total, row[0])
+			}
+			for c := 1; c <= total; c++ {
+				if want := crit.term(c, total); math.Float64bits(row[c]) != math.Float64bits(want) {
+					t.Fatalf("%v: entry %d/%d = %v, want %v", crit, c, total, row[c], want)
+				}
 			}
 		}
 	}
+}
+
+// TestCutImpuritiesMatchImpurity pins the fused pass: a cut's two child
+// impurities, summed in one loop with the right counts taken as parent -
+// left, are bit for bit what impurity gives for the left counts and for
+// parent - left, for both criteria, with totals on both sides of the
+// tables' cap on either side of the cut.
+func TestCutImpuritiesMatchImpurity(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cols, err := ml.NewColumns([][]float64{{0}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := []int{4, 64, termCap / 4, 3 * termCap}
+	for _, crit := range []Criterion{Gini, Entropy} {
+		for trial := 0; trial < 2000; trial++ {
+			k := 2 + rng.Intn(8)
+			b := newClsBuilder(&Classifier{Cfg: Config{Criterion: crit}, NClasses: k}, cols, nil, nil)
+			ls, rs := scales[rng.Intn(4)], scales[rng.Intn(4)]
+			left, parent, right := make([]int, k), make([]int, k), make([]int, k)
+			lt, rt := 0, 0
+			for c := range parent {
+				if rng.Intn(3) > 0 {
+					left[c] = rng.Intn(ls)
+				}
+				if rng.Intn(3) > 0 {
+					right[c] = rng.Intn(rs)
+				}
+				parent[c] = left[c] + right[c]
+				lt += left[c]
+				rt += right[c]
+			}
+			if lt == 0 || rt == 0 {
+				continue
+			}
+			li, ri := b.cutImpurities(left, parent, lt, rt)
+			wl, wr := b.impurity(left, lt), b.impurity(right, rt)
+			if math.Float64bits(li) != math.Float64bits(wl) || math.Float64bits(ri) != math.Float64bits(wr) {
+				t.Fatalf("%v: left %v of %d, right %v of %d: cut impurities %v %v, want %v %v",
+					crit, left, lt, right, rt, li, ri, wl, wr)
+			}
+			if wl != refImpurity(floats(left), float64(lt), crit) || wr != refImpurity(floats(right), float64(rt), crit) {
+				t.Fatalf("%v: left %v right %v: impurity differs from the reference", crit, left, right)
+			}
+		}
+	}
+}
+
+// floats converts integer counts or multiplicities to the reference
+// grower's float weights; nil stays nil (one each).
+func floats(counts []int) []float64 {
+	if counts == nil {
+		return nil
+	}
+	out := make([]float64, len(counts))
+	for c, n := range counts {
+		out[c] = float64(n)
+	}
+	return out
 }
 
 func TestFitWeightedRejectsNegativeWeight(t *testing.T) {
@@ -1264,9 +1324,9 @@ func FuzzColumnsAppend(f *testing.F) {
 				t.Fatal(err)
 			}
 			for j := 0; j < d; j++ {
-				if !slices.Equal(c.Rank(j), fresh.Rank(j)) || !slices.Equal(c.Order(j), fresh.Order(j)) {
-					t.Fatalf("%d rows, col %d: appended ranks %v order %v, fresh %v %v",
-						m+1, j, c.Rank(j), c.Order(j), fresh.Rank(j), fresh.Order(j))
+				if !slices.Equal(c.Rank(j), fresh.Rank(j)) || !slices.Equal(c.Words(j), fresh.Words(j)) {
+					t.Fatalf("%d rows, col %d: appended ranks %v words %x, fresh %v %x",
+						m+1, j, c.Rank(j), c.Words(j), fresh.Rank(j), fresh.Words(j))
 				}
 			}
 		}

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"albadross/internal/active"
 	"albadross/internal/features/mvts"
@@ -545,4 +547,62 @@ func topkSansApp(t *testing.T, srv *Server, k int) []byte {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// TestCloseReturnsGoroutines pins that Close leaves nothing running: a
+// server with the ingest fleet and the lifecycle on, driven through its
+// handler by a few labels and one bulk ingest batch, is back at the
+// goroutine count from before New once Close returns and its workers
+// have exited.
+func TestCloseReturnsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := newFleetServer(t, t.TempDir(), func(c *Config) {
+		c.Lifecycle = true
+		// Hand the tail of the labeled set back to the pool so the
+		// annotation endpoints have samples to query.
+		n := len(c.Split.Initial) - 12
+		c.Split.Initial, c.Split.Pool = c.Split.Initial[:n:n], c.Split.Initial[n:]
+	})
+	h := srv.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	d := srv.cfg.Data
+	for q := 0; q < 3; q++ {
+		var next NextResponse
+		if err := json.Unmarshal(serve(http.MethodGet, "/api/next", nil).Body.Bytes(), &next); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(LabelRequest{ID: next.ID, Label: d.Classes[d.Y[next.ID]]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve(http.MethodPost, "/api/label", raw)
+	}
+	raw, err := json.Marshal(BulkIngestRequest{Rows: bulkRows([]int{1, 2, 3}, 0, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp BulkIngestResponse
+	if err := json.Unmarshal(serve(http.MethodPost, "/api/ingest/bulk", raw).Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != 48 {
+		t.Fatalf("bulk ingest accepted %d of 48 rows: %+v", resp.Accepted, resp)
+	}
+	srv.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
