@@ -9,11 +9,31 @@
 // that shares its passes over the series and one ordering of it between
 // the features, allocates nothing in steady state, and reproduces the
 // per-feature stats functions bit for bit (mvts_test.go keeps the
-// feature-by-feature composition as its oracle).
+// feature-by-feature composition as its oracle). Two of its shortcuts
+// need an argument for why they stay bitwise:
+//
+//   - The series and its two halves are summarized in two passes, not
+//     one pair per slice. Each of the three summaries keeps its own
+//     accumulators, started where the slice starts and fed in the
+//     slice's order (the second half's sum starts from 0 at its first
+//     sample, its positions count from there), and Go neither
+//     reassociates nor, on amd64, fuses float arithmetic, so each
+//     summary is the same sequence of rounded operations a separate
+//     summary of that slice makes.
+//   - An exact series (no NaN, no ±Inf, not both +0 and -0) sorts its
+//     halves of up to maxNetwork samples through a sorting network on
+//     integer keys instead of sort.Float64s. In such a series two values
+//     that compare equal have equal bits, so every correct sort of it
+//     yields the same bits; the key map is an order-preserving bijection
+//     (-0 keeps its own key), so the sorted keys map back to exactly
+//     those bits. Every other half, and every non-exact series, keeps
+//     sort.Float64s, whose order of NaN and signed-zero ties only it
+//     reproduces.
 package mvts
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -75,7 +95,12 @@ const peakSupport = 3
 // extraction, not per node.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-type scratch struct{ buf []float64 }
+type scratch struct {
+	buf []float64
+	// keys holds one half's sort keys while the network orders them.
+	// Indexed by the network's uint8 positions, it needs no bounds check.
+	keys [256]uint64
+}
 
 // grow returns three disjoint length-n buffers.
 //
@@ -95,22 +120,28 @@ func (sc *scratch) grow(n int) (halves, sorted, dev []float64) {
 // Every feature keeps the arithmetic of its stats function — the same
 // accumulators in the same order — so the result is bitwise what the
 // feature-by-feature composition computes. What is shared instead of
-// recomputed: the sum and extremes (one pass), the moment sums around
-// the mean that var, std, skewness and kurtosis divide (one pass), one
-// pass for everything compared against the mean, and one ordering. The
-// ordering sorts the two halves (their medians need that anyway) and
-// merges them into the sorted series; the MAD's deviations |x - median|
-// come out of that order as two sorted runs, merged rather than sorted.
-// A series holding NaN or both +0 and -0 has ties sort.Float64s orders
-// in a way only it reproduces, and ±Inf can make a deviation NaN; such a
-// series sorts whole, and sorts its deviations, as the stats functions
-// do.
+// recomputed: the sums and extremes of the series and both halves (one
+// pass), the moment sums around each of their means that var, std,
+// skewness and kurtosis divide (one pass), one pass for everything
+// compared against the mean, and one ordering. The ordering sorts the
+// two halves (their medians need that anyway) and merges them into the
+// sorted series; the MAD's deviations |x - median| come out of that
+// order as two sorted runs, merged rather than sorted.
+//
+// Which sort a half takes depends on the series. An exact series (no
+// NaN, no ±Inf, not both +0 and -0) sorts each half of up to maxNetwork
+// samples — every served window's, 31 and 32 — through a sorting
+// network, and longer halves through sort.Float64s. A series holding NaN
+// or both signed zeros has ties sort.Float64s orders in a way only it
+// reproduces, and ±Inf can make a deviation NaN; such a series sorts its
+// halves, then itself whole, and its deviations with sort.Float64s, as
+// the stats functions do.
 //
 //albacheck:hotpath
 func (Extractor) Append(dst, s []float64) []float64 {
 	n := len(s)
 	nan := math.NaN()
-	all := summarize(s)
+	all, lo, hi := summarize(s)
 	mean, variance, sd := all.mean, all.variance(), all.std()
 
 	// Everything compared against the mean, the extremes or a neighbour.
@@ -218,8 +249,8 @@ func (Extractor) Append(dst, s []float64) []float64 {
 		sc := scratchPool.Get().(*scratch)
 		halves, sorted, dev := sc.grow(n)
 		copy(halves, s)
-		sort.Float64s(halves[:h])
-		sort.Float64s(halves[h:])
+		sortHalf(halves[:h], exact, &sc.keys)
+		sortHalf(halves[h:], exact, &sc.keys)
 		if exact {
 			mergeSorted(sorted, halves[:h], halves[h:])
 		} else {
@@ -286,7 +317,6 @@ func (Extractor) Append(dst, s []float64) []float64 {
 	)
 
 	if n >= 2 {
-		lo, hi := summarize(s[:h]), summarize(s[h:])
 		dst = append(dst,
 			math.Abs(lo.mean-hi.mean),
 			math.Abs(lo.std()-hi.std()),
@@ -320,32 +350,96 @@ type summary struct {
 	s2, m3, m4     float64
 }
 
-// summarize makes the two passes over s: sum and extremes, then the
-// moment sums around the mean.
-func summarize(s []float64) summary {
-	m := summary{n: float64(len(s)), mean: math.NaN(), min: math.NaN(), max: math.NaN()}
-	if len(s) == 0 {
-		return m
+// summarize makes two passes over s for three summaries: of s, of its
+// first half lo = s[:h] and of its second half hi = s[h:], h = len(s)/2.
+// The first pass accumulates the sums and extremes, the second the
+// moment sums around each summary's own mean. Each summary starts at its
+// slice's first sample and takes the samples in its slice's order, with
+// positions counted from that first sample, so it is bitwise what two
+// passes over its slice alone compute (hi's sum starts from 0 at s[h]:
+// it is not all.sum - lo.sum). The sums live in locals rather than in
+// the three structs so that they stay in registers.
+func summarize(s []float64) (all, lo, hi summary) {
+	h := len(s) / 2
+	all, lo, hi = startSummary(s), startSummary(s[:h]), startSummary(s[h:])
+	var sumAll, sumLo, sumHi float64
+	for i, x := range s[:h] {
+		sumAll += x
+		sumLo += x
+		all.extremes(i, x)
+		lo.extremes(i, x)
 	}
-	m.min, m.max = s[0], s[0]
-	for i, x := range s {
-		m.sum += x
-		if x < m.min {
-			m.min, m.argMin = x, i
-		}
-		if x > m.max {
-			m.max, m.argMax = x, i
-		}
+	for i, x := range s[h:] {
+		sumAll += x
+		sumHi += x
+		all.extremes(h+i, x)
+		hi.extremes(i, x)
 	}
-	m.mean = m.sum / float64(len(s))
-	for _, x := range s {
-		d := x - m.mean
+	all.setMean(sumAll)
+	lo.setMean(sumLo)
+	hi.setMean(sumHi)
+
+	meanAll, meanLo, meanHi := all.mean, lo.mean, hi.mean
+	var s2All, m3All, m4All, s2Lo, m3Lo, m4Lo, s2Hi, m3Hi, m4Hi float64
+	for _, x := range s[:h] {
+		d := x - meanAll
 		d2 := d * d
-		m.s2 += d2
-		m.m3 += d2 * d
-		m.m4 += d2 * d2
+		s2All += d2
+		m3All += d2 * d
+		m4All += d2 * d2
+		d = x - meanLo
+		d2 = d * d
+		s2Lo += d2
+		m3Lo += d2 * d
+		m4Lo += d2 * d2
+	}
+	for _, x := range s[h:] {
+		d := x - meanAll
+		d2 := d * d
+		s2All += d2
+		m3All += d2 * d
+		m4All += d2 * d2
+		d = x - meanHi
+		d2 = d * d
+		s2Hi += d2
+		m3Hi += d2 * d
+		m4Hi += d2 * d2
+	}
+	all.s2, all.m3, all.m4 = s2All, m3All, m4All
+	lo.s2, lo.m3, lo.m4 = s2Lo, m3Lo, m4Lo
+	hi.s2, hi.m3, hi.m4 = s2Hi, m3Hi, m4Hi
+	return all, lo, hi
+}
+
+// startSummary is the summary of s before any sample is taken in: the
+// count, and the extremes at s's first sample (NaN, like the mean, for
+// an empty s).
+func startSummary(s []float64) summary {
+	m := summary{n: float64(len(s)), mean: math.NaN(), min: math.NaN(), max: math.NaN()}
+	if len(s) > 0 {
+		m.min, m.max = s[0], s[0]
 	}
 	return m
+}
+
+// extremes takes in x, the sample at position i of the summary's slice:
+// the first position of a strictly smaller or larger value wins.
+func (m *summary) extremes(i int, x float64) {
+	if x < m.min {
+		m.min, m.argMin = x, i
+	}
+	if x > m.max {
+		m.max, m.argMax = x, i
+	}
+}
+
+// setMean stores the slice's sum and divides it by the count; an empty
+// slice keeps its NaN mean.
+func (m *summary) setMean(sum float64) {
+	m.sum = sum
+	if m.n > 0 {
+		m.mean = sum / m.n
+	}
 }
 
 // variance is the population variance (divisor n).
@@ -450,4 +544,81 @@ func mergeDeviations(dev, sorted []float64, med float64) {
 			j++
 		}
 	}
+}
+
+// maxNetwork is the longest half sortHalf orders through a network.
+// Every served window is 64 samples, repaired and differenced to 63, so
+// its halves are 31 and 32 long; longer halves (training runs) keep
+// sort.Float64s.
+const maxNetwork = 64
+
+// exchange is one comparator of a sorting network: afterwards the key at
+// lo is the smaller of the two.
+type exchange struct{ lo, hi uint8 }
+
+// networks[n] sorts n keys, for n up to maxNetwork; it is built once,
+// when the package is initialized.
+var networks = func() (t [maxNetwork + 1][]exchange) {
+	for n := 2; n <= maxNetwork; n++ {
+		t[n] = mergeExchange(n)
+	}
+	return t
+}()
+
+// mergeExchange lists Batcher's merge-exchange network for n >= 2 keys
+// (Knuth, TAOCP vol. 3, Sec. 5.2.2, Algorithm M) in the order its
+// comparators run.
+func mergeExchange(n int) []exchange {
+	var net []exchange
+	t := bits.Len(uint(n - 1)) // ceil(log2 n)
+	for p := 1 << (t - 1); p > 0; p >>= 1 {
+		q, r, d := 1<<(t-1), 0, p
+		for {
+			for i := 0; i+d < n; i++ {
+				if i&p == r {
+					net = append(net, exchange{uint8(i), uint8(i + d)})
+				}
+			}
+			if q == p {
+				break
+			}
+			d, q, r = q-p, q>>1, p
+		}
+	}
+	return net
+}
+
+// sortHalf sorts x, one half of a series, in place. A half of an exact
+// series of up to maxNetwork samples runs through networks[len(x)] as
+// keys: each comparator is an integer min and max, with no branch on
+// the data. Any other half takes sort.Float64s.
+func sortHalf(x []float64, exact bool, keys *[256]uint64) {
+	if !exact || len(x) > maxNetwork {
+		sort.Float64s(x)
+		return
+	}
+	for i, v := range x {
+		keys[i] = key(v)
+	}
+	for _, e := range networks[len(x)] {
+		a, b := keys[e.lo], keys[e.hi]
+		keys[e.lo], keys[e.hi] = min(a, b), max(a, b)
+	}
+	for i := range x {
+		x[i] = unkey(keys[i])
+	}
+}
+
+// key maps a non-NaN x to bits whose unsigned order is x's numeric
+// order. It is a bijection: -0 keeps a key of its own, just below +0's,
+// and unkey maps every key back to the bits it came from. (ml's sortKey
+// folds -0 into +0 and cannot stand in for it.)
+func key(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// unkey inverts key.
+func unkey(k uint64) float64 {
+	return math.Float64frombits(k ^ (k>>63 - 1 | 1<<63))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"albadross/internal/stats"
@@ -161,6 +162,10 @@ func series(rng *rand.Rand, kind string, n int) []float64 {
 			s[i] = []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
 		case "negative-zeros":
 			s[i] = []float64{math.Copysign(0, -1), 2, 3}[rng.Intn(3)]
+		case "positive-zeros":
+			s[i] = []float64{0, -2, 3}[rng.Intn(3)]
+		case "max-float":
+			s[i] = []float64{math.MaxFloat64, -math.MaxFloat64, rng.NormFloat64()}[rng.Intn(3)]
 		case "inf":
 			s[i] = rng.NormFloat64()
 			if rng.Intn(8) == 0 {
@@ -206,24 +211,43 @@ func TestAppendMatchesReference(t *testing.T) {
 
 // TestAppendMatchesReferenceOnRealWindows runs the oracle over every
 // metric of Volta- and Eclipse-width windows as the serving path sees
-// them: 64 samples, repaired and counter-differenced to 63.
+// them: 64 samples, repaired and counter-differenced to 63. On Volta it
+// walks every stride-8 window start of the run, as volta_dense serves
+// them, so the exact path (sorting network, merges) sees real data at
+// every phase and not one window per app.
 func TestAppendMatchesReferenceOnRealWindows(t *testing.T) {
 	for _, sys := range []*telemetry.SystemSpec{telemetry.Volta(721), telemetry.Eclipse(806)} {
-		for ai, app := range sys.AppNames()[:2] {
-			samples, err := sys.GenerateRun(telemetry.RunConfig{App: sys.App(app), Nodes: 1, Steps: 96, Seed: int64(ai + 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			block := windowOf(samples[0].Data, 16, 64)
-			ts.InterpolateAll(block)
-			if err := ts.DiffCounters(block, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
-				t.Fatal(err)
-			}
-			for m, s := range block.Metrics {
-				checkReference(t, fmt.Sprintf("%s/%s metric %d", sys.Name, app, m), s)
+		starts := []int{16}
+		if sys.Name == "volta" {
+			starts = []int{0, 8, 16, 24, 32}
+		}
+		for ai := range sys.AppNames()[:2] {
+			for _, from := range starts {
+				block := realWindow(t, sys, ai, from)
+				for m, s := range block.Metrics {
+					checkReference(t, fmt.Sprintf("%s/%s from %d metric %d", sys.Name, sys.AppNames()[ai], from, m), s)
+				}
 			}
 		}
 	}
+}
+
+// realWindow is the served form of one 64-sample window of app ai's
+// generated 96-step run on sys, starting at sample from: repaired and
+// counter-differenced to 63 samples per metric.
+func realWindow(tb testing.TB, sys *telemetry.SystemSpec, ai, from int) *ts.Multivariate {
+	tb.Helper()
+	app := sys.AppNames()[ai]
+	samples, err := sys.GenerateRun(telemetry.RunConfig{App: sys.App(app), Nodes: 1, Steps: 96, Seed: int64(ai + 1)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	block := windowOf(samples[0].Data, from, 64)
+	ts.InterpolateAll(block)
+	if err := ts.DiffCounters(block, telemetry.CumulativeFlags(sys.Metrics)); err != nil {
+		tb.Fatal(err)
+	}
+	return block
 }
 
 // windowOf copies steps samples of every metric starting at from.
@@ -284,19 +308,200 @@ func TestAppendAllocatesNothing(t *testing.T) {
 
 // BenchmarkAppendWindow extracts one Volta-width window: 721 series of
 // 63 samples, the shape every served window has after differencing.
+// "gaussian" draws every sample independently; "volta" is a generated
+// Volta window as the serving path sees it (realWindow), whose samples
+// follow each other, and sorting cost depends on how ordered the data
+// already is.
 func BenchmarkAppendWindow(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	window := make([][]float64, 721)
-	for m := range window {
-		window[m] = series(rng, "gaussian", 63)
+	gaussian := make([][]float64, 721)
+	for m := range gaussian {
+		gaussian[m] = series(rng, "gaussian", 63)
 	}
-	dst := make([]float64, 0, len(window)*len(featureNames))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = dst[:0]
-		for _, s := range window {
-			dst = Extractor{}.Append(dst, s)
+	volta := make([][]float64, 0, 721)
+	for _, s := range realWindow(b, telemetry.Volta(721), 0, 16).Metrics {
+		volta = append(volta, s)
+	}
+	for _, c := range []struct {
+		name   string
+		window [][]float64
+	}{
+		{"gaussian", gaussian},
+		{"volta", volta},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dst := make([]float64, 0, len(c.window)*len(featureNames))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = dst[:0]
+				for _, s := range c.window {
+					dst = Extractor{}.Append(dst, s)
+				}
+			}
+		})
+	}
+}
+
+// exactSeries reports whether s takes Append's exact path: no NaN, no
+// ±Inf, not both signed zeros.
+func exactSeries(s []float64) bool {
+	pos, neg := false, false
+	for _, x := range s {
+		switch {
+		case math.IsNaN(x) || math.IsInf(x, 0):
+			return false
+		case x == 0 && math.Signbit(x):
+			neg = true
+		case x == 0:
+			pos = true
+		}
+	}
+	return !(pos && neg)
+}
+
+// checkSortExact fails t unless sortHalf, told s is exact, orders a copy
+// of s bit for bit as sort.Float64s does.
+func checkSortExact(t *testing.T, name string, s []float64) {
+	t.Helper()
+	want := append([]float64(nil), s...)
+	sort.Float64s(want)
+	got := append([]float64(nil), s...)
+	var keys [256]uint64
+	sortHalf(got, true, &keys)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s (n=%d): position %d holds %v (%#x), sort.Float64s %v (%#x)", name, len(s), i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestSortExactMatchesFloat64s pins the network sort to sort.Float64s on
+// exact series: every length up to one past maxNetwork (which takes
+// sort.Float64s itself), bit for bit, over kinds with ties, runs, both
+// extremes of the range, subnormals and either signed zero on its own.
+func TestSortExactMatchesFloat64s(t *testing.T) {
+	kinds := []string{"gaussian", "ties", "constant", "ramp", "descending", "exponential",
+		"tiny", "negative-zeros", "positive-zeros", "max-float"}
+	rng := rand.New(rand.NewSource(31))
+	for n := 0; n <= maxNetwork+1; n++ {
+		for _, kind := range kinds {
+			for trial := 0; trial < 20; trial++ {
+				s := series(rng, kind, n)
+				if !exactSeries(s) {
+					t.Fatalf("%s series of %d is not exact", kind, n)
+				}
+				checkSortExact(t, kind, s)
+			}
+		}
+	}
+}
+
+// TestNetworksSortEveryZeroOneInput proves the short networks by the 0-1
+// principle: a comparator network that sorts every input of 0s and 1s
+// sorts every input.
+func TestNetworksSortEveryZeroOneInput(t *testing.T) {
+	for n := 2; n <= 16; n++ {
+		for bitsIn := 0; bitsIn < 1<<n; bitsIn++ {
+			var keys [256]uint64
+			for i := 0; i < n; i++ {
+				keys[i] = uint64(bitsIn >> i & 1)
+			}
+			for _, e := range networks[n] {
+				a, b := keys[e.lo], keys[e.hi]
+				keys[e.lo], keys[e.hi] = min(a, b), max(a, b)
+			}
+			for i := 1; i < n; i++ {
+				if keys[i-1] > keys[i] {
+					t.Fatalf("network %d leaves input %0*b unsorted", n, n, bitsIn)
+				}
+			}
+		}
+	}
+}
+
+func FuzzSortExact(f *testing.F) {
+	f.Add([]byte{1, 0x80, 4, 4, 0xfc, 0x80, 8, 1, 2})
+	f.Add(append([]byte{0}, make([]byte, 64)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := decodeSeries(data)
+		if !exactSeries(s) {
+			t.Skip("not exact: Append sorts it with sort.Float64s")
+		}
+		if len(s) > maxNetwork+1 {
+			s = s[:maxNetwork+1]
+		}
+		checkSortExact(t, "fuzz", s)
+		checkSortExact(t, "fuzz first half", s[:len(s)/2])
+		checkSortExact(t, "fuzz second half", s[len(s)/2:])
+	})
+}
+
+// referenceSummarize is the one-slice summarize that the fused one
+// replaced, kept verbatim as its oracle.
+func referenceSummarize(s []float64) summary {
+	m := summary{n: float64(len(s)), mean: math.NaN(), min: math.NaN(), max: math.NaN()}
+	if len(s) == 0 {
+		return m
+	}
+	m.min, m.max = s[0], s[0]
+	for i, x := range s {
+		m.sum += x
+		if x < m.min {
+			m.min, m.argMin = x, i
+		}
+		if x > m.max {
+			m.max, m.argMax = x, i
+		}
+	}
+	m.mean = m.sum / float64(len(s))
+	for _, x := range s {
+		d := x - m.mean
+		d2 := d * d
+		m.s2 += d2
+		m.m3 += d2 * d
+		m.m4 += d2 * d2
+	}
+	return m
+}
+
+// sameSummary reports whether two summaries agree in every field, floats
+// bit for bit (NaN payloads included).
+func sameSummary(a, b summary) bool {
+	fa := []float64{a.n, a.sum, a.mean, a.min, a.max, a.s2, a.m3, a.m4}
+	fb := []float64{b.n, b.sum, b.mean, b.min, b.max, b.s2, b.m3, b.m4}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.argMin == b.argMin && a.argMax == b.argMax
+}
+
+// TestSummarizeMatchesSeparate pins the two-pass summary of a series and
+// its halves to the one-slice oracle on s, s[:n/2] and s[n/2:]: every
+// field bitwise, every length 0-300, every series kind, NaN and ±Inf
+// included.
+func TestSummarizeMatchesSeparate(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for n := 0; n <= 300; n++ {
+		for _, kind := range seriesKinds {
+			s := series(rng, kind, n)
+			h := n / 2
+			all, lo, hi := summarize(s)
+			for _, c := range []struct {
+				part      string
+				got, want summary
+			}{
+				{"all", all, referenceSummarize(s)},
+				{"lo", lo, referenceSummarize(s[:h])},
+				{"hi", hi, referenceSummarize(s[h:])},
+			} {
+				if !sameSummary(c.got, c.want) {
+					t.Fatalf("%s n=%d %s: summary %+v, oracle %+v", kind, n, c.part, c.got, c.want)
+				}
+			}
 		}
 	}
 }

@@ -8,7 +8,8 @@
 #                        # stream ingest, WAL record decoder,
 #                        # ingest-body values scanner, bulk ingest
 #                        # wire decoder against encoding/json, mvts kernel
-#                        # against its reference, tree split search
+#                        # against its reference, the mvts sorting
+#                        # network against sort.Float64s, tree split search
 #                        # against its reference, a ranking grown by
 #                        # appends against a fresh one and the
 #                        # reference tree) and the coverage
@@ -69,22 +70,25 @@ go run ./cmd/experiments -run lifecycle -scale tiny ${LIFECYCLE_OUT:+-out "$LIFE
 
 if [ "$deep" -eq 1 ]; then
   echo "== fuzz smoke: FuzzReadCSV (10s)"
-  go test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/ldms/
+  go test -run '^$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/ldms/
 
   echo "== fuzz smoke: FuzzPushAt (10s)"
-  go test -fuzz=FuzzPushAt -fuzztime=10s ./internal/pipeline/
+  go test -run '^$' -fuzz=FuzzPushAt -fuzztime=10s ./internal/pipeline/
 
   echo "== fuzz smoke: FuzzValuesDecode (10s)"
-  go test -fuzz=FuzzValuesDecode -fuzztime=10s ./internal/fleet/
+  go test -run '^$' -fuzz=FuzzValuesDecode -fuzztime=10s ./internal/fleet/
 
   echo "== fuzz smoke: FuzzIngestWireDecode (10s)"
   go test -run '^$' -fuzz=FuzzIngestWireDecode -fuzztime=10s ./internal/server/
 
   echo "== fuzz smoke: FuzzWALDecode (10s)"
-  go test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal/
+  go test -run '^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal/
 
   echo "== fuzz smoke: FuzzMVTSReference (10s)"
-  go test -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
+  go test -run '^$' -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
+
+  echo "== fuzz smoke: FuzzSortExact (10s)"
+  go test -run '^$' -fuzz=FuzzSortExact -fuzztime=10s ./internal/features/mvts/
 
   echo "== fuzz smoke: FuzzSplitReference (10s)"
   go test -run '^$' -fuzz=FuzzSplitReference -fuzztime=10s ./internal/ml/tree/
