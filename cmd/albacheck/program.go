@@ -216,16 +216,6 @@ func (prog *Program) Reachable(roots []string) map[string]reachEdge {
 // FuncKeys returns every declared function key in deterministic order.
 func (prog *Program) FuncKeys() []string { return prog.keys }
 
-// HasPackage reports whether a scanned unit matches the import path.
-func (prog *Program) HasPackage(path string) bool {
-	for _, u := range prog.Units {
-		if u.Path == path {
-			return true
-		}
-	}
-	return false
-}
-
 // GlobalPass carries the whole program through one global analyzer run.
 type GlobalPass struct {
 	// Prog is the call-graph view over every scanned package.

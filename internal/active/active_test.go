@@ -154,8 +154,8 @@ func TestLoopRunsAndImproves(t *testing.T) {
 	if !(last.FalseAlarmRate < first.FalseAlarmRate) {
 		t.Fatalf("FAR did not drop: %v -> %v", first.FalseAlarmRate, last.FalseAlarmRate)
 	}
-	if len(res.Labeled()) != len(initial)+30 {
-		t.Fatalf("labeled = %d", len(res.Labeled()))
+	if len(res.labeled) != len(initial)+30 {
+		t.Fatalf("labeled = %d", len(res.labeled))
 	}
 	if res.Model == nil {
 		t.Fatal("no final model")

@@ -124,20 +124,6 @@ type TrainedCommittee struct {
 	nClasses int
 }
 
-// NewCommittee returns an unfitted committee over the base factory.
-func NewCommittee(factory ml.Factory, cfg CommitteeConfig) *TrainedCommittee {
-	if cfg.Members <= 0 {
-		cfg.Members = 5
-	}
-	return &TrainedCommittee{Cfg: cfg, Factory: factory}
-}
-
-// NewCommitteeFactory adapts NewCommittee into an ml.Factory, for use as
-// a Loop.Factory.
-func NewCommitteeFactory(factory ml.Factory, cfg CommitteeConfig) ml.Factory {
-	return func() ml.Classifier { return NewCommittee(factory, cfg) }
-}
-
 // Fit trains every member on its own bootstrap resample, fanned out
 // across Cfg.Workers.
 func (t *TrainedCommittee) Fit(x [][]float64, y []int, nClasses int) error {

@@ -83,10 +83,6 @@ type Result struct {
 	labeled []int
 }
 
-// Labeled returns the dataset indices of the final labeled set, initial
-// samples first, then queried samples in query order.
-func (r *Result) Labeled() []int { return r.labeled }
-
 // QueriesTo returns the smallest query count whose record reached the
 // given F1, or -1 if the trajectory never did.
 func (r *Result) QueriesTo(f1 float64) int {

@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"albadross/internal/telemetry"
 	"albadross/internal/ts"
@@ -99,16 +98,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
-}
-
-// ParseKind resolves a canonical fault name.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range Kinds() {
-		if k.String() == strings.ToLower(s) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("chaos: unknown fault kind %q", s)
 }
 
 // Fault is one fault class armed at an intensity in [0, 1]; 0 disables

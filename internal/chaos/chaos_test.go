@@ -1,12 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
-	"albadross/internal/ldms"
 	"albadross/internal/telemetry"
 	"albadross/internal/ts"
 )
@@ -25,18 +22,6 @@ func genSample(t *testing.T, steps int, seed int64) (*telemetry.NodeSample, *tel
 	// starts from a clean slate.
 	ts.InterpolateAll(samples[0].Data)
 	return samples[0], sys
-}
-
-func TestKindRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
-		back, err := ParseKind(k.String())
-		if err != nil || back != k {
-			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), back, err)
-		}
-	}
-	if _, err := ParseKind("meteor"); err == nil {
-		t.Fatal("unknown kind should error")
-	}
 }
 
 func TestNewValidatesPlan(t *testing.T) {
@@ -110,6 +95,19 @@ func TestDeterministicAndNonMutating(t *testing.T) {
 	}
 }
 
+// countNaN returns the number of NaN samples in the block.
+func countNaN(m *ts.Multivariate) int {
+	n := 0
+	for _, s := range m.Metrics {
+		for _, v := range s {
+			if math.IsNaN(v) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestFaultEffects(t *testing.T) {
 	s, _ := genSample(t, 300, 5)
 	steps := s.Data.Steps()
@@ -118,7 +116,7 @@ func TestFaultEffects(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		inj, _ := New(1, Fault{Kind: Drop, Intensity: 1})
 		out := Materialize(inj.DeliverStream(s.Data), nM)
-		if n := ts.CountNaN(out); n == 0 || n >= steps*nM/2 {
+		if n := countNaN(out); n == 0 || n >= steps*nM/2 {
 			t.Fatalf("drop@1 NaN cells = %d of %d", n, steps*nM)
 		}
 	})
@@ -228,39 +226,5 @@ func TestCorruptSamplePreservesMeta(t *testing.T) {
 	}
 	if out.Data == s.Data {
 		t.Fatal("corrupted sample shares the input block")
-	}
-}
-
-func TestCorruptCSVFeedsLenientParser(t *testing.T) {
-	s, sys := genSample(t, 150, 13)
-	var buf bytes.Buffer
-	if err := ldms.WriteCSV(&buf, s, sys.Metrics); err != nil {
-		t.Fatal(err)
-	}
-	clean := buf.Bytes()
-	if got := CorruptCSV(1, 0, clean); !bytes.Equal(got, clean) {
-		t.Fatal("intensity 0 must leave the CSV unchanged")
-	}
-	mangled := CorruptCSV(1, 1, clean)
-	if bytes.Equal(mangled, clean) {
-		t.Fatal("intensity 1 should corrupt the CSV")
-	}
-	// Strict parse should reject it, lenient parse should recover rows
-	// and account for the damage.
-	if _, _, err := ldms.ReadCSV(bytes.NewReader(mangled), sys.Metrics); err == nil {
-		t.Log("strict parse happened to survive (damage may be tail-only)")
-	}
-	sample, _, rep, err := ldms.ReadCSVOpts(bytes.NewReader(mangled), sys.Metrics, ldms.Options{Lenient: true, File: "node0.csv"})
-	if err != nil {
-		t.Fatalf("lenient parse failed: %v", err)
-	}
-	if sample.Data.Steps() == 0 {
-		t.Fatal("lenient parse recovered no rows")
-	}
-	if rep.RowsSkipped+rep.CellsBad == 0 && sample.Data.Steps() == 150 {
-		t.Fatal("corruption left no trace in the report")
-	}
-	if len(rep.Errors) > 0 && !strings.Contains(rep.Errors[0].Error(), "node0.csv") {
-		t.Fatalf("structured error lacks the file name: %v", rep.Errors[0])
 	}
 }

@@ -152,8 +152,8 @@ func TestPreprocessorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Dim() != 50 {
-		t.Fatalf("dim = %d, want 50", p.Dim())
+	if len(p.Sel.Indices) != 50 {
+		t.Fatalf("dim = %d, want 50", len(p.Sel.Indices))
 	}
 	if len(p.Names) != 50 {
 		t.Fatalf("names = %d", len(p.Names))

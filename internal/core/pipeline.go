@@ -210,6 +210,3 @@ func (p *Preprocessor) Transform(d *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	return out, nil
 }
-
-// Dim returns the transformed feature dimensionality.
-func (p *Preprocessor) Dim() int { return len(p.Sel.Indices) }

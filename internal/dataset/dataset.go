@@ -106,19 +106,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return out
 }
 
-// Clone returns a deep copy of the dataset (rows copied).
-func (d *Dataset) Clone() *Dataset {
-	out := New(d.Classes)
-	out.FeatureNames = append([]string{}, d.FeatureNames...)
-	out.X = make([][]float64, len(d.X))
-	for i, row := range d.X {
-		out.X[i] = append([]float64{}, row...)
-	}
-	out.Y = append([]int{}, d.Y...)
-	out.Meta = append([]telemetry.RunMeta{}, d.Meta...)
-	return out
-}
-
 // byClass groups sample indices per class, each group in ascending order.
 func byClass(y []int, nClasses int) [][]int {
 	groups := make([][]int, nClasses)
@@ -328,19 +315,5 @@ func (d *Dataset) FilterIndices(keep func(telemetry.RunMeta) bool) []int {
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-// Apps returns the sorted set of distinct application names present.
-func (d *Dataset) Apps() []string {
-	seen := map[string]bool{}
-	for i := range d.Meta {
-		seen[d.Meta[i].App] = true
-	}
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -407,9 +407,6 @@ func (m *Monitor) Snapshot() Status {
 	return st
 }
 
-// Dims reports the monitored feature-vector width.
-func (m *Monitor) Dims() int { return m.dims }
-
 // --- internals -----------------------------------------------------------
 
 // reservoir returns up to k rows of ref, deterministically sampled with

@@ -228,19 +228,13 @@ type GridResult struct {
 	CV        *CVResult
 }
 
-// GridSearch cross-validates every candidate and returns the results
-// sorted best-first (by mean macro F1, ties toward lower index for
-// determinism), mirroring the paper's grid search in a 5-fold stratified
-// CV setting.
-func GridSearch(cands []Candidate, x [][]float64, y []int, nClasses, healthyClass, k int, seed int64) ([]GridResult, error) {
-	return GridSearchParallel(cands, x, y, nClasses, healthyClass, k, seed, 1)
-}
-
-// GridSearchParallel is GridSearch with the candidate cross-validations
-// fanned out across a bounded worker pool (workers <= 0 uses
-// GOMAXPROCS). Every candidate's CV runs under the same shared seed, so
-// the ranking is identical to the serial GridSearch for any worker
-// count.
+// GridSearchParallel cross-validates every candidate and returns the
+// results sorted best-first (by mean macro F1, ties toward lower index
+// for determinism), mirroring the paper's grid search in a 5-fold
+// stratified CV setting. The candidate cross-validations fan out across
+// a bounded worker pool (workers <= 0 uses GOMAXPROCS); every
+// candidate's CV runs under the same shared seed, so the ranking is
+// identical for any worker count.
 func GridSearchParallel(cands []Candidate, x [][]float64, y []int, nClasses, healthyClass, k int, seed int64, workers int) ([]GridResult, error) {
 	if len(cands) == 0 {
 		return nil, errors.New("eval: empty candidate grid")

@@ -37,7 +37,7 @@ func TestGridSearchPropagatesErrors(t *testing.T) {
 		Params:  map[string]string{"kind": "failing"},
 		Factory: func() ml.Classifier { return failingModel{} },
 	}}
-	if _, err := GridSearch(cands, x, y, 2, 0, 3, 4); err == nil {
+	if _, err := GridSearchParallel(cands, x, y, 2, 0, 3, 4, 1); err == nil {
 		t.Fatal("candidate failure should propagate")
 	}
 }

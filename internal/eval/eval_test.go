@@ -113,7 +113,7 @@ func TestGridSearchOrdersBestFirst(t *testing.T) {
 		{Params: map[string]string{"n_estimators": "25", "max_depth": "8"},
 			Factory: forest.NewFactory(forest.Config{NEstimators: 25, MaxDepth: 8, Seed: 5})},
 	}
-	results, err := GridSearch(cands, x, y, 2, 0, 4, 6)
+	results, err := GridSearchParallel(cands, x, y, 2, 0, 4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestGridSearchOrdersBestFirst(t *testing.T) {
 	if results[0].Candidate.Params["n_estimators"] != "25" {
 		t.Fatalf("expected the deeper forest to win, got %v", results[0].Candidate.Params)
 	}
-	if _, err := GridSearch(nil, x, y, 2, 0, 4, 6); err == nil {
+	if _, err := GridSearchParallel(nil, x, y, 2, 0, 4, 6, 1); err == nil {
 		t.Fatal("empty grid should error")
 	}
 }

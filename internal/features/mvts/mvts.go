@@ -74,11 +74,6 @@ var featureNames = []string{
 // FeatureNames returns the 48 per-metric feature names.
 func (Extractor) FeatureNames() []string { return featureNames }
 
-// Extract computes the 48 features of one series into a new slice.
-func (e Extractor) Extract(s []float64) []float64 {
-	return e.Append(make([]float64, 0, len(featureNames)), s)
-}
-
 // quantileLevels are the order statistics read off the sorted series:
 // q05, q25, the median, q75 and q95.
 var quantileLevels = [5]float64{0.05, 0.25, 0.5, 0.75, 0.95}

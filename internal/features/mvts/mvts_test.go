@@ -19,7 +19,8 @@ import (
 var raceEnabled bool
 
 // referenceExtract is the feature-by-feature composition of stats
-// functions that Extractor.Append replaced, kept verbatim as the oracle
+// functions (internal/stats, and oracle_test.go for those only it uses)
+// that Extractor.Append replaced, kept verbatim as the oracle
 // the fused kernel must match bit for bit.
 func referenceExtract(s []float64) []float64 {
 	out := make([]float64, 0, len(featureNames))
@@ -33,35 +34,35 @@ func referenceExtract(s []float64) []float64 {
 		stats.Max(s),
 		stats.Std(s),
 		stats.Var(s),
-		stats.Skewness(s),
-		stats.Kurtosis(s),
+		Skewness(s),
+		Kurtosis(s),
 		stats.Range(s),
 		qs[3]-qs[1],
 		qs[0], qs[1], qs[3], qs[4],
-		stats.MeanAbs(s),
-		stats.RMS(s),
-		stats.MedianAbsDeviation(s),
-		stats.VariationCoefficient(s),
+		MeanAbs(s),
+		RMS(s),
+		MedianAbsDeviation(s),
+		VariationCoefficient(s),
 		stats.Sum(s),
 		stats.AbsEnergy(s),
 	)
-	slope, intercept, r := stats.LinearTrend(s)
+	slope, intercept, r := LinearTrend(s)
 	out = append(out,
-		stats.MeanChange(s),
-		stats.MeanAbsChange(s),
-		stats.MeanSecondDerivativeCentral(s),
+		MeanChange(s),
+		MeanAbsChange(s),
+		MeanSecondDerivativeCentral(s),
 		slope, intercept, r,
 	)
 	out = append(out,
-		float64(stats.CountAbove(s, mean)),
-		float64(stats.CountBelow(s, mean)),
+		float64(CountAbove(s, mean)),
+		float64(CountBelow(s, mean)),
 		float64(stats.CrossingCount(s, mean)),
 		float64(stats.LongestStrikeAbove(s, mean)),
 		float64(stats.LongestStrikeBelow(s, mean)),
 		stats.RatioBeyondRSigma(s, 1),
 		stats.BinnedEntropy(s, 10),
-		float64(stats.LongestMonotonicIncrease(s)),
-		float64(stats.LongestMonotonicDecrease(s)),
+		float64(LongestMonotonicIncrease(s)),
+		float64(LongestMonotonicDecrease(s)),
 	)
 	// Halves differences.
 	if n >= 2 {
@@ -73,8 +74,8 @@ func referenceExtract(s []float64) []float64 {
 			math.Abs(stats.Min(h1)-stats.Min(h2)),
 			math.Abs(stats.Max(h1)-stats.Max(h2)),
 			math.Abs(stats.Var(h1)-stats.Var(h2)),
-			math.Abs(stats.Skewness(h1)-stats.Skewness(h2)),
-			math.Abs(stats.Kurtosis(h1)-stats.Kurtosis(h2)),
+			math.Abs(Skewness(h1)-Skewness(h2)),
+			math.Abs(Kurtosis(h1)-Kurtosis(h2)),
 		)
 	} else {
 		for i := 0; i < 8; i++ {
@@ -84,7 +85,7 @@ func referenceExtract(s []float64) []float64 {
 	if n > 0 {
 		out = append(out,
 			float64(stats.ArgMax(s))/float64(n),
-			float64(stats.ArgMin(s))/float64(n),
+			float64(ArgMin(s))/float64(n),
 			s[0],
 			s[n-1],
 		)

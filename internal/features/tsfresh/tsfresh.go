@@ -133,11 +133,6 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// Extract computes the feature vector of one series into a new slice.
-func (e Extractor) Extract(s []float64) []float64 {
-	return e.Append(make([]float64, 0, len(featureNames)), s)
-}
-
 // Append computes the features of one series and appends them to dst:
 // the 48 mvts features (mvts.Extractor.Append), then the advanced
 // families.

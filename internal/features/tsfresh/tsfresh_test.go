@@ -41,7 +41,7 @@ func TestSupersetOfMVTS(t *testing.T) {
 		cases = append(cases, randSeries(rng))
 	}
 	for ci, s := range cases {
-		want := mvts.Extractor{}.Extract(s)
+		want := mvts.Extractor{}.Append(nil, s)
 		got := e.Append([]float64{-1}, s)[1:]
 		for i, w := range want {
 			if math.IsInf(w, 0) {

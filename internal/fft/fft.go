@@ -4,8 +4,7 @@
 // method for power-spectral-density estimation.
 //
 // The implementation is self-contained (stdlib only) and deterministic. All
-// transforms are unnormalized in the forward direction; the inverse divides
-// by n, so IFFT(FFT(x)) == x up to floating-point error.
+// transforms are unnormalized in the forward direction.
 package fft
 
 import (
@@ -30,27 +29,6 @@ func FFT(x []complex128) []complex128 {
 		return out
 	}
 	return bluestein(out, false)
-}
-
-// IFFT returns the inverse discrete Fourier transform of x, normalized by
-// 1/n so that IFFT(FFT(x)) reproduces x.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if n&(n-1) == 0 {
-		radix2(out, true)
-	} else {
-		out = bluestein(out, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
 }
 
 // FFTReal transforms a real-valued series and returns the full complex
@@ -140,32 +118,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 		out[k] = a[k] * invM * w[k]
 	}
 	return out
-}
-
-// Periodogram returns the one-sided power spectral density estimate of a
-// real series sampled at fs Hz, using a single un-windowed FFT. The
-// returned slices hold frequencies (length n/2+1) and matching densities.
-func Periodogram(x []float64, fs float64) (freqs, psd []float64) {
-	n := len(x)
-	if n == 0 {
-		return nil, nil
-	}
-	spec := FFTReal(x)
-	half := n/2 + 1
-	freqs = make([]float64, half)
-	psd = make([]float64, half)
-	scale := 1 / (fs * float64(n))
-	for k := 0; k < half; k++ {
-		freqs[k] = fs * float64(k) / float64(n)
-		p := real(spec[k])*real(spec[k]) + imag(spec[k])*imag(spec[k])
-		p *= scale
-		// One-sided: double everything except DC and (for even n) Nyquist.
-		if k != 0 && !(n%2 == 0 && k == half-1) {
-			p *= 2
-		}
-		psd[k] = p
-	}
-	return freqs, psd
 }
 
 // HannWindow returns the n-point Hann window.

@@ -49,22 +49,6 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-func TestIFFTInvertsFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 7, 16, 33, 128, 250} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		back := IFFT(FFT(x))
-		for i := range x {
-			if cmplx.Abs(back[i]-x[i]) > 1e-9 {
-				t.Fatalf("n=%d roundtrip mismatch at %d: %v vs %v", n, i, back[i], x[i])
-			}
-		}
-	}
-}
-
 func TestQuickParseval(t *testing.T) {
 	// Parseval: sum|x|^2 == (1/n) sum|X|^2.
 	f := func(raw []float64) bool {
@@ -93,28 +77,6 @@ func TestQuickParseval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPeriodogramPeak(t *testing.T) {
-	// A pure sinusoid at 10 Hz sampled at 100 Hz should put its power in
-	// the 10 Hz bin.
-	const fs = 100.0
-	const f0 = 10.0
-	n := 200
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * f0 * float64(i) / fs)
-	}
-	freqs, psd := Periodogram(x, fs)
-	best := 0
-	for i := range psd {
-		if psd[i] > psd[best] {
-			best = i
-		}
-	}
-	if math.Abs(freqs[best]-f0) > 0.51 {
-		t.Fatalf("peak at %v Hz, want %v", freqs[best], f0)
 	}
 }
 

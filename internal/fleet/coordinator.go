@@ -214,9 +214,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Router exposes the coordinator's node→shard assignment.
-func (c *Coordinator) Router() *Router { return c.router }
-
 // run executes the worker loop until the task channel closes.
 func (w *shardWorker) run() {
 	defer w.c.wg.Done()

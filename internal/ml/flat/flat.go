@@ -95,9 +95,6 @@ func (n *Nodes) AppendLeaf(payload int32) int32 {
 	return self
 }
 
-// IsLeaf reports whether pool node i is a leaf (self-looping).
-func (n *Nodes) IsLeaf(i int32) bool { return n.Left[i] == i }
-
 // leafOf walks one tree from root and returns the reached leaf's
 // payload offset — the scalar kernel behind the grouped paths' tail
 // rows.
@@ -206,15 +203,12 @@ func (f *Forest) AppendLeafProba(probs []float64) int32 {
 	return off
 }
 
-// NumTrees reports the number of flattened trees.
-func (f *Forest) NumTrees() int { return len(f.Roots) }
-
 // PredictProbaInto soft-votes every tree over every row into out (a
 // zeroed len(x) by Classes matrix), sharding rows across workers
 // (workers <= 0 uses GOMAXPROCS) and sweeping trees over fixed row
 // blocks within each shard, eight rows descending per tree at a time.
 // Per output cell the accumulation order is ascending tree order
-// followed by one 1/NumTrees scale — exactly the pointer path's order —
+// followed by one 1/len(Roots) scale — exactly the pointer path's order —
 // so the result is bitwise identical to per-row soft voting for any
 // worker count.
 func (f *Forest) PredictProbaInto(x [][]float64, out [][]float64, workers int) {

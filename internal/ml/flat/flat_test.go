@@ -168,8 +168,8 @@ func flattenForest(t *testing.T, f *forest.Forest) *flat.Forest {
 	for _, tr := range f.Trees {
 		tr.Flatten(fl)
 	}
-	if fl.NumTrees() != len(f.Trees) {
-		t.Fatalf("flattened %d trees, want %d", fl.NumTrees(), len(f.Trees))
+	if len(fl.Roots) != len(f.Trees) {
+		t.Fatalf("flattened %d trees, want %d", len(fl.Roots), len(f.Trees))
 	}
 	return fl
 }

@@ -5,7 +5,6 @@
 package linear
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -27,18 +26,6 @@ func (p Penalty) String() string {
 		return "l1"
 	}
 	return "l2"
-}
-
-// ParsePenalty converts "l1"/"l2" to a Penalty.
-func ParsePenalty(s string) (Penalty, error) {
-	switch s {
-	case "l1":
-		return L1, nil
-	case "l2":
-		return L2, nil
-	default:
-		return L2, fmt.Errorf("linear: unknown penalty %q", s)
-	}
 }
 
 // Config are the logistic-regression hyperparameters from Table IV.
@@ -210,25 +197,4 @@ func (m *Model) PredictProba(x []float64) []float64 {
 		logits[c] = z
 	}
 	return ml.Softmax(logits, nil)
-}
-
-// Sparsity returns the fraction of exactly-zero weights, a sanity signal
-// for the L1 penalty.
-func (m *Model) Sparsity() float64 {
-	if m.W == nil {
-		return 0
-	}
-	zeros, total := 0, 0
-	for _, row := range m.W {
-		for _, w := range row {
-			total++
-			if w == 0 {
-				zeros++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(zeros) / float64(total)
 }

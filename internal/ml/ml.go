@@ -43,11 +43,6 @@ func Argmax(p []float64) int {
 	return best
 }
 
-// Predict returns the most likely class for one sample.
-func Predict(c Classifier, x []float64) int {
-	return Argmax(c.PredictProba(x))
-}
-
 // PredictBatch returns the most likely class per row.
 func PredictBatch(c Classifier, x [][]float64) []int {
 	probs := ProbaBatchParallel(c, x, 0)

@@ -100,9 +100,6 @@ func (s stub) PredictProba(x []float64) []float64 {
 
 func TestPredictHelpers(t *testing.T) {
 	c := stub{k: 3}
-	if Predict(c, []float64{2}) != 2 {
-		t.Fatal("Predict wrong")
-	}
 	preds := PredictBatch(c, [][]float64{{0}, {1}, {2}})
 	if preds[0] != 0 || preds[1] != 1 || preds[2] != 2 {
 		t.Fatalf("PredictBatch = %v", preds)

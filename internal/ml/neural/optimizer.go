@@ -1,7 +1,6 @@
 package neural
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -25,20 +24,6 @@ func (k OptimizerKind) String() string {
 		return "adadelta"
 	default:
 		return "sgd"
-	}
-}
-
-// ParseOptimizer converts a name into an OptimizerKind.
-func ParseOptimizer(s string) (OptimizerKind, error) {
-	switch s {
-	case "sgd":
-		return SGD, nil
-	case "adam":
-		return Adam, nil
-	case "adadelta":
-		return Adadelta, nil
-	default:
-		return SGD, fmt.Errorf("neural: unknown optimizer %q", s)
 	}
 }
 

@@ -88,18 +88,6 @@ func (c Criterion) String() string {
 	return "gini"
 }
 
-// ParseCriterion converts "gini"/"entropy" to a Criterion.
-func ParseCriterion(s string) (Criterion, error) {
-	switch s {
-	case "gini":
-		return Gini, nil
-	case "entropy":
-		return Entropy, nil
-	default:
-		return Gini, fmt.Errorf("tree: unknown criterion %q", s)
-	}
-}
-
 // Config controls tree growth.
 type Config struct {
 	// MaxDepth limits tree depth; 0 means unlimited (sklearn None).
@@ -391,6 +379,14 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 	bestS, lo, hi := math.Inf(1), 0, 0
 	leftCounts := b.leftCounts
 	minLeaf := t.Cfg.MinSamplesLeaf
+	// A cut with s == 0 ends the search: no later cut can score below
+	// it, since every s = L·li + R·ri is >= 0. An entropy child is
+	// 0 - Σ p·log2(p) with every term <= 0; a Gini child is 1 - Σ p·p,
+	// exactly 0 when pure and otherwise at least 1/T (Σ p·p <= max p <=
+	// (T-1)/T), far above the rounding of its few subtractions for any
+	// total T below 2³¹. pick has drawn the node's features already, so
+	// stopping early leaves the tree's random stream where it was.
+features:
 	for _, f := range b.picker.pick() {
 		keys := b.rankedKeys(idx, f, walk)
 		n := len(keys)
@@ -441,6 +437,9 @@ func (b *clsBuilder) bestSplit(idx []int, parentCounts []int, total int) (feat i
 			if g := parentImp - s/float64(total); g > gain {
 				gain, bestS, feat = g, s, f
 				lo, hi = i, int(uint32(keys[leftN]))
+				if s == 0 {
+					break features
+				}
 			}
 		}
 	}
@@ -568,17 +567,6 @@ func (t *Classifier) Flatten(fl *flat.Forest) {
 
 // Depth returns the maximum depth of the fitted tree (root = 1).
 func (t *Classifier) Depth() int { return depthOf(t.Nodes, 0) }
-
-// LeafCount returns the number of leaves.
-func (t *Classifier) LeafCount() int {
-	n := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Feature < 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // ---------------------------------------------------------------------------
 // Regression tree
@@ -865,17 +853,6 @@ func (t *Regressor) Predict(x []float64) float64 {
 		}
 	}
 	return n.Value
-}
-
-// LeafCount returns the number of leaves.
-func (t *Regressor) LeafCount() int {
-	n := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Feature < 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Depth returns the maximum depth of the fitted tree (root = 1).

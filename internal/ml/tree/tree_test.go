@@ -165,16 +165,7 @@ func TestClassifierValidation(t *testing.T) {
 	}
 }
 
-func TestParseCriterion(t *testing.T) {
-	if c, err := ParseCriterion("entropy"); err != nil || c != Entropy {
-		t.Fatal("entropy parse failed")
-	}
-	if c, err := ParseCriterion("gini"); err != nil || c != Gini {
-		t.Fatal("gini parse failed")
-	}
-	if _, err := ParseCriterion("mse"); err == nil {
-		t.Fatal("unknown criterion should error")
-	}
+func TestCriterionNames(t *testing.T) {
 	if Gini.String() != "gini" || Entropy.String() != "entropy" {
 		t.Fatal("criterion names wrong")
 	}

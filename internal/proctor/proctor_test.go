@@ -36,7 +36,7 @@ func TestProctorEndToEnd(t *testing.T) {
 	xTest, yTest := problem(150, 4)
 	correct := 0
 	for i := range xTest {
-		if ml.Predict(clf, xTest[i]) == yTest[i] {
+		if ml.Argmax(clf.PredictProba(xTest[i])) == yTest[i] {
 			correct++
 		}
 	}

@@ -99,23 +99,3 @@ func Chart(title string, series []Series, width, height int) string {
 	}
 	return b.String()
 }
-
-// F1Curves adapts (queried, f1) trajectories into chart series.
-func F1Curves(names []string, queried [][]int, f1s [][]float64) []Series {
-	out := make([]Series, 0, len(names))
-	for i, name := range names {
-		if i >= len(queried) || i >= len(f1s) {
-			break
-		}
-		s := Series{Name: name}
-		for j := range queried[i] {
-			if j >= len(f1s[i]) {
-				break
-			}
-			s.X = append(s.X, float64(queried[i][j]))
-			s.Y = append(s.Y, f1s[i][j])
-		}
-		out = append(out, s)
-	}
-	return out
-}

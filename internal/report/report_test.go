@@ -80,25 +80,3 @@ func TestChartMismatchedLengths(t *testing.T) {
 		t.Fatal("should plot the overlapping prefix")
 	}
 }
-
-func TestF1Curves(t *testing.T) {
-	series := F1Curves(
-		[]string{"a", "b"},
-		[][]int{{0, 1, 2}, {0, 1}},
-		[][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5}},
-	)
-	if len(series) != 2 {
-		t.Fatalf("series = %d", len(series))
-	}
-	if series[0].X[2] != 2 || series[0].Y[2] != 0.3 {
-		t.Fatal("adaptation wrong")
-	}
-	if len(series[1].X) != 2 {
-		t.Fatal("short series length wrong")
-	}
-	// Ragged inputs truncate safely.
-	series = F1Curves([]string{"a", "b"}, [][]int{{0}}, [][]float64{{0.1}})
-	if len(series) != 1 {
-		t.Fatal("missing data should truncate the series list")
-	}
-}

@@ -10,13 +10,9 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"albadross/internal/fleet"
 	"albadross/internal/ml"
-	"albadross/internal/pipeline"
 	"albadross/internal/stream"
 )
 
@@ -89,65 +85,6 @@ func (p *servePredict) Predict(vec []float64) (string, float64, error) {
 // Emit lets a servePredict double as the sink of a chain that is
 // replayed for its evidence, not its diagnoses.
 func (p *servePredict) Emit(stream.Diagnosis) error { return nil }
-
-// visitNode runs fn on the shard worker that owns one existing fleet
-// node, so fn reads the node's stream with its single writer paused.
-func (s *Server) visitNode(node int, fn func(ns *fleet.NodeStream) error) error {
-	if s.fl == nil {
-		return errors.New("server: ingest is not enabled")
-	}
-	var err error
-	if verr := s.fl.coord.Visit(node, func(ns *fleet.NodeStream) {
-		if ns == nil {
-			err = fmt.Errorf("server: node %d has no stream", node)
-			return
-		}
-		err = fn(ns)
-	}); verr != nil {
-		return verr
-	}
-	return err
-}
-
-// EvidenceHash returns one node's running FNV-1a fold over every
-// (model-space row, champion label) evidence pair its ingest traffic
-// delivered to the serving path: the fingerprint the shadow-replay
-// vetting is checked against.
-func (s *Server) EvidenceHash(node int) (uint64, error) {
-	var hash uint64
-	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
-		hash = ns.Aux.(*servePredict).evidence
-		return nil
-	})
-	return hash, err
-}
-
-// ReplayShadowEvidence replays one node's retained write-ahead log
-// through a FRESH stage chain and re-delivers the resulting
-// (model-space row, champion label) evidence to the lifecycle shadow
-// gate — so a challenger under trial is vetted on the exact slice the
-// champion served, not merely on whatever traffic arrives next. It
-// returns the number of evidence rows delivered and their FNV-1a hash;
-// with an unchanged champion the hash equals EvidenceHash for the
-// node. The replay runs on the node's shard worker, which freezes the
-// log against appends (and holds that shard's ingest) for its duration.
-func (s *Server) ReplayShadowEvidence(node int) (int, uint64, error) {
-	ep := &servePredict{s: s}
-	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
-		if ns.Log == nil {
-			return errors.New("server: node has no write-ahead log")
-		}
-		chain, err := s.fl.buildChain(ep, ep, nil)
-		if err != nil {
-			return err
-		}
-		return pipeline.Replay(ns.Log, chain)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return ep.rows, ep.evidence, nil
-}
 
 // evidenceFold extends an FNV-1a evidence fingerprint by one
 // (model-space row, champion label) pair: the previous state as one

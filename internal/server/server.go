@@ -340,9 +340,9 @@ func (s *Server) Close() {
 
 // publish registers a freshly trained model as a new registry version
 // and promotes it immediately — the direct path used by initial
-// training, annotation retrains and forced Retrain, where the new model
+// training, annotation retrains and forced retrains, where the new model
 // is by construction the best available unless a model fit on a newer
-// view already serves: a Retrain that fit outside annMu while a label
+// view already serves: a retrain that fit outside annMu while a label
 // landed is then quarantined as stale (registry.PromoteUnlessStale), so
 // the active TrainSize never goes backwards on this path. Readers that
 // loaded the previous snapshot keep using it for the requests they
@@ -397,22 +397,6 @@ func (s *Server) afterSwap(sn *snapshot) {
 			s.cfg.Log.Printf("server: re-anchoring drift monitor: %v", err)
 		}
 	}
-}
-
-// Retrain retrains on the current labeled set and atomically swaps the
-// result in, without ever blocking diagnosis reads. It is the forced
-// path the concurrency tests hammer and an operational escape hatch;
-// /api/label performs the same sequence after each annotation. When a
-// label lands while it fits, the label's model (fit on more rows) keeps
-// serving and Retrain's is quarantined as stale.
-func (s *Server) Retrain() error {
-	v := s.training()
-	m, err := s.trainCandidate(v.x, v.y)
-	if err != nil {
-		return err
-	}
-	s.publish(m, v, "operator")
-	return nil
 }
 
 // refit is the tail of New and of every annotation: publish the

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive-statistics substrate used by the
 // feature-extraction toolkits and the evaluation machinery: moments,
-// quantiles, histograms, entropy estimators, autocorrelation, and simple
-// trend fits on float64 slices.
+// quantiles, histograms, entropy estimators and autocorrelation on
+// float64 slices.
 //
 // All functions treat their input as an immutable sample; none of them
 // mutate the slice they are given. Functions that need a sorted copy make
@@ -49,21 +49,6 @@ func Var(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVar returns the unbiased sample variance (divisor n-1), or NaN if
-// fewer than two observations are available.
-func SampleVar(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 {
 	return math.Sqrt(Var(xs)) //albacheck:ignore floatsafe Var is a sum of squares over a positive count (or NaN for short input), never negative
@@ -107,73 +92,6 @@ func AbsEnergy(xs []float64) float64 {
 		s += x * x
 	}
 	return s
-}
-
-// MeanAbs returns the mean of absolute values.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}
-
-// RMS returns the root mean square of xs.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(AbsEnergy(xs) / float64(len(xs)))
-}
-
-// Skewness returns the adjusted Fisher-Pearson skewness (the pandas/tsfresh
-// G1 estimator), or NaN when it is undefined (n < 3 or zero variance).
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	m2, m3 := 0.0, 0.0
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return math.NaN()
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
-}
-
-// Kurtosis returns the adjusted excess kurtosis (the pandas/tsfresh G2
-// estimator), or NaN when undefined (n < 4 or zero variance).
-func Kurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	m2, m4 := 0.0, 0.0
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return math.NaN()
-	}
-	g2 := m4/(m2*m2) - 3
-	return ((n - 1) / ((n - 2) * (n - 3))) * ((n+1)*g2 + 6)
 }
 
 // sorted returns an ascending copy of xs.
@@ -239,57 +157,6 @@ func SortedQuantile(cp []float64, q float64) float64 {
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// IQR returns the interquartile range Q3 - Q1.
-func IQR(xs []float64) float64 {
-	qs := QuantilesSorted(xs, 0.25, 0.75)
-	return qs[1] - qs[0]
-}
-
-// MedianAbsDeviation returns median(|x - median(x)|).
-func MedianAbsDeviation(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
-}
-
-// VariationCoefficient returns std/mean (population std), or NaN when the
-// mean is zero.
-func VariationCoefficient(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return math.NaN()
-	}
-	return Std(xs) / m
-}
-
-// CountAbove returns the number of elements strictly greater than t.
-func CountAbove(xs []float64, t float64) int {
-	n := 0
-	for _, x := range xs {
-		if x > t {
-			n++
-		}
-	}
-	return n
-}
-
-// CountBelow returns the number of elements strictly less than t.
-func CountBelow(xs []float64, t float64) int {
-	n := 0
-	for _, x := range xs {
-		if x < t {
-			n++
-		}
-	}
-	return n
-}
-
 // CrossingCount returns the number of consecutive pairs that straddle the
 // threshold t (sign changes of x - t), tsfresh's number_crossing_m.
 func CrossingCount(xs []float64, t float64) int {
@@ -335,79 +202,6 @@ func LongestStrikeBelow(xs []float64, t float64) int {
 		}
 	}
 	return best
-}
-
-// LongestMonotonicIncrease returns the length (in samples) of the longest
-// non-decreasing run, one of the MVTS "long-run trend" features.
-func LongestMonotonicIncrease(xs []float64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	best, cur := 1, 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] >= xs[i-1] {
-			cur++
-		} else {
-			cur = 1
-		}
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
-// LongestMonotonicDecrease returns the length of the longest non-increasing
-// run.
-func LongestMonotonicDecrease(xs []float64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	best, cur := 1, 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			cur++
-		} else {
-			cur = 1
-		}
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
-// MeanChange returns the mean of first differences ((x_n - x_0)/(n-1)).
-func MeanChange(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	return (xs[len(xs)-1] - xs[0]) / float64(len(xs)-1)
-}
-
-// MeanAbsChange returns the mean absolute first difference.
-func MeanAbsChange(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := 1; i < len(xs); i++ {
-		s += math.Abs(xs[i] - xs[i-1])
-	}
-	return s / float64(len(xs)-1)
-}
-
-// MeanSecondDerivativeCentral returns tsfresh's
-// mean_second_derivative_central: mean of (x[i+1] - 2x[i] + x[i-1]) / 2.
-func MeanSecondDerivativeCentral(xs []float64) float64 {
-	if len(xs) < 3 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := 1; i < len(xs)-1; i++ {
-		s += (xs[i+1] - 2*xs[i] + xs[i-1]) / 2
-	}
-	return s / float64(len(xs)-2)
 }
 
 // Autocorrelation returns the lag-k autocorrelation using the standard
@@ -546,54 +340,6 @@ func ArgMax(xs []float64) int {
 		}
 	}
 	return best
-}
-
-// ArgMin returns the index of the first minimum value; -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// LinearTrend fits y = slope*i + intercept over the sample index by
-// ordinary least squares and also reports the correlation coefficient r.
-// For a series shorter than 2, all results are NaN.
-func LinearTrend(xs []float64) (slope, intercept, r float64) {
-	n := float64(len(xs))
-	if n < 2 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	// Index statistics are closed-form.
-	sumI := (n - 1) * n / 2
-	sumII := (n - 1) * n * (2*n - 1) / 6
-	meanI := sumI / n
-	sumX := Sum(xs)
-	meanX := sumX / n
-	var sumIX float64
-	for i, x := range xs {
-		sumIX += float64(i) * x
-	}
-	den := sumII - n*meanI*meanI
-	if den == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	slope = (sumIX - n*meanI*meanX) / den
-	intercept = meanX - slope*meanI
-	varX := Var(xs)
-	if varX == 0 {
-		return slope, intercept, math.NaN()
-	}
-	covIX := (sumIX/n - meanI*meanX)
-	varI := sumII/n - meanI*meanI
-	r = covIX / math.Sqrt(varI*varX)
-	return slope, intercept, r
 }
 
 // BinnedEntropy buckets the series into `bins` equal-width bins between its

@@ -24,7 +24,6 @@ func TestMeanVarStd(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	almost(t, Mean(xs), 3, 1e-12, "mean")
 	almost(t, Var(xs), 2, 1e-12, "var")
-	almost(t, SampleVar(xs), 2.5, 1e-12, "samplevar")
 	almost(t, Std(xs), math.Sqrt2, 1e-12, "std")
 }
 
@@ -32,8 +31,7 @@ func TestEmptyInputsReturnNaN(t *testing.T) {
 	var e []float64
 	for name, f := range map[string]func([]float64) float64{
 		"mean": Mean, "var": Var, "std": Std, "min": Min, "max": Max,
-		"median": Median, "meanabs": MeanAbs, "rms": RMS,
-		"mad": MedianAbsDeviation, "meanchange": MeanChange,
+		"median": Median,
 	} {
 		if !math.IsNaN(f(e)) {
 			t.Errorf("%s(empty) should be NaN", name)
@@ -73,30 +71,6 @@ func TestQuantilesSortedMatchesQuantile(t *testing.T) {
 	}
 }
 
-func TestIQRAndMAD(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	almost(t, IQR(xs), 4, 1e-12, "iqr")
-	almost(t, MedianAbsDeviation(xs), 2, 1e-12, "mad")
-}
-
-func TestSkewnessKurtosisSymmetric(t *testing.T) {
-	xs := []float64{-2, -1, 0, 1, 2}
-	almost(t, Skewness(xs), 0, 1e-12, "skew symmetric")
-	// Uniform five points: excess kurtosis is negative (platykurtic).
-	if k := Kurtosis(xs); k >= 0 {
-		t.Fatalf("kurtosis of uniform sample should be negative, got %v", k)
-	}
-	if !math.IsNaN(Skewness([]float64{1, 1})) {
-		t.Fatal("skewness with n<3 should be NaN")
-	}
-	if !math.IsNaN(Kurtosis([]float64{1, 1, 1})) {
-		t.Fatal("kurtosis with n<4 should be NaN")
-	}
-	if !math.IsNaN(Skewness([]float64{2, 2, 2, 2})) {
-		t.Fatal("skewness of constant series should be NaN")
-	}
-}
-
 func TestCrossingAndStrikes(t *testing.T) {
 	xs := []float64{0, 2, -1, 3, -2, 4}
 	if c := CrossingCount(xs, 0); c != 4 {
@@ -109,26 +83,6 @@ func TestCrossingAndStrikes(t *testing.T) {
 	if s := LongestStrikeBelow(xs2, 0.5); s != 1 {
 		t.Fatalf("strike below = %d, want 1", s)
 	}
-}
-
-func TestMonotonicRuns(t *testing.T) {
-	xs := []float64{1, 2, 3, 3, 2, 1, 0, 5}
-	if r := LongestMonotonicIncrease(xs); r != 4 {
-		t.Fatalf("longest increase = %d, want 4", r)
-	}
-	if r := LongestMonotonicDecrease(xs); r != 5 {
-		t.Fatalf("longest decrease = %d, want 5", r)
-	}
-	if LongestMonotonicIncrease(nil) != 0 {
-		t.Fatal("empty should be 0")
-	}
-}
-
-func TestChanges(t *testing.T) {
-	xs := []float64{0, 1, 3, 6}
-	almost(t, MeanChange(xs), 2, 1e-12, "meanchange")
-	almost(t, MeanAbsChange([]float64{0, 1, -1, 2}), (1+2+3)/3.0, 1e-12, "meanabschange")
-	almost(t, MeanSecondDerivativeCentral([]float64{0, 1, 4, 9}), ((4-2+0)/2.0+(9-8+1)/2.0)/2, 1e-12, "second deriv")
 }
 
 func TestAutocorrelation(t *testing.T) {
@@ -168,21 +122,6 @@ func TestPartialAutocorrelationAR1(t *testing.T) {
 	}
 	if PartialAutocorrelation(xs, 0) != 1 {
 		t.Fatal("pacf(0) must be 1")
-	}
-}
-
-func TestLinearTrend(t *testing.T) {
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = 2.5*float64(i) + 7
-	}
-	slope, intercept, r := LinearTrend(xs)
-	almost(t, slope, 2.5, 1e-9, "slope")
-	almost(t, intercept, 7, 1e-9, "intercept")
-	almost(t, r, 1, 1e-9, "r")
-	_, _, rConst := LinearTrend([]float64{3, 3, 3})
-	if !math.IsNaN(rConst) {
-		t.Fatal("r of constant series should be NaN")
 	}
 }
 
@@ -280,19 +219,6 @@ func TestRatioBeyondRSigma(t *testing.T) {
 	xs := []float64{0, 0, 0, 0, 100}
 	r := RatioBeyondRSigma(xs, 1)
 	almost(t, r, 0.2, 1e-12, "ratio beyond")
-}
-
-func TestCountsAndArg(t *testing.T) {
-	xs := []float64{1, 5, 3, 5, 2}
-	if CountAbove(xs, 2.5) != 3 || CountBelow(xs, 2.5) != 2 {
-		t.Fatal("count above/below wrong")
-	}
-	if ArgMax(xs) != 1 || ArgMin(xs) != 0 {
-		t.Fatal("argmax/argmin wrong")
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Fatal("empty arg should be -1")
-	}
 }
 
 // Property: variance is non-negative and invariant under shifting.

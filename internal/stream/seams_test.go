@@ -118,13 +118,6 @@ func TestWindowerAccounting(t *testing.T) {
 	if got := w.Stats(); got != want || w.Committed() != 5 || w.PendingDepth() != 0 {
 		t.Fatalf("after flush: stats %+v committed %d pending %d", got, w.Committed(), w.PendingDepth())
 	}
-	w.Reset()
-	if got := w.Stats(); got != (Stats{}) || w.Committed() != 0 {
-		t.Fatalf("after reset: stats %+v committed %d", got, w.Committed())
-	}
-	if err := w.PushAt(7, row); err != nil || w.Stats().Pushed != 1 || w.Stats().Late != 0 {
-		t.Fatalf("reset kept the old anchor: err %v stats %+v", err, w.Stats())
-	}
 	if cfg := w.Config(); cfg.Stride != 8 || cfg.MaxJump != 10 {
 		t.Fatalf("resolved config %+v", cfg)
 	}

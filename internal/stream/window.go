@@ -214,16 +214,3 @@ func (w *Windower) PendingDepth() int { return len(w.pending) }
 // Stats returns the delivery and window accounting so far (Abstained is
 // always zero at this layer; classification owns abstention).
 func (w *Windower) Stats() Stats { return w.stats }
-
-// Reset clears all buffers and accounting (e.g. between application
-// runs on the node).
-func (w *Windower) Reset() {
-	w.buf = w.buf[:0]
-	w.count = 0
-	w.since = 0
-	w.anchored = false
-	w.nextT = 0
-	w.maxT = 0
-	w.pending = map[int][]float64{}
-	w.stats = Stats{}
-}

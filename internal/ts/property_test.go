@@ -200,7 +200,20 @@ func TestGapEdgeRepairs(t *testing.T) {
 	}
 }
 
-// Property: CountNaN agrees with what InterpolateAll ends up filling on
+// countNaN returns the number of NaN samples in the block.
+func countNaN(m *Multivariate) int {
+	n := 0
+	for _, s := range m.Metrics {
+		for _, v := range s {
+			if math.IsNaN(v) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Property: the NaN count agrees with what InterpolateAll ends up filling on
 // blocks that have at least one finite sample per series.
 func TestQuickCountNaNMatchesFill(t *testing.T) {
 	f := func(raw []float64, mask []bool) bool {
@@ -210,8 +223,8 @@ func TestQuickCountNaNMatchesFill(t *testing.T) {
 		}
 		s[0] = 1 // ensure a finite anchor so fills == NaN count
 		m := &Multivariate{Metrics: []Series{s}}
-		want := CountNaN(m)
-		return InterpolateAll(m) == want && CountNaN(m) == 0
+		want := countNaN(m)
+		return InterpolateAll(m) == want && countNaN(m) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

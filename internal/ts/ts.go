@@ -169,19 +169,6 @@ func HoldLastAll(m *Multivariate) int {
 	return total
 }
 
-// CountNaN returns the number of NaN samples in the block.
-func CountNaN(m *Multivariate) int {
-	n := 0
-	for _, s := range m.Metrics {
-		for _, v := range s {
-			if math.IsNaN(v) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // InterpolateAll interpolates every metric of the block in place and
 // returns the total number of filled samples.
 func InterpolateAll(m *Multivariate) int {
@@ -320,32 +307,4 @@ func (sc *MinMaxScaler) Transform(x [][]float64) error {
 		}
 	}
 	return nil
-}
-
-// ZScore standardizes a single series (mean 0, std 1) and returns a new
-// slice; a constant series returns all zeros.
-func ZScore(s Series) Series {
-	out := make(Series, len(s))
-	if len(s) == 0 {
-		return out
-	}
-	mean := 0.0
-	for _, v := range s {
-		mean += v
-	}
-	mean /= float64(len(s))
-	variance := 0.0
-	for _, v := range s {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(s))
-	sd := math.Sqrt(variance)
-	if sd == 0 {
-		return out
-	}
-	for i, v := range s {
-		out[i] = (v - mean) / sd
-	}
-	return out
 }

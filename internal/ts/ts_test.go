@@ -240,26 +240,6 @@ func TestQuickMinMaxInUnitIntervalOnTrainData(t *testing.T) {
 	}
 }
 
-func TestZScore(t *testing.T) {
-	s := ZScore(Series{1, 2, 3, 4, 5})
-	mean, ss := 0.0, 0.0
-	for _, v := range s {
-		mean += v
-	}
-	mean /= float64(len(s))
-	for _, v := range s {
-		ss += (v - mean) * (v - mean)
-	}
-	if math.Abs(mean) > 1e-12 || math.Abs(ss/float64(len(s))-1) > 1e-12 {
-		t.Fatalf("zscore mean=%v var=%v", mean, ss/float64(len(s)))
-	}
-	for _, v := range ZScore(Series{7, 7, 7}) {
-		if v != 0 {
-			t.Fatal("constant zscore should be zeros")
-		}
-	}
-}
-
 func TestMultivariateValidateClone(t *testing.T) {
 	m := NewMultivariate(3, 4)
 	if err := m.Validate(); err != nil {

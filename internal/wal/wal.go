@@ -291,9 +291,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Dir returns the directory the log lives in.
-func (l *Log) Dir() string { return l.dir }
-
 // segPath names the on-disk file of a segment; fixed-width sequence
 // numbers keep lexicographic and numeric order aligned.
 func (l *Log) segPath(seq uint64) string {

@@ -4,8 +4,8 @@
 # gates. Run from the repository root; exits non-zero on first failure.
 #
 #   ./verify.sh          # the standard gate
-#   ./verify.sh --deep   # additionally: fuzz smokes (CSV parser,
-#                        # stream ingest, WAL record decoder,
+#   ./verify.sh --deep   # additionally: fuzz smokes (stream ingest,
+#                        # WAL record decoder,
 #                        # ingest-body values scanner, bulk ingest
 #                        # wire decoder against encoding/json, mvts kernel
 #                        # against its reference, the mvts sorting
@@ -69,9 +69,6 @@ echo "== lifecycle chaos scenario (drift trigger, quarantine, rollback; see docs
 go run ./cmd/experiments -run lifecycle -scale tiny ${LIFECYCLE_OUT:+-out "$LIFECYCLE_OUT"}
 
 if [ "$deep" -eq 1 ]; then
-  echo "== fuzz smoke: FuzzReadCSV (10s)"
-  go test -run '^$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/ldms/
-
   echo "== fuzz smoke: FuzzPushAt (10s)"
   go test -run '^$' -fuzz=FuzzPushAt -fuzztime=10s ./internal/pipeline/
 
