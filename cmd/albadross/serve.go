@@ -75,7 +75,7 @@ func serve(args []string) {
 		ingStride  = fs.Int("ingest-stride", 0, "ingest window hop (0 = window length)")
 		ingReorder = fs.Int("ingest-reorder", 8, "ingest reordering-buffer horizon (samples)")
 		walDir     = fs.String("wal-dir", "", "write-ahead window log directory (empty disables journaling and crash recovery)")
-		walSegment = fs.Int64("wal-segment", 1<<20, "WAL segment rotation size in bytes")
+		walSegment = fs.Int64("wal-segment", 1<<20, "WAL segment size in bytes; each node's active segment occupies this much disk from creation")
 		walRetain  = fs.Int("wal-retain", 0, "WAL segments retained per node (0 keeps all)")
 
 		fleetQueue = fs.Int("fleet-queue-depth", 0, "per-shard ingest task queue bound; full queues shed with 429 + Retry-After (0 = 32)")

@@ -136,7 +136,7 @@ type ShardResult struct {
 	Nodes int `json:"nodes"`
 	// Offered is the batch's row count routed to this shard.
 	Offered int `json:"offered"`
-	// Accepted rows entered (and, with a WAL, were fsynced into) their
+	// Accepted rows entered (and, with a WAL, were synced into) their
 	// node chains.
 	Accepted int `json:"accepted"`
 	// Rejected rows were refused permanently (chain errors, node

@@ -6,6 +6,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"albadross/internal/fleet"
 	"albadross/internal/pipeline"
@@ -30,14 +31,55 @@ func (s *Server) visitNode(node int, fn func(ns *fleet.NodeStream) error) error 
 	return err
 }
 
+// evidence is a predict stage's running FNV-1a fold over every
+// (model-space row, champion label) pair it served.
+type evidence struct {
+	hash uint64
+	rows int // pairs folded into hash
+}
+
+func (e *evidence) observe(row []float64, label string) {
+	e.hash = evidenceFold(e.hash, row, label)
+	e.rows++
+}
+
+// foldEvidence is a Config.observeServed that gives every node its own
+// evidence fold.
+func foldEvidence() servedObserver { return new(evidence) }
+
+// evidenceFold extends an FNV-1a evidence fingerprint by one
+// (model-space row, champion label) pair: the previous state as one
+// word, each float's bits, then each label byte. A zero accumulator
+// seeds the FNV offset basis, so folds compose associatively
+// left-to-right.
+func evidenceFold(h uint64, row []float64, label string) uint64 {
+	if h == 0 {
+		h = fnvOffset64
+	}
+	h = fnvWord(fnvOffset64, h)
+	for _, v := range row {
+		h = fnvWord(h, math.Float64bits(v))
+	}
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // EvidenceHash returns one node's running FNV-1a fold over every
 // (model-space row, champion label) evidence pair its ingest traffic
 // delivered to the serving path: the fingerprint the shadow-replay
-// vetting is checked against.
+// vetting is checked against. The server must have been built with
+// Config.observeServed set to foldEvidence.
 func (s *Server) EvidenceHash(node int) (uint64, error) {
 	var hash uint64
 	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
-		hash = ns.Aux.(*servePredict).evidence
+		ev, ok := ns.Aux.(*servePredict).served.(*evidence)
+		if !ok {
+			return errors.New("server: node evidence is not folded")
+		}
+		hash = ev.hash
 		return nil
 	})
 	return hash, err
@@ -53,7 +95,8 @@ func (s *Server) EvidenceHash(node int) (uint64, error) {
 // node. The replay runs on the node's shard worker, which freezes the
 // log against appends (and holds that shard's ingest) for its duration.
 func (s *Server) ReplayShadowEvidence(node int) (int, uint64, error) {
-	ep := &servePredict{s: s}
+	ev := new(evidence)
+	ep := &servePredict{s: s, served: ev}
 	err := s.visitNode(node, func(ns *fleet.NodeStream) error {
 		if ns.Log == nil {
 			return errors.New("server: node has no write-ahead log")
@@ -67,7 +110,7 @@ func (s *Server) ReplayShadowEvidence(node int) (int, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return ep.rows, ep.evidence, nil
+	return ev.rows, ev.hash, nil
 }
 
 // Retrain retrains on the current labeled set and atomically swaps the

@@ -160,6 +160,9 @@ func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, e
 		return nil, err
 	}
 	pred := &servePredict{s: g.s}
+	if g.s.cfg.observeServed != nil {
+		pred.served = g.s.cfg.observeServed()
+	}
 	chain, err := g.buildChain(pred, sink, log)
 	if err != nil {
 		return fail(err)

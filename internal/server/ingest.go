@@ -3,15 +3,11 @@
 // the REAL serving path (preprocessor transform + the same classify
 // call /api/diagnose makes, on the shard worker's goroutine), so
 // ingest-driven diagnoses feed the drift monitor and
-// champion–challenger shadow gate exactly like /api/diagnose traffic,
-// and folds what it served into a per-node evidence fingerprint that
-// WAL replay can reproduce (docs/REPLAY.md).
+// champion–challenger shadow gate exactly like /api/diagnose traffic.
 
 package server
 
 import (
-	"math"
-
 	"albadross/internal/ml"
 	"albadross/internal/stream"
 )
@@ -49,18 +45,26 @@ type IngestConfig struct {
 }
 
 // servePredict is every node chain's predict stage: preprocessor
-// transform into model space, the server's one classify call, and the
-// running FNV-1a fold of each (model-space row, champion label) pair it
-// served. Only the goroutine driving the chain touches it.
+// transform into model space and the server's one classify call. Only
+// the goroutine driving the chain touches it.
 type servePredict struct {
 	s *Server
 	// recovering is set while start-up WAL replay rebuilds stream state:
 	// same model, same probabilities, but nothing is fed to the lifecycle,
 	// so journaled rows are not double-counted as drift or shadow
-	// evidence. Live traffic and shadow-evidence replay both feed it.
+	// evidence.
 	recovering bool
-	evidence   uint64
-	rows       int // pairs folded into evidence
+	// served sees every pair the stage serves; nil unless a test
+	// installed one through Config.observeServed.
+	served servedObserver
+}
+
+// servedObserver sees each (model-space row, champion label) pair a
+// predict stage serves, live, recovering or replayed for shadow
+// evidence. Only tests implement it: the evidence fingerprint WAL
+// replay is checked against.
+type servedObserver interface {
+	observe(row []float64, label string)
 }
 
 // Predict classifies one sanitized raw window vector. The model-space
@@ -77,31 +81,12 @@ func (p *servePredict) Predict(vec []float64) (string, float64, error) {
 	}
 	best := ml.Argmax(probs[0])
 	label, conf := sn.classes[best], probs[0][best]
-	p.evidence = evidenceFold(p.evidence, row, label)
-	p.rows++
+	if p.served != nil {
+		p.served.observe(row, label)
+	}
 	return label, conf, nil
 }
 
 // Emit lets a servePredict double as the sink of a chain that is
 // replayed for its evidence, not its diagnoses.
 func (p *servePredict) Emit(stream.Diagnosis) error { return nil }
-
-// evidenceFold extends an FNV-1a evidence fingerprint by one
-// (model-space row, champion label) pair: the previous state as one
-// word, each float's bits, then each label byte. A zero accumulator
-// seeds the FNV offset basis, so folds compose associatively
-// left-to-right.
-func evidenceFold(h uint64, row []float64, label string) uint64 {
-	if h == 0 {
-		h = fnvOffset64
-	}
-	h = fnvWord(fnvOffset64, h)
-	for _, v := range row {
-		h = fnvWord(h, math.Float64bits(v))
-	}
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= fnvPrime64
-	}
-	return h
-}

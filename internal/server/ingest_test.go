@@ -97,6 +97,7 @@ func ingestTestServer(t *testing.T, walDir string, mutate func(*Config)) *Server
 			WALDir:          walDir,
 			WALSegmentBytes: 4 << 10,
 		}},
+		observeServed: foldEvidence,
 	}
 	if mutate != nil {
 		mutate(&cfg)

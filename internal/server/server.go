@@ -165,6 +165,11 @@ type Config struct {
 	// Active when Fleet.Shards > 0; requires Schema and Extractor (plus
 	// Prep when the model was trained on transformed vectors).
 	Fleet FleetConfig
+
+	// observeServed, when set, gives each fleet node's predict stage its
+	// own observer of the pairs it serves. It is unexported: tests set
+	// it to fingerprint ingest evidence; production leaves it nil.
+	observeServed func() servedObserver
 }
 
 // snapshot is the immutable serving state behind the RCU pointer: one

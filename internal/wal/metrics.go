@@ -29,7 +29,7 @@ var (
 	})
 	quarantinedTotal = obs.NewCounter(obs.Opts{
 		Name: "wal_quarantined_bytes_total",
-		Help: "Torn-tail bytes moved to quarantine files during recovery.",
+		Help: "Torn-tail bytes copied to quarantine files (and zeroed in place) during recovery.",
 		Unit: "bytes",
 	})
 	replayedTotal = obs.NewCounter(obs.Opts{

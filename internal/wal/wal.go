@@ -1,16 +1,21 @@
-// Package wal implements the per-shard append-only write-ahead window
-// log: every accepted ingest row is journaled as a checksummed,
-// length-prefixed record BEFORE it mutates stream state, so a crashed
-// server rebuilds its reordering buffers and window rings
-// bitwise-identically by replaying the log through the same stage graph
-// (internal/pipeline.Replay). Logs are segmented with bounded
-// retention; recovery quarantines a torn tail on the final segment and
-// fails loudly on corruption anywhere else.
+// Package wal implements the per-shard write-ahead window log: every
+// accepted ingest row is journaled as a checksummed, length-prefixed
+// record BEFORE it mutates stream state, so a crashed server rebuilds
+// its reordering buffers and window rings bitwise-identically by
+// replaying the log through the same stage graph
+// (internal/pipeline.Replay). Segments are created at their full size,
+// zero-filled and synced once, and records are written in place at the
+// logical end, so a record's sync flushes data blocks only. Logs are
+// segmented with bounded retention; recovery quarantines a torn tail on
+// the final segment and fails loudly on corruption anywhere else.
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -25,13 +30,20 @@ const (
 	// quarantineSuffix marks the sidecar file holding torn-tail bytes
 	// clipped from a segment during recovery.
 	quarantineSuffix = ".quarantine"
+	// sectorSize is the write unit a crash can leave unwritten inside a
+	// frame: an aligned all-zero sector marks the frame torn.
+	sectorSize = 512
 )
+
+// zeros is the block segments are filled from and tails compared with.
+var zeros [64 << 10]byte
 
 // Options tunes one shard's log. The zero value is usable.
 type Options struct {
-	// SegmentBytes rotates the active segment once it would exceed this
-	// size; 0 defaults to 1 MiB. A record larger than the limit still
-	// lands whole in a fresh segment.
+	// SegmentBytes is the size every segment is created at, zero-filled,
+	// and the active segment rotates once a record would end past it; 0
+	// defaults to 1 MiB. A record larger than the limit still lands
+	// whole in a fresh segment, growing it.
 	SegmentBytes int64
 	// Retain caps how many segments are kept; once exceeded, the oldest
 	// segments (and their quarantine sidecars) are deleted. 0 keeps
@@ -45,7 +57,8 @@ type Stats struct {
 	// Segments is the number of retained segments, the active one
 	// included.
 	Segments int `json:"segments"`
-	// Bytes is the total framed bytes across retained segments.
+	// Bytes is the total framed bytes across retained segments: their
+	// logical ends, not the zero-filled file sizes.
 	Bytes int64 `json:"bytes"`
 	// Records is the total records across retained segments.
 	Records uint64 `json:"records"`
@@ -62,29 +75,50 @@ type Stats struct {
 // segment is one on-disk log file and its recovered accounting.
 type segment struct {
 	seq     uint64
-	bytes   int64
+	bytes   int64 // logical end: the frames end here, zeros follow
 	records uint64
+}
+
+// file is the I/O a Log does on its active segment. *os.File is the
+// only production implementation; tests substitute failing ones.
+type file interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+	Close() error
+}
+
+// openSegment opens a segment file for writes in place.
+func openSegment(path string, flag int) (file, error) {
+	return os.OpenFile(path, os.O_WRONLY|flag, 0o644)
 }
 
 // Log is one shard's write-ahead log. It is not safe for concurrent
 // use; the owner (e.g. the server's per-shard ingest lock) serializes
 // access, matching the single-writer stream state it journals for.
 type Log struct {
-	dir         string
-	opts        Options
-	f           *os.File
-	segs        []segment // ascending seq; last is active
+	dir  string
+	opts Options
+	f    file
+	// open opens segment files: openSegment, or a test's faulty files.
+	open func(path string, flag int) (file, error)
+	segs []segment // ascending seq; last is active
+	// dirty is the end of bytes a failed write may have left past the
+	// active segment's logical end; 0 when everything past it is zero.
+	dirty       int64
 	scratch     []byte
 	quarantined int64
 	retired     uint64
 }
 
 // Open opens (or creates) the log rooted at dir and runs recovery:
-// every retained segment is scanned and checksum-verified. A torn tail
-// on the final segment — the signature of a crash mid-append — is moved
-// to a .quarantine sidecar and clipped; a torn or corrupt record
-// anywhere else is refused with an error wrapping ErrCorrupt, because
-// only the last write in the log can legitimately be incomplete.
+// every retained segment is read up to its logical end and
+// checksum-verified. A torn frame on the final segment — the signature
+// of a crash mid-append — is copied to a .quarantine sidecar and zeroed
+// in place; a torn or corrupt record anywhere else is refused with an
+// error wrapping ErrCorrupt, because only the last write in the log can
+// legitimately be incomplete. A final segment shorter than
+// SegmentBytes (one written before segments were preallocated, or cut
+// short by a crash during its fill) is zero-filled from its end.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 1 << 20
@@ -102,63 +136,142 @@ func Open(dir string, opts Options) (*Log, error) {
 	if len(seqs) == 0 {
 		seqs = []uint64{1}
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, open: openSegment}
 	for i, seq := range seqs {
 		seg, qerr := l.recoverSegment(seq, i == len(seqs)-1)
 		if qerr != nil {
+			if l.f != nil {
+				_ = l.f.Close() //albacheck:ignore errsilent the recovery error is the one worth reporting
+			}
 			return nil, qerr
 		}
 		l.segs = append(l.segs, seg)
 	}
-	cur := l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(l.segPath(cur.seq), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open active segment: %w", err)
-	}
-	l.f = f
 	return l, nil
 }
 
-// recoverSegment scans one segment, verifying every frame. On the final
-// segment a torn tail is quarantined and clipped; elsewhere it is
-// corruption.
+// recoverSegment reads one segment and verifies every frame up to its
+// logical end: the first offset from which the file holds only zeros.
+// On the final segment a torn frame is quarantined and zeroed, the file
+// is filled to SegmentBytes, and it becomes the active file; elsewhere
+// a torn frame is corruption.
 func (l *Log) recoverSegment(seq uint64, last bool) (segment, error) {
 	path := l.segPath(seq)
 	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		data = nil
-	} else if err != nil {
+	if err != nil && !(last && errors.Is(err, fs.ErrNotExist)) {
 		return segment{}, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	seg := segment{seq: seq}
-	off := 0
-	for off < len(data) {
+	content := contentEnd(data)
+	off, tornEnd := 0, 0
+	for off < content {
 		_, n, derr := DecodeRecord(data[off:])
 		if derr == nil {
 			off += n
 			seg.records++
 			continue
 		}
-		if last && errors.Is(derr, ErrTorn) {
-			if qerr := l.quarantine(seq, data[off:]); qerr != nil {
-				return segment{}, qerr
-			}
-			if qerr := os.Truncate(path, int64(off)); qerr != nil {
-				return segment{}, fmt.Errorf("wal: clip torn tail of %s: %w", path, qerr)
-			}
-			break
+		if !errors.Is(derr, ErrTorn) && !tornFrame(data, off, content) {
+			return segment{}, fmt.Errorf("wal: segment %s offset %d: %w", path, off, derr)
 		}
+		if !last {
+			return segment{}, fmt.Errorf("wal: segment %s offset %d: %w: non-final segment ends mid-record: %v", path, off, ErrCorrupt, derr)
+		}
+		// A frame cut by the end of the file (a segment written before
+		// preallocation) is torn through the file's end; one torn into
+		// the zero tail, through the last nonzero byte.
+		tornEnd = content
 		if errors.Is(derr, ErrTorn) {
-			derr = fmt.Errorf("%w: non-final segment ends mid-record: %v", ErrCorrupt, derr)
+			tornEnd = len(data)
 		}
-		return segment{}, fmt.Errorf("wal: segment %s offset %d: %w", path, off, derr)
+		if qerr := l.quarantine(seq, data[off:tornEnd]); qerr != nil {
+			return segment{}, qerr
+		}
+		break
 	}
 	seg.bytes = int64(off)
+	if !last {
+		return seg, nil
+	}
+	f, err := l.open(path, os.O_CREATE)
+	if err != nil {
+		return segment{}, fmt.Errorf("wal: open active segment: %w", err)
+	}
+	l.f = f
+	size := int64(len(data))
+	if tornEnd == 0 && size >= l.opts.SegmentBytes {
+		return seg, nil
+	}
+	err = fill(f, seg.bytes, int64(tornEnd))
+	if err == nil {
+		err = fill(f, size, l.opts.SegmentBytes)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		return segment{}, fmt.Errorf("wal: fill active segment %s: %w", path, err)
+	}
 	return seg, nil
 }
 
+// contentEnd returns the offset just past b's last nonzero byte.
+func contentEnd(b []byte) int {
+	end := len(b)
+	for end > 0 {
+		k := min(end, len(zeros))
+		if !bytes.Equal(b[end-k:end], zeros[:k]) {
+			break
+		}
+		end -= k
+	}
+	for end > 0 && b[end-1] == 0 {
+		end--
+	}
+	return end
+}
+
+// tornFrame reports whether the frame at off, which failed to decode,
+// is an incomplete write rather than a corrupt one: its header never
+// landed (a zero length prefix with content after it), it runs past
+// content (the offset just past the segment's last nonzero byte), or
+// an aligned sector inside it is all zero. A frame present in full
+// that fails its checksum is corrupt.
+func tornFrame(data []byte, off, content int) bool {
+	length := binary.LittleEndian.Uint32(data[off:])
+	if length == 0 {
+		return true
+	}
+	if length > MaxRecordBytes {
+		return false
+	}
+	end := off + frameHeaderSize + int(length)
+	if end > content {
+		return true
+	}
+	for s := (off + sectorSize - 1) / sectorSize * sectorSize; s+sectorSize <= end; s += sectorSize {
+		if bytes.Equal(data[s:s+sectorSize], zeros[:sectorSize]) {
+			return true
+		}
+	}
+	return false
+}
+
+// fill writes zeros over [from, to) of f.
+func fill(f file, from, to int64) error {
+	for from < to {
+		n, err := f.WriteAt(zeros[:min(to-from, int64(len(zeros)))], from)
+		if err != nil {
+			return err
+		}
+		from += int64(n)
+	}
+	return nil
+}
+
 // quarantine preserves torn-tail bytes in the segment's sidecar file so
-// forensics can inspect what the crash clipped.
+// forensics can inspect what the crash clipped. The copy is synced
+// before recovery zeroes the bytes in place.
 func (l *Log) quarantine(seq uint64, tail []byte) error {
 	qpath := strings.TrimSuffix(l.segPath(seq), segSuffix) + quarantineSuffix
 	qf, err := os.OpenFile(qpath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
@@ -166,6 +279,9 @@ func (l *Log) quarantine(seq uint64, tail []byte) error {
 		return fmt.Errorf("wal: open quarantine %s: %w", qpath, err)
 	}
 	_, werr := qf.Write(tail)
+	if werr == nil {
+		werr = qf.Sync()
+	}
 	if cerr := qf.Close(); werr == nil {
 		werr = cerr
 	}
@@ -177,39 +293,60 @@ func (l *Log) quarantine(seq uint64, tail []byte) error {
 	return nil
 }
 
-// Append journals one record to the active segment, rotating first if
-// the segment is full. It returns once the bytes are handed to the
-// kernel; call Sync to force them to stable storage.
+// Append journals one record at the active segment's logical end,
+// rotating first if the record would end past SegmentBytes. It returns
+// once the bytes are handed to the kernel; call Sync to force them to
+// stable storage. A failed write leaves the logical end where it was,
+// so the next record overwrites whatever part of this one landed.
 func (l *Log) Append(r Record) error {
-	l.scratch = AppendRecord(l.scratch[:0], r)
 	cur := &l.segs[len(l.segs)-1]
+	if l.dirty > cur.bytes {
+		if err := fill(l.f, cur.bytes, l.dirty); err != nil {
+			return fmt.Errorf("wal: append: clear failed write: %w", err)
+		}
+		l.dirty = 0
+	}
+	l.scratch = AppendRecord(l.scratch[:0], r)
 	if cur.bytes > 0 && cur.bytes+int64(len(l.scratch)) > l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 		cur = &l.segs[len(l.segs)-1]
 	}
-	n, err := l.f.Write(l.scratch)
-	cur.bytes += int64(n)
-	if err != nil {
+	if _, err := l.f.WriteAt(l.scratch, cur.bytes); err != nil {
+		l.dirty = cur.bytes + int64(len(l.scratch))
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	cur.bytes += int64(len(l.scratch))
 	cur.records++
 	appendsTotal.Inc()
-	bytesTotal.Add(uint64(n))
+	bytesTotal.Add(uint64(len(l.scratch)))
 	return nil
 }
 
-// rotate seals the active segment, starts the next one, and applies
-// retention.
+// rotate creates, fills and syncs the next segment, seals the active
+// one, and applies retention. A failure before the switch leaves the
+// active segment in place and removes the partial new one, so the
+// next Append retries; a partial file that could not be removed is
+// truncated and filled again by that retry.
 func (l *Log) rotate() error {
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: seal segment: %w", err)
-	}
 	next := l.segs[len(l.segs)-1].seq + 1
-	f, err := os.OpenFile(l.segPath(next), os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+	path := l.segPath(next)
+	f, err := l.open(path, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("wal: open segment %d: %w", next, err)
+	}
+	if err = fill(f, 0, l.opts.SegmentBytes); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		_ = f.Close()       //albacheck:ignore errsilent the fill error is the one worth reporting
+		_ = os.Remove(path) //albacheck:ignore errsilent a leftover partial segment is refilled by the retry, or recovers as an empty final segment
+		return fmt.Errorf("wal: fill segment %d: %w", next, err)
+	}
+	if err := l.f.Close(); err != nil {
+		_ = f.Close() //albacheck:ignore errsilent the seal error is the one worth reporting
+		return fmt.Errorf("wal: seal segment: %w", err)
 	}
 	l.f = f
 	l.segs = append(l.segs, segment{seq: next})
@@ -230,7 +367,9 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// Sync forces journaled bytes to stable storage.
+// Sync forces journaled bytes to stable storage. The segment's size
+// and block map were made durable when it was filled, so this flushes
+// data blocks only.
 func (l *Log) Sync() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
@@ -247,20 +386,21 @@ func (l *Log) Close() error {
 }
 
 // Scan streams every retained record, oldest segment first, through fn;
-// a non-nil error from fn stops the scan. Recovery at Open has already
-// verified the retained frames, so any decode failure here reports
-// external tampering since Open.
+// a non-nil error from fn stops the scan. It reads each segment only up
+// to its logical end. Recovery at Open has already verified the
+// retained frames, so any decode failure here reports external
+// tampering since Open.
 func (l *Log) Scan(fn func(Record) error) error {
+	var data []byte
 	for _, seg := range l.segs {
-		data, err := os.ReadFile(l.segPath(seg.seq))
-		if errors.Is(err, fs.ErrNotExist) && seg.bytes == 0 {
+		if seg.bytes == 0 {
 			continue
 		}
-		if err != nil {
+		data = append(data[:0], make([]byte, seg.bytes)...)
+		if err := readPrefix(l.segPath(seg.seq), data); err != nil {
 			return fmt.Errorf("wal: scan segment %d: %w", seg.seq, err)
 		}
-		off := 0
-		for off < len(data) {
+		for off := 0; off < len(data); {
 			r, n, derr := DecodeRecord(data[off:])
 			if derr != nil {
 				return fmt.Errorf("wal: scan segment %d offset %d: %w", seg.seq, off, derr)
@@ -273,6 +413,19 @@ func (l *Log) Scan(fn func(Record) error) error {
 		}
 	}
 	return nil
+}
+
+// readPrefix fills buf from the start of the file at path.
+func readPrefix(path string, buf []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	_, err = io.ReadFull(f, buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Stats reports the log's current accounting.

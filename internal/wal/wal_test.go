@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -224,10 +225,14 @@ func TestOpenRejectsMidLogCorruption(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsTornNonFinalSegment tears the last frame of the FIRST
+// segment (zeros from its middle to the segment's logical end, as a
+// lost write leaves them); only the final segment may be torn, so this
+// must read as corruption.
 func TestOpenRejectsTornNonFinalSegment(t *testing.T) {
 	dir := t.TempDir()
 	frame := len(AppendRecord(nil, mkRecord(0)))
-	l, err := Open(dir, Options{SegmentBytes: int64(2 * frame)})
+	l, err := Open(dir, Options{SegmentBytes: int64(2*frame + 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,20 +241,204 @@ func TestOpenRejectsTornNonFinalSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	end := l.segs[0].bytes
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail of the FIRST segment; only the final segment may be
-	// torn, so this must read as corruption.
-	path := filepath.Join(dir, "seg-00000001.wal")
-	info, err := os.Stat(path)
+	zeroFrom(t, filepath.Join(dir, "seg-00000001.wal"), end-int64(frame/2))
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open over torn non-final segment: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// faultyFile wraps a segment file and fails the calls a test arms:
+// shortWrites makes that many WriteAt calls write half their bytes and
+// fail, failWrites fails WriteAt outright, failSync fails Sync.
+type faultyFile struct {
+	file
+	shortWrites int
+	failWrites  bool
+	failSync    bool
+}
+
+var errInjected = errors.New("injected fault")
+
+func (f *faultyFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.failWrites {
+		return 0, errInjected
+	}
+	if f.shortWrites > 0 {
+		f.shortWrites--
+		n, err := f.file.WriteAt(p[:len(p)/2], off)
+		if err == nil {
+			err = errInjected
+		}
+		return n, err
+	}
+	return f.file.WriteAt(p, off)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		return errInjected
+	}
+	return f.file.Sync()
+}
+
+// reopenHolds closes l, reopens its directory and checks it holds
+// exactly want, bitwise, with nothing quarantined.
+func reopenHolds(t *testing.T, l *Log, want []Record) {
+	t.Helper()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(l.dir, l.opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if st := l2.Stats(); st.Records != uint64(len(want)) || st.QuarantinedBytes != 0 {
+		t.Fatalf("reopened stats %+v, want %d records and nothing quarantined", st, len(want))
+	}
+	i := 0
+	if err := l2.Scan(func(r Record) error {
+		if r.T != want[i].T || !sameBits(r.Values, want[i].Values) {
+			t.Fatalf("record %d mismatch after reopen", i)
+		}
+		i++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShortWriteKeepsLogicalEnd: a write that lands part of a frame
+// and fails surfaces as an error and leaves Stats at the last whole
+// frame; the next record overwrites the partial one (and the zeros
+// clear what a shorter record does not cover), so the log reopens
+// with every record that was appended whole.
+func TestShortWriteKeepsLogicalEnd(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-3); err != nil {
+	want := records(3)
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := l.Stats()
+	ff := &faultyFile{file: l.f, shortWrites: 1}
+	l.f = ff
+	long := sectorRecord(9, 0)
+	if err := l.Append(long); !errors.Is(err, errInjected) {
+		t.Fatalf("short write: err=%v, want the injected fault", err)
+	}
+	if st := l.Stats(); st != before {
+		t.Fatalf("stats after a short write %+v, want %+v", st, before)
+	}
+	want = append(want, mkRecord(3))
+	if err := l.Append(want[3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open over torn non-final segment: err=%v, want ErrCorrupt", err)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	reopenHolds(t, l, want)
+}
+
+// TestSyncErrorSurfaces: a failed sync is returned to the caller, the
+// records appended before it stay counted, and the log reopens with
+// all of them.
+func TestSyncErrorSurfaces(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = &faultyFile{file: l.f, failSync: true}
+	want := records(4)
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("sync: err=%v, want the injected fault", err)
+	}
+	if st := l.Stats(); st.Records != 4 || st.Bytes != int64(4*len(AppendRecord(nil, want[0]))) {
+		t.Fatalf("stats after a failed sync %+v", st)
+	}
+	reopenHolds(t, l, want)
+}
+
+// TestFillErrorKeepsActiveSegment: a rotation whose new segment cannot
+// be filled surfaces as an error, removes the partial segment, and
+// leaves the active one in place with Stats unchanged; the next Append
+// retries the rotation, and the log reopens with every record.
+func TestFillErrorKeepsActiveSegment(t *testing.T) {
+	frame := len(AppendRecord(nil, mkRecord(0)))
+	l, err := Open(t.TempDir(), Options{SegmentBytes: int64(2 * frame)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := records(6)
+	for _, r := range want[:2] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := l.Stats()
+	l.open = func(path string, flag int) (file, error) {
+		f, err := openSegment(path, flag)
+		return &faultyFile{file: f, failWrites: true}, err
+	}
+	if err := l.Append(want[2]); !errors.Is(err, errInjected) {
+		t.Fatalf("append over a failing fill: err=%v, want the injected fault", err)
+	}
+	if st := l.Stats(); st != before {
+		t.Fatalf("stats after a failed fill %+v, want %+v", st, before)
+	}
+	if _, err := os.Stat(l.segPath(2)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("partial segment left behind: %v", err)
+	}
+	l.open = openSegment
+	for _, r := range want[2:] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Segments != 3 || st.Records != 6 {
+		t.Fatalf("stats after the retried rotation %+v", st)
+	}
+	reopenHolds(t, l, want)
+}
+
+// raceEnabled is set by race_test.go: under the race detector a file
+// write allocates, so the allocation gate only holds without it
+// (./verify.sh runs it in a separate, race-free step).
+var raceEnabled bool
+
+// TestAppendAllocs: once its scratch frame has grown, Append writes a
+// record in place without allocating.
+func TestAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("file writes allocate under the race detector")
+	}
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	r := sectorRecord(1, 0)
+	if err := l.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Append allocates %.1f times per record, want 0", allocs)
 	}
 }

@@ -5,7 +5,8 @@
 #
 #   ./verify.sh          # the standard gate
 #   ./verify.sh --deep   # additionally: fuzz smokes (stream ingest,
-#                        # WAL record decoder,
+#                        # WAL record decoder, WAL recovery of torn
+#                        # final segments,
 #                        # ingest-body values scanner, bulk ingest
 #                        # wire decoder against encoding/json, mvts kernel
 #                        # against its reference, the mvts sorting
@@ -61,7 +62,7 @@ go test -race -timeout 20m ./...
 
 echo "== allocation gates (testing.AllocsPerRun; without -race, under which sync.Pool drops Puts)"
 go test -count=1 -run 'Alloc' ./internal/features/mvts/ ./internal/stream/ \
-  ./internal/ml/... ./internal/fleet/
+  ./internal/ml/... ./internal/fleet/ ./internal/wal/
 
 echo "== lifecycle chaos scenario (drift trigger, quarantine, rollback; see docs/LIFECYCLE.md)"
 # Every phase invariant is asserted in-process; a violation exits
@@ -80,6 +81,12 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzWALDecode (10s)"
   go test -run '^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal/
+
+  echo "== fuzz smoke: FuzzWALRecover (10s)"
+  # Every execution writes a log's files and recovers them (a sync
+  # included), so minimizing each new interesting input for the default
+  # 60 s would spend the whole smoke there; 100 executions bound it.
+  go test -run '^$' -fuzz=FuzzWALRecover -fuzztime=10s -fuzzminimizetime=100x ./internal/wal/
 
   echo "== fuzz smoke: FuzzMVTSReference (10s)"
   go test -run '^$' -fuzz=FuzzMVTSReference -fuzztime=10s ./internal/features/mvts/
