@@ -95,8 +95,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 }
 
 // recoverImage is the valid log FuzzWALRecover tears: three segments
-// of records sized from a few bytes to several 512-byte sectors, as
-// each segment file's bytes and logical end, plus the records in order.
+// of records sized from a few bytes to several 512-byte sectors, the
+// final one holding at least 2 500 bytes of frames (a frame is at most
+// 1 290 bytes, so it never rotates into a fourth), as each segment
+// file's bytes and logical end, plus the records in order.
 func recoverImage(tb testing.TB) ([][]byte, []int, []Record, Options) {
 	tb.Helper()
 	opts := Options{SegmentBytes: 4096}
@@ -106,7 +108,7 @@ func recoverImage(tb testing.TB) ([][]byte, []int, []Record, Options) {
 		tb.Fatal(err)
 	}
 	var recs []Record
-	for i := 0; l.Stats().Segments < 3; i++ {
+	for i := 0; l.Stats().Segments < 3 || l.segs[2].bytes < 2500; i++ {
 		r := Record{T: int64(i), Values: make([]float64, (i*37)%160)}
 		for j := range r.Values {
 			r.Values[j] = float64(i*1000+j) + 0.5
@@ -134,30 +136,44 @@ func recoverImage(tb testing.TB) ([][]byte, []int, []Record, Options) {
 	return segs, ends, recs, opts
 }
 
-// FuzzWALRecover holds recovery to its contract on crash images: the
-// final segment of a valid log is overwritten from a fuzzed point with
-// fuzzed bytes and then zeros (or, with pad unset, cut right after the
-// fuzzed bytes, as a segment written before preallocation ends). Open
-// never panics; it either refuses the log with ErrCorrupt or opens it,
-// and then every record whose frame ended before the point is kept,
-// the kept records are a prefix of the original ones, and Scan yields
-// exactly Stats.Records records whose frames are, bitwise, the image's
-// bytes up to each segment's logical end.
+// FuzzWALRecover holds recovery to its contract on crash images of a
+// valid log's final segment. With lost unset, the segment is
+// overwritten from a fuzzed point with fuzzed bytes and then zeros (or,
+// with pad unset, cut right after the fuzzed bytes, as a segment
+// written before preallocation ends). With lost set, 1 to 4 aligned
+// sectors from the point are zeroed and every later frame is kept: the
+// writes of those sectors never landed. Open never panics. It refuses
+// the log only with ErrCorrupt, and never on a pure crash image (zeros
+// from the point, or lost sectors), which must open on exactly the
+// frames before the first one the image changed. Whenever it opens, it
+// keeps at least those frames, and Scan yields exactly Stats.Records
+// records whose frames are, bitwise, the image's bytes up to each
+// segment's logical end.
 func FuzzWALRecover(f *testing.F) {
 	segs, ends, recs, opts := recoverImage(f)
 	last := segs[len(segs)-1]
 	end := ends[len(ends)-1]
-	f.Add(uint32(end), []byte{}, true)
-	f.Add(uint32(end-5), []byte{}, true)
-	f.Add(uint32(end-100), last[end-100:end-60], true)
-	f.Add(uint32(end-60), bytes.Repeat([]byte{0xff}, 9), false)
-	f.Add(uint32(0), last[:end], false)
-	f.Add(uint32(3), []byte{0, 0, 0, 0, 1}, true)
-	f.Fuzz(func(t *testing.T, cut uint32, tail []byte, pad bool) {
+	f.Add(uint32(end), []byte{}, true, uint8(0))
+	f.Add(uint32(end-5), []byte{}, true, uint8(0))
+	f.Add(uint32(end-100), last[end-100:end-60], true, uint8(0))
+	f.Add(uint32(end-60), bytes.Repeat([]byte{0xff}, 9), false, uint8(0))
+	f.Add(uint32(0), last[:end], false, uint8(0))
+	f.Add(uint32(3), []byte{0, 0, 0, 0, 1}, true, uint8(0))
+	f.Add(uint32(sectorSize), []byte{}, true, uint8(1))
+	f.Add(uint32(2*sectorSize+7), []byte{}, true, uint8(3))
+	f.Fuzz(func(t *testing.T, cut uint32, tail []byte, pad bool, lost uint8) {
 		c := int(cut % uint32(end+1))
-		img := append(append([]byte{}, last[:c]...), tail...)
-		if pad && len(img) < len(last) {
-			img = append(img, make([]byte, len(last)-len(img))...)
+		var img []byte
+		crash := lost > 0 || (pad && len(tail) == 0)
+		if lost > 0 {
+			img = append([]byte{}, last...)
+			from := c / sectorSize * sectorSize
+			clear(img[from:min(from+(int(lost-1)%4+1)*sectorSize, len(img))])
+		} else {
+			img = append(append([]byte{}, last[:c]...), tail...)
+			if pad && len(img) < len(last) {
+				img = append(img, make([]byte, len(last)-len(img))...)
+			}
 		}
 		dir := t.TempDir()
 		for i, data := range append(segs[:len(segs)-1:len(segs)-1], img) {
@@ -165,31 +181,35 @@ func FuzzWALRecover(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		// The records a crash kept: every earlier segment's, and the
+		// final segment's frames up to the first one the image changed.
+		var framed []byte
+		intact := 0
+		for i, data := range segs[:len(segs)-1] {
+			framed = append(framed, data[:ends[i]]...)
+			for off := 0; off < ends[i]; intact++ {
+				_, n, _ := DecodeRecord(data[off:])
+				off += n
+			}
+		}
+		for off := 0; off < end; intact++ {
+			_, n, _ := DecodeRecord(last[off:])
+			if off+n > len(img) || !bytes.Equal(img[off:off+n], last[off:off+n]) {
+				break
+			}
+			off += n
+		}
 		l, err := Open(dir, opts)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("recovery error is not ErrCorrupt: %v", err)
+			if crash || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("recovery refused the image: %v", err)
 			}
 			return
 		}
 		defer l.Close()
 		st := l.Stats()
-		var framed []byte
-		for i, data := range segs[:len(segs)-1] {
-			framed = append(framed, data[:ends[i]]...)
-		}
-		// Records whose frames end before the cut survived the crash.
-		kept := append(append([]byte{}, framed...), last[:c]...)
-		intact := 0
-		for off := 0; off < len(kept); intact++ {
-			_, n, derr := DecodeRecord(kept[off:])
-			if derr != nil {
-				break
-			}
-			off += n
-		}
-		if st.Records < uint64(intact) {
-			t.Fatalf("opened with %d records, %d were whole before the cut", st.Records, intact)
+		if st.Records < uint64(intact) || (crash && st.Records != uint64(intact)) {
+			t.Fatalf("opened with %d records, %d were whole before the crash", st.Records, intact)
 		}
 		framed = append(framed, img[:l.segs[len(l.segs)-1].bytes]...)
 		if int64(len(framed)) != st.Bytes {
@@ -198,7 +218,7 @@ func FuzzWALRecover(f *testing.F) {
 		var scanned []byte
 		n := 0
 		if err := l.Scan(func(r Record) error {
-			if n < len(recs) && n < intact && (r.T != recs[n].T || !sameBits(r.Values, recs[n].Values)) {
+			if n < intact && (r.T != recs[n].T || !sameBits(r.Values, recs[n].Values)) {
 				t.Fatalf("record %d is not the original record %d", n, n)
 			}
 			scanned = AppendRecord(scanned, r)

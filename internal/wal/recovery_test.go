@@ -335,6 +335,82 @@ func TestRecoveryZeroSector(t *testing.T) {
 	}
 }
 
+// TestRecoveryLostSectorBetweenFrames: several frames written after
+// the last sync, and the crash loses the one sector that held the end
+// of one frame and the header of the next while later frames landed.
+// The first frame fails its checksum with no whole aligned sector
+// inside it, but the piece of it in the lost sector is all zero, so it
+// is torn, not corrupt: the log opens with the records before it, and
+// everything from it through the last nonzero byte is quarantined.
+func TestRecoveryLostSectorBetweenFrames(t *testing.T) {
+	const n = 6
+	row := func(i int) Record {
+		vals := make([]float64, 70)
+		for j := range vals {
+			vals[j] = 1.1 + float64(i*len(vals)+j)
+		}
+		return Record{T: int64(i), Values: vals}
+	}
+	frame := len(AppendRecord(nil, row(0)))
+	if frame <= sectorSize || frame >= 2*sectorSize {
+		t.Fatalf("frame of %d bytes: the lost sector must straddle exactly two frames", frame)
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := l.Append(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The sector after the first boundary inside frame 1 holds frame 1's
+	// end and frame 2's header.
+	sector := (frame + sectorSize) / sectorSize * sectorSize
+	if sector <= frame || sector >= 2*frame || sector+sectorSize < 2*frame+frameHeaderSize {
+		t.Fatalf("sector %d does not hold frame 1's end and frame 2's header", sector)
+	}
+	data, err := os.ReadFile(segFile(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data[sector : sector+sectorSize])
+	if err := os.WriteFile(segFile(dir, 1), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir, Options{}); err != nil {
+		t.Fatalf("open over a lost sector between frames: %v", err)
+	}
+	defer l.Close()
+	content := contentEnd(data)
+	if st := l.Stats(); st.Records != 1 || st.Bytes != int64(frame) || st.QuarantinedBytes != int64(content-frame) {
+		t.Fatalf("lost sector: stats %+v, want 1 record, logical end %d, %d quarantined", st, frame, content-frame)
+	}
+	q, err := os.ReadFile(filepath.Join(dir, "seg-00000001.quarantine"))
+	if err != nil || !bytes.Equal(q, data[frame:content]) {
+		t.Fatalf("quarantine does not hold the torn frames byte for byte: %v", err)
+	}
+	for i := 1; i < n; i++ {
+		if err := l.Append(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := 0
+	if err := l.Scan(func(r Record) error {
+		if want := row(count); r.T != want.T || !sameBits(r.Values, want.Values) {
+			t.Fatalf("record %d mismatch after re-append", count)
+		}
+		count++
+		return nil
+	}); err != nil || count != n {
+		t.Fatalf("scan after re-append: %d records, err %v", count, err)
+	}
+}
+
 // TestOldLayoutContinues opens a log written before preallocation —
 // two segments, appended and never filled — and checks it recovers
 // every record, fills its final segment from the logical end, continues

@@ -235,8 +235,12 @@ func contentEnd(b []byte) int {
 // is an incomplete write rather than a corrupt one: its header never
 // landed (a zero length prefix with content after it), it runs past
 // content (the offset just past the segment's last nonzero byte), or
-// an aligned sector inside it is all zero. A frame present in full
-// that fails its checksum is corrupt.
+// one of its pieces is all zero, where the frame is split at sector
+// boundaries and its partial first and last pieces count too (etcd's
+// isTornEntry rule). A lost sector that held one frame's end and the
+// next one's start leaves such a piece in the first frame even when
+// later frames landed. A frame present in full that fails its checksum
+// is corrupt.
 func tornFrame(data []byte, off, content int) bool {
 	length := binary.LittleEndian.Uint32(data[off:])
 	if length == 0 {
@@ -249,10 +253,12 @@ func tornFrame(data []byte, off, content int) bool {
 	if end > content {
 		return true
 	}
-	for s := (off + sectorSize - 1) / sectorSize * sectorSize; s+sectorSize <= end; s += sectorSize {
-		if bytes.Equal(data[s:s+sectorSize], zeros[:sectorSize]) {
+	for s := off; s < end; {
+		e := min((s/sectorSize+1)*sectorSize, end)
+		if bytes.Equal(data[s:e], zeros[:e-s]) {
 			return true
 		}
+		s = e
 	}
 	return false
 }
@@ -324,12 +330,17 @@ func (l *Log) Append(r Record) error {
 	return nil
 }
 
-// rotate creates, fills and syncs the next segment, seals the active
-// one, and applies retention. A failure before the switch leaves the
-// active segment in place and removes the partial new one, so the
+// rotate syncs and seals the active segment, creates, fills and syncs
+// the next one, and applies retention. The seal's sync is what makes
+// the active segment's records durable, since Sync flushes only the
+// segment active when it is called. A failure before the switch leaves
+// the active segment in place and removes the partial new one, so the
 // next Append retries; a partial file that could not be removed is
 // truncated and filled again by that retry.
 func (l *Log) rotate() error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync segment before rotation: %w", err)
+	}
 	next := l.segs[len(l.segs)-1].seq + 1
 	path := l.segPath(next)
 	f, err := l.open(path, os.O_CREATE|os.O_TRUNC)

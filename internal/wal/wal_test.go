@@ -253,12 +253,14 @@ func TestOpenRejectsTornNonFinalSegment(t *testing.T) {
 
 // faultyFile wraps a segment file and fails the calls a test arms:
 // shortWrites makes that many WriteAt calls write half their bytes and
-// fail, failWrites fails WriteAt outright, failSync fails Sync.
+// fail, failWrites fails WriteAt outright, failSync fails Sync. syncs
+// counts the syncs that reached the file.
 type faultyFile struct {
 	file
 	shortWrites int
 	failWrites  bool
 	failSync    bool
+	syncs       int
 }
 
 var errInjected = errors.New("injected fault")
@@ -282,6 +284,7 @@ func (f *faultyFile) Sync() error {
 	if f.failSync {
 		return errInjected
 	}
+	f.syncs++
 	return f.file.Sync()
 }
 
@@ -410,6 +413,55 @@ func TestFillErrorKeepsActiveSegment(t *testing.T) {
 	}
 	if st := l.Stats(); st.Segments != 3 || st.Records != 6 {
 		t.Fatalf("stats after the retried rotation %+v", st)
+	}
+	reopenHolds(t, l, want)
+}
+
+// TestRotationSyncsSealedSegment: Sync flushes only the active
+// segment, so a rotation must sync the segment it seals, or records
+// written to it since the last Sync would be counted but never
+// flushed. A failed seal sync surfaces as an error before the next
+// segment exists, leaves Stats unchanged, and the next Append retries.
+func TestRotationSyncsSealedSegment(t *testing.T) {
+	frame := len(AppendRecord(nil, mkRecord(0)))
+	l, err := Open(t.TempDir(), Options{SegmentBytes: int64(2 * frame)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := records(5)
+	for _, r := range want[:2] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed := &faultyFile{file: l.f, failSync: true}
+	l.f = sealed
+	before := l.Stats()
+	if err := l.Append(want[2]); !errors.Is(err, errInjected) {
+		t.Fatalf("rotation over a failing seal sync: err=%v, want the injected fault", err)
+	}
+	if st := l.Stats(); st != before {
+		t.Fatalf("stats after a failed seal sync %+v, want %+v", st, before)
+	}
+	if _, err := os.Stat(l.segPath(2)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("next segment created before the seal synced: %v", err)
+	}
+	sealed.failSync = false
+	if err := l.Append(want[2]); err != nil {
+		t.Fatal(err)
+	}
+	if sealed.syncs != 1 || l.f == file(sealed) {
+		t.Fatalf("sealed segment synced %d times before the switch, want 1", sealed.syncs)
+	}
+	active := &faultyFile{file: l.f}
+	l.f = active
+	for _, r := range want[3:] {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if active.syncs != 1 || l.Stats().Segments != 3 {
+		t.Fatalf("second seal: %d syncs, stats %+v", active.syncs, l.Stats())
 	}
 	reopenHolds(t, l, want)
 }
