@@ -238,16 +238,25 @@ func BenchmarkForestFitEntropy(b *testing.B) {
 // BenchmarkForestRefit is the label refit as the annotation server
 // runs it: the session's ranking of 200 labeled samples × 2000
 // features takes one appended row, then a 20-tree depth-8 entropy
-// forest fits on it. The ranking is built outside the timer and has
-// grown once, so the timed Append fits its capacity, as most of a
-// session's do. It is what walkShare in internal/ml/tree was measured
-// with. Its labels are independent of the features, the adverse case
-// for bestSplit's pruning of cuts between same-class value groups;
+// forest fits on it, given the forest fit before the row as prev, and
+// keeps the trees in which the new row has weight 0. The ranking and
+// prev are built outside the timer, and the ranking has grown once, so
+// the timed Append fits its capacity, as most of a session's do. Its
+// labels are independent of the features, the adverse case for
+// bestSplit's pruning of cuts between same-class value groups;
 // BenchmarkForestRefitStructured is the same refit on labels that a
-// few features carry.
+// few features carry. The Fresh variants fit with no prev, growing
+// every tree: what walkShare in internal/ml/tree was measured with.
 func BenchmarkForestRefit(b *testing.B) {
 	x, y := benchMatrix(201, 2000, 6, 2)
-	benchRefit(b, x, y)
+	benchRefit(b, x, y, true)
+}
+
+// BenchmarkForestRefitFresh is BenchmarkForestRefit growing all 20
+// trees.
+func BenchmarkForestRefitFresh(b *testing.B) {
+	x, y := benchMatrix(201, 2000, 6, 2)
+	benchRefit(b, x, y, false)
 }
 
 // BenchmarkForestRefitStructured is BenchmarkForestRefit on
@@ -255,12 +264,22 @@ func BenchmarkForestRefit(b *testing.B) {
 // that a few features separate, as the annotation loop's are.
 func BenchmarkForestRefitStructured(b *testing.B) {
 	x, y := structuredMatrix(201, 2000, 2)
-	benchRefit(b, x, y)
+	benchRefit(b, x, y, true)
 }
 
-func benchRefit(b *testing.B, x [][]float64, y []int) {
+// BenchmarkForestRefitStructuredFresh is BenchmarkForestRefitStructured
+// growing all 20 trees.
+func BenchmarkForestRefitStructuredFresh(b *testing.B) {
+	x, y := structuredMatrix(201, 2000, 2)
+	benchRefit(b, x, y, false)
+}
+
+// benchRefit times appending x's last row to a ranking of the others
+// and fitting the forest on it, with the forest fit on the others as
+// prev when reuse is set.
+func benchRefit(b *testing.B, x [][]float64, y []int, reuse bool) {
 	n := len(x)
-	f := forest.New(forest.Config{NEstimators: 20, MaxDepth: 8, Criterion: tree.Entropy, Seed: 3})
+	cfg := forest.Config{NEstimators: 20, MaxDepth: 8, Criterion: tree.Entropy, Seed: 3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -272,11 +291,20 @@ func benchRefit(b *testing.B, x [][]float64, y []int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var prev ml.Classifier
+		if reuse {
+			p := forest.New(cfg)
+			if err := p.FitColumns(c, y[:n-1], 6, nil); err != nil {
+				b.Fatal(err)
+			}
+			prev = p
+		}
+		f := forest.New(cfg)
 		b.StartTimer()
 		if err := c.Append(x[n-1]); err != nil {
 			b.Fatal(err)
 		}
-		if err := f.FitColumns(c, y, 6); err != nil {
+		if err := f.FitColumns(c, y, 6, prev); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,12 +6,15 @@
 //
 //	experiments -run fig3 [-scale compact] [-out results/]
 //	experiments -run all -scale tiny
+//	experiments -run claims [-seed 1] [-out results/]
 //
 // Artifacts: table4, table5, fig3, fig4, fig5, fig6, fig7, fig8,
 // ablation (the Sec. IV-E-1 feature-budget sweep), extensions (custom
 // query strategies vs the paper's best), chaos (the telemetry
 // fault-injection robustness matrix), lifecycle (the drift-aware
-// model-lifecycle chaos scenario), or all.
+// model-lifecycle chaos scenario), or all. claims, which all leaves
+// out, reruns Figs. 3, 5, 6, 8 and Table V on both systems over five
+// seeds from -seed and judges each paper claim on them.
 // Figures 3/4/6/7/8 default to the Volta dataset and fig5 to Eclipse,
 // matching the paper; tables run on the system given by -system.
 package main
@@ -80,12 +83,15 @@ func artifacts() []artifact {
 		{"lifecycle", "volta", func(cfg experiments.Config, sc experiments.Scale) (summarizer, error) {
 			return experiments.RunLifecycle(cfg, experiments.LifecycleDefaults(sc))
 		}},
+		{"claims", "both", func(cfg experiments.Config, sc experiments.Scale) (summarizer, error) {
+			return experiments.RunClaims(cfg, sc)
+		}},
 	}
 }
 
 func main() {
 	var (
-		runFlag   = flag.String("run", "", "artifact to regenerate: table4, table5, fig3..fig8, or all")
+		runFlag   = flag.String("run", "", "artifact to regenerate: table4, table5, fig3..fig8, claims, or all")
 		scaleFlag = flag.String("scale", "compact", "sizing preset: tiny, compact, paper")
 		system    = flag.String("system", "", "override the artifact's default system (volta or eclipse)")
 		extractor = flag.String("extractor", "", "override the feature extractor (mvts or tsfresh)")
@@ -108,7 +114,8 @@ func main() {
 	}
 	var selected []artifact
 	for _, a := range artifacts() {
-		if *runFlag == "all" || *runFlag == a.name {
+		// claims reruns the other artifacts five times over: all skips it.
+		if (*runFlag == "all" && a.name != "claims") || *runFlag == a.name {
 			selected = append(selected, a)
 		}
 	}

@@ -34,6 +34,9 @@ type Session struct {
 	// (ml.ColumnFitter): built by the first such Fit, extended by every
 	// Label, so a refit after a label ranks nothing.
 	cols *ml.Columns
+	// last is the model the last successful FitColumns trained, the
+	// prev the next one may reuse parts of.
+	last ml.Classifier
 
 	pending      int       // dataset index awaiting its label, -1 when none
 	pendingPos   int       // its pool position
@@ -121,9 +124,11 @@ func (s *Session) Label(y int) {
 // Fit trains m on the labeled set. A model that fits on a ranking
 // (ml.ColumnFitter, the random forest) fits on the session's own,
 // ranked over the session's workers on first use and extended by each
-// Label since; any other model, or any model once the pool is empty
-// and no Label can extend a ranking, fits on Training's rows. Either
-// way the model is the one m.Fit on Training would give.
+// Label since, and is handed the model the last such Fit trained,
+// whose trees the forest keeps where the rows labeled since leave them
+// unchanged; any other model, or any model once the pool is empty and
+// no Label can extend a ranking, fits on Training's rows. Either way
+// the model is the one m.Fit on Training would give.
 func (s *Session) Fit(m ml.Classifier, nClasses int) error {
 	x, y := s.Training()
 	cf, ok := m.(ml.ColumnFitter)
@@ -137,7 +142,11 @@ func (s *Session) Fit(m ml.Classifier, nClasses int) error {
 		}
 		s.cols = c
 	}
-	return cf.FitColumns(s.cols, y, nClasses)
+	if err := cf.FitColumns(s.cols, y, nClasses, s.last); err != nil {
+		return err
+	}
+	s.last = m
+	return nil
 }
 
 // Training returns the labeled set's rows and labels: initial samples,

@@ -61,6 +61,39 @@ func TestSessionSteps(t *testing.T) {
 	}
 }
 
+// TestSessionFitKeepsTrees checks that Fit hands the model it trained
+// last to the next fit: over a few labels, each forest shares the trees
+// the new label leaves out with the one before it.
+func TestSessionFitKeepsTrees(t *testing.T) {
+	d, initial, pool, _ := buildALProblem(t, 4)
+	s := NewSession(d, initial, pool, Oracle{D: d}, Uncertainty{}, 5, 0)
+	cfg := forest.Config{NEstimators: 12, MaxDepth: 6, Criterion: tree.Entropy, Seed: 2}
+	var prev *forest.Forest
+	shared := 0
+	for step := 0; step < 6; step++ {
+		f := forest.New(cfg)
+		if err := s.Fit(f, len(d.Classes)); err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil {
+			for i := range f.Trees {
+				if f.Trees[i] == prev.Trees[i] {
+					shared++
+				}
+			}
+		}
+		di, _, err := s.Next(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Label(d.Y[di])
+		prev = f
+	}
+	if shared == 0 {
+		t.Fatal("no refit kept a tree of the session's previous model")
+	}
+}
+
 // TestSessionFitMatchesRowFit pins Fit's ranking path: after every
 // label, a forest fit on the session's appended ranking predicts
 // bit for bit what one fit on Training's rows does.

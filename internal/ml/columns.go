@@ -230,7 +230,11 @@ func (c *Columns) Rank(f int) []int32 { return c.rank[f] }
 // produce exactly the model Fit(c.Rows(), y, nClasses) would.
 type ColumnFitter interface {
 	// FitColumns trains the model on c's rows with class labels y.
-	FitColumns(c *Columns, y []int, nClasses int) error
+	// prev is a model the caller fit before, nil for none: the fitter
+	// may reuse what it can verify a fresh fit would rebuild (the
+	// forest keeps trees fit on an earlier state of the same ranking)
+	// and ignores it otherwise. prev must stay usable and unchanged.
+	FitColumns(c *Columns, y []int, nClasses int, prev Classifier) error
 }
 
 // ValidateColumns is ValidateTrainingInput for a ranking: matching label

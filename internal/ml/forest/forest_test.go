@@ -62,13 +62,47 @@ func TestForestDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
+	// A refit that keeps some of the previous forest's trees is as
+	// deterministic: one worker refitting a one-worker forest and eight
+	// refitting an eight-worker one predict the same.
+	refit := func(workers int) [][]float64 {
+		c, err := ml.NewColumns(x[:150], workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := New(Config{NEstimators: 12, MaxDepth: 6, Seed: 9, Workers: workers})
+		if err := prev.FitColumns(c, y[:150], 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range x[150:] {
+			if err := c.Append(row); err != nil {
+				t.Fatal(err)
+			}
+			f := New(Config{NEstimators: 12, MaxDepth: 6, Seed: 9, Workers: workers})
+			if err := f.FitColumns(c, y[:c.Len()], 2, prev); err != nil {
+				t.Fatal(err)
+			}
+			prev = f
+		}
+		return ml.ProbaBatch(prev, x[:20])
+	}
+	ra, rb := refit(1), refit(8)
+	for i := range ra {
+		for c := range ra[i] {
+			if ra[i][c] != rb[i][c] || ra[i][c] != a[i][c] {
+				t.Fatalf("refit not deterministic at %d,%d: %v (1 worker), %v (8), fresh fit %v", i, c, ra[i][c], rb[i][c], a[i][c])
+			}
+		}
+	}
 }
 
 func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	// With heavy noise, the ensemble's held-out accuracy should not be
-	// worse than a single tree's.
-	xTrain, yTrain, _ := testutil.Blobs(300, 8, 3, 1.2, 5)
-	xTest, yTest, _ := testutil.Blobs(300, 8, 3, 1.2, 6)
+	// worse than a single tree's. Train and test halves come from one
+	// draw: Blobs draws its cluster centers from the seed, so two seeds
+	// would be two different problems.
+	x, y, _ := testutil.Blobs(600, 8, 3, 1.2, 5)
+	xTrain, yTrain, xTest, yTest := x[:300], y[:300], x[300:], y[300:]
 	single := New(Config{NEstimators: 1, MaxDepth: 10, Seed: 7})
 	big := New(Config{NEstimators: 60, MaxDepth: 10, Seed: 7})
 	if err := single.Fit(xTrain, yTrain, 3); err != nil {

@@ -208,12 +208,13 @@ func (t *Classifier) Fit(x [][]float64, y []int, nClasses int) error {
 }
 
 // FitWeighted grows the tree with optional per-sample integer
-// multiplicities (nil means one each; zero drops the row). Integer
-// weights are how the forest feeds bootstrap counts without copying
-// rows, and they keep every class count and node total an exact
-// integer, which the impurity term tables rely on. It ranks x's
-// columns (ml.NewColumns) and grows on the ranking, so a NaN cell is
-// refused with its row and column.
+// multiplicities (nil means one each; zero drops the row, and weights
+// that are all zero grow one leaf that gives every class the same
+// probability). Integer weights are how the forest feeds bag counts
+// without copying rows, and they keep every class count and node total
+// an exact integer, which the impurity term tables rely on. It ranks
+// x's columns (ml.NewColumns) and grows on the ranking, so a NaN cell
+// is refused with its row and column.
 func (t *Classifier) FitWeighted(x [][]float64, y []int, w []int, nClasses int) error {
 	if err := validateFitInput(len(x), y, w, nClasses); err != nil {
 		return err
@@ -315,9 +316,13 @@ func (b *clsBuilder) grow(idx []int, depth int) int32 {
 	}
 	mkLeaf := func() int32 {
 		probs := make([]float64, t.NClasses)
-		if total > 0 {
-			for c := range probs {
+		for c := range probs {
+			if total > 0 {
 				probs[c] = float64(counts[c]) / float64(total)
+			} else {
+				// Only a root whose every weight is 0 has no rows: no
+				// evidence, so every class is equally likely.
+				probs[c] = 1 / float64(t.NClasses) //albacheck:ignore floatsafe validateFitInput refuses fewer than 2 classes
 			}
 		}
 		t.Nodes = append(t.Nodes, node{Feature: -1, Probs: probs})

@@ -150,6 +150,28 @@ func TestClassifierZeroWeightExcluded(t *testing.T) {
 	}
 }
 
+// TestClassifierAllZeroWeights fits a bag that drew no row, which a
+// forest's Poisson bagging does with probability e⁻ⁿ: one leaf, every
+// class equally likely, as the reference grower builds it.
+func TestClassifierAllZeroWeights(t *testing.T) {
+	x := [][]float64{{0}, {1}, {2}}
+	y := []int{0, 1, 2}
+	w := []int{0, 0, 0}
+	tr := NewClassifier(Config{})
+	if err := tr.FitWeighted(x, y, w, 4); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Nodes) != 1 {
+		t.Fatalf("%d nodes, want one leaf", len(tr.Nodes))
+	}
+	if p := tr.PredictProba([]float64{1}); !slices.Equal(p, []float64{0.25, 0.25, 0.25, 0.25}) {
+		t.Fatalf("probabilities %v, want uniform", p)
+	}
+	nodes, imp := refClassifier(Config{}, x, y, []float64{0, 0, 0}, 4)
+	sameNodes(t, "all-zero weights", tr.Nodes, nodes)
+	sameFloats(t, "all-zero weights importances", tr.Importances, imp)
+}
+
 func TestClassifierValidation(t *testing.T) {
 	if err := NewClassifier(Config{}).Fit(nil, nil, 2); err == nil {
 		t.Fatal("empty input should error")
@@ -403,9 +425,11 @@ func (b *refClsBuilder) grow(idx []int, depth int) int32 {
 	}
 	mkLeaf := func() int32 {
 		probs := make([]float64, t.NClasses)
-		if total > 0 {
-			for c := range probs {
+		for c := range probs {
+			if total > 0 {
 				probs[c] = counts[c] / total
+			} else {
+				probs[c] = 1 / float64(t.NClasses)
 			}
 		}
 		t.Nodes = append(t.Nodes, node{Feature: -1, Probs: probs})

@@ -13,7 +13,8 @@
 #                        # network against sort.Float64s, tree split search
 #                        # against its reference, a ranking grown by
 #                        # appends against a fresh one and the
-#                        # reference tree) and the coverage
+#                        # reference tree, a forest refit along a label
+#                        # sequence against a fresh fit) and the coverage
 #                        # floor gate against coverage_baseline.txt
 #
 # Speed is measured end to end by BENCHMARK.json (sh benchmark/run.sh),
@@ -99,6 +100,9 @@ if [ "$deep" -eq 1 ]; then
 
   echo "== fuzz smoke: FuzzColumnsAppend (10s)"
   go test -run '^$' -fuzz=FuzzColumnsAppend -fuzztime=10s ./internal/ml/tree/
+
+  echo "== fuzz smoke: FuzzForestRefit (10s)"
+  go test -run '^$' -fuzz=FuzzForestRefit -fuzztime=10s ./internal/ml/forest/
 
   echo "== coverage floors vs coverage_baseline.txt"
   # COVER_OUT (used by CI) additionally writes the same run's profile.
