@@ -7,11 +7,14 @@
 //	albadross train -system volta -model out/            # generate data inline
 //	albadross diagnose -model out/ -data volta.gob -index 17
 //	albadross serve -data volta.gob -addr 127.0.0.1:8080 # annotation console
+//	albadross feed -addr http://127.0.0.1:8080 -nodes 32  # simulated fleet load
 //
 // `train` runs the Fig. 1 pipeline — feature selection, initial
 // supervised training, and the query loop with an oracle annotator — and
 // saves the deployable bundle. `diagnose` loads a bundle and diagnoses a
-// sample from a dataset file.
+// sample from a dataset file. `feed` posts simulated telemetry with
+// known anomalies to a serving fleet and prints a JSON report and the
+// table of each node's last served label against its injected anomaly.
 package main
 
 import (
@@ -43,6 +46,8 @@ func main() {
 		diagnose(os.Args[2:])
 	case "serve":
 		serve(os.Args[2:])
+	case "feed":
+		runFeed(os.Args[2:])
 	default:
 		usage()
 	}
@@ -52,7 +57,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   albadross train    -model DIR (-data FILE | -system volta|eclipse) [flags]
   albadross diagnose -model DIR -data FILE -index N
-  albadross serve    -data FILE [-addr host:port] [-strategy uncertainty]`)
+  albadross serve    -data FILE [-addr host:port] [-strategy uncertainty]
+  albadross feed     [-addr URL] [-system volta|eclipse] [-nodes N] [-rows N]`)
 	os.Exit(2)
 }
 

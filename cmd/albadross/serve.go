@@ -69,7 +69,7 @@ func serve(args []string) {
 		cooldown  = fs.Duration("trigger-cooldown", 30*time.Second, "min spacing between drift triggers")
 
 		ingShards  = fs.Int("ingest-shards", 0, "ingest shard workers: node streams from POST /api/ingest/bulk are hashed onto them, plus the /api/fleet node view and rollup serving (0 disables ingest; see docs/FLEET.md and docs/REPLAY.md)")
-		ingMetrics = fs.Int("ingest-metrics", 0, "raw metrics per ingest reading (builds the telemetry schema; required with -ingest-shards)")
+		ingMetrics = fs.Int("ingest-metrics", 0, "raw metrics per ingest reading (builds the telemetry schema, at least 27; required with -ingest-shards)")
 		ingExtract = fs.String("ingest-extractor", "mvts", "ingest feature extractor: mvts or tsfresh")
 		ingWindow  = fs.Int("ingest-window", 64, "ingest diagnosis window length (samples)")
 		ingStride  = fs.Int("ingest-stride", 0, "ingest window hop (0 = window length)")
@@ -85,6 +85,16 @@ func serve(args []string) {
 	fs.Parse(args) //albacheck:ignore errsilent flag.ExitOnError: Parse exits the process on error, the return is dead
 	if *dataFile == "" {
 		usage()
+	}
+	var schema []telemetry.Metric
+	if *ingShards > 0 {
+		if *ingMetrics <= 0 {
+			fatal(fmt.Errorf("-ingest-shards requires -ingest-metrics"))
+		}
+		// BuildSchema raises a count below its floor to the floor.
+		if schema = telemetry.BuildSchema(*ingMetrics); len(schema) != *ingMetrics {
+			fatal(fmt.Errorf("-ingest-metrics %d is below the telemetry schema's floor of %d metrics", *ingMetrics, len(schema)))
+		}
 	}
 	d := loadDataset(*dataFile)
 	strat := strategyByName(*strategy)
@@ -105,15 +115,10 @@ func serve(args []string) {
 	}
 	logger := log.New(os.Stderr, "albadross: ", log.LstdFlags)
 	var (
-		schema []telemetry.Metric
-		ext    features.Extractor
-		flcfg  server.FleetConfig
+		ext   features.Extractor
+		flcfg server.FleetConfig
 	)
 	if *ingShards > 0 {
-		if *ingMetrics <= 0 {
-			fatal(fmt.Errorf("-ingest-shards requires -ingest-metrics"))
-		}
-		schema = telemetry.BuildSchema(*ingMetrics)
 		if ext, err = serveExtractor(*ingExtract); err != nil {
 			fatal(err)
 		}

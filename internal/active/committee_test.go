@@ -1,14 +1,11 @@
 package active
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"albadross/internal/ml"
 	"albadross/internal/ml/forest"
-	"albadross/internal/ml/linear"
 	"albadross/internal/telemetry"
 )
 
@@ -112,137 +109,6 @@ func TestQueryByCommitteeWorkerParity(t *testing.T) {
 		if got := (QueryByCommittee{Workers: workers}).Next(ctx); got != want {
 			t.Fatalf("Workers=%d picked %d, Workers=1 picked %d", workers, got, want)
 		}
-	}
-}
-
-// TestTrainedCommitteeWorkerParity asserts member training is identical
-// for any worker count: each member's bootstrap rng is seeded purely
-// from its index.
-func TestTrainedCommitteeWorkerParity(t *testing.T) {
-	d, initial, _, _ := buildALProblem(t, 192)
-	var x [][]float64
-	var y []int
-	for _, i := range initial {
-		x = append(x, d.X[i])
-		y = append(y, d.Y[i])
-	}
-	fit := func(workers int) *TrainedCommittee {
-		c := NewCommittee(
-			forest.NewFactory(forest.Config{NEstimators: 5, MaxDepth: 4, Seed: 3}),
-			CommitteeConfig{Members: 4, Workers: workers, Seed: 55},
-		)
-		if err := c.Fit(x, y, len(d.Classes)); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	ref := fit(1)
-	for _, workers := range []int{0, 8} {
-		got := fit(workers)
-		for _, row := range x {
-			rp, gp := ref.MemberProbas(row), got.MemberProbas(row)
-			for m := range rp {
-				for c := range rp[m] {
-					if rp[m][c] != gp[m][c] {
-						t.Fatalf("Workers=%d: member %d class %d proba %v, want %v (bitwise)",
-							workers, m, c, gp[m][c], rp[m][c])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTrainedCommitteeWithNonEnsembleModel runs query-by-committee over
-// logistic-regression members — a model with no committee of its own —
-// end to end through the loop.
-func TestTrainedCommitteeWithNonEnsembleModel(t *testing.T) {
-	d, initial, pool, test := buildALProblem(t, 193)
-	loop := &Loop{
-		Factory: NewCommitteeFactory(
-			linear.NewFactory(linear.Config{C: 1, MaxIter: 40}),
-			CommitteeConfig{Members: 3, Seed: 31},
-		),
-		Strategy:  QueryByCommittee{},
-		Annotator: Oracle{D: d},
-		Seed:      94,
-	}
-	res, err := loop.Run(d, initial, pool, test, RunConfig{MaxQueries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 9 {
-		t.Fatalf("expected 9 records, got %d", len(res.Records))
-	}
-	cm, ok := res.Model.(*TrainedCommittee)
-	if !ok {
-		t.Fatalf("final model is %T, want *TrainedCommittee", res.Model)
-	}
-	if len(cm.Members) != 3 {
-		t.Fatalf("committee kept %d members, want 3", len(cm.Members))
-	}
-	p := cm.PredictProba(d.X[0])
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("soft vote is not a distribution: %v", p)
-	}
-}
-
-// failingClassifier errors from Fit, for exercising the committee's
-// member-training error path.
-type failingClassifier struct{}
-
-func (failingClassifier) Fit([][]float64, []int, int) error {
-	return errFailingFit
-}
-func (failingClassifier) NumClasses() int                    { return 0 }
-func (failingClassifier) PredictProba(x []float64) []float64 { return nil }
-
-var errFailingFit = fmt.Errorf("synthetic fit failure")
-
-// TestTrainedCommitteeEdgeCases pins the committee's defaulting and
-// error behavior: Members defaults to 5, invalid training input and a
-// failing member both surface errors, NumClasses reflects the fit, and
-// predicting before Fit panics.
-func TestTrainedCommitteeEdgeCases(t *testing.T) {
-	c := NewCommittee(
-		forest.NewFactory(forest.Config{NEstimators: 2, MaxDepth: 2, Seed: 1}),
-		CommitteeConfig{Seed: 7},
-	)
-	if c.Cfg.Members != 5 {
-		t.Fatalf("Members defaulted to %d, want 5", c.Cfg.Members)
-	}
-	if c.NumClasses() != 0 {
-		t.Fatalf("NumClasses before Fit = %d, want 0", c.NumClasses())
-	}
-	if err := c.Fit(nil, nil, 2); err == nil {
-		t.Fatal("Fit with no samples should error")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("PredictProba before Fit should panic")
-			}
-		}()
-		c.PredictProba([]float64{0})
-	}()
-	x := [][]float64{{0, 1}, {1, 0}, {0.2, 0.8}, {0.9, 0.1}}
-	y := []int{0, 1, 0, 1}
-	if err := c.Fit(x, y, 2); err != nil {
-		t.Fatal(err)
-	}
-	if c.NumClasses() != 2 {
-		t.Fatalf("NumClasses after Fit = %d, want 2", c.NumClasses())
-	}
-	bad := NewCommittee(
-		func() ml.Classifier { return failingClassifier{} },
-		CommitteeConfig{Members: 2, Seed: 7},
-	)
-	if err := bad.Fit(x, y, 2); err == nil || !strings.Contains(err.Error(), "committee member") {
-		t.Fatalf("failing member should surface a wrapped error, got %v", err)
 	}
 }
 

@@ -75,24 +75,33 @@ func RunClaims(cfg Config, scale Scale) (*ClaimsResult, error) {
 		seed := cfg.Seed + s
 		runStart := time.Now()
 		r := ClaimsRun{Seed: seed}
-		var err error
+		// Each system's dataset is built once per seed and shared: the
+		// runners only read it.
 		v, e := sys("volta", seed), sys("eclipse", seed)
-		if r.VoltaCurves, err = RunCurves(v); err != nil {
+		vd, vsys, err := BuildData(v)
+		if err != nil {
 			return nil, err
 		}
-		if r.VoltaT5, err = RunTable5(v); err != nil {
+		if r.VoltaCurves, err = runCurves(v, vd); err != nil {
 			return nil, err
 		}
-		if r.Apps, err = RunUnseenApps(v); err != nil {
+		if r.VoltaT5, err = runTable5(v, vd); err != nil {
 			return nil, err
 		}
-		if r.Inputs, err = RunUnseenInputs(v); err != nil {
+		if r.Apps, err = runUnseenApps(v, vd, vsys); err != nil {
 			return nil, err
 		}
-		if r.EclCurves, err = RunCurves(e); err != nil {
+		if r.Inputs, err = runUnseenInputs(v, vd); err != nil {
 			return nil, err
 		}
-		if r.EclT5, err = RunTable5(e); err != nil {
+		ed, _, err := BuildData(e)
+		if err != nil {
+			return nil, err
+		}
+		if r.EclCurves, err = runCurves(e, ed); err != nil {
+			return nil, err
+		}
+		if r.EclT5, err = runTable5(e, ed); err != nil {
 			return nil, err
 		}
 		r.Wall = time.Since(runStart)

@@ -3,8 +3,74 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
+
+	"albadross/internal/dataset"
 )
+
+// fingerprint folds a dataset bitwise into FNV-1a: every X bit
+// pattern, Y, Classes, FeatureNames and every Meta field.
+func fingerprint(d *dataset.Dataset) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	word(uint64(len(d.X)))
+	for _, row := range d.X {
+		word(uint64(len(row)))
+		for _, v := range row {
+			word(math.Float64bits(v))
+		}
+	}
+	for _, y := range d.Y {
+		word(uint64(y))
+	}
+	fmt.Fprintf(h, "%q %q %#v", d.Classes, d.FeatureNames, d.Meta)
+	return h.Sum64()
+}
+
+// TestClaimsRunnersLeaveDataIntact backs RunClaims' sharing of one
+// dataset across a seed's runners: on a shrunken tiny config, every
+// runner body leaves the dataset bitwise as BuildData made it.
+func TestClaimsRunnersLeaveDataIntact(t *testing.T) {
+	for _, system := range []string{"volta", "eclipse"} {
+		cfg := Default(system, Tiny)
+		cfg.Extractor, cfg.Splits, cfg.MaxQueries, cfg.Steps, cfg.TopK, cfg.RunsPerAppInput = "mvts", 1, 3, 40, 30, 4
+		d, sys, err := BuildData(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint(d)
+		type body struct {
+			name string
+			run  func() error
+		}
+		bodies := []body{
+			{"curves", func() error { _, err := runCurves(cfg, d); return err }},
+			{"table5", func() error { _, err := runTable5(cfg, d); return err }},
+		}
+		if system == "volta" {
+			bodies = append(bodies,
+				body{"unseen apps", func() error { _, err := runUnseenApps(cfg, d, sys); return err }},
+				body{"unseen inputs", func() error { _, err := runUnseenInputs(cfg, d); return err }})
+		}
+		for _, b := range bodies {
+			if err := b.run(); err != nil {
+				t.Fatalf("%s %s: %v", system, b.name, err)
+			}
+			if got := fingerprint(d); got != want {
+				t.Fatalf("%s: %s changed the shared dataset (fingerprint %x, was %x)", system, b.name, got, want)
+			}
+		}
+	}
+}
 
 // curve builds a method's curve from (queried, F1) pairs.
 func curve(method string, pts ...float64) Curve {

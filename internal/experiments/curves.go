@@ -54,6 +54,12 @@ func RunCurves(cfg Config) (*CurvesResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runCurves(cfg, d)
+}
+
+// runCurves is RunCurves on the dataset BuildData(cfg) returns. It only
+// reads d, so one dataset serves every runner of a claims seed.
+func runCurves(cfg Config, d *dataset.Dataset) (*CurvesResult, error) {
 	figure := "fig3"
 	if cfg.System == "eclipse" {
 		figure = "fig5"

@@ -224,6 +224,12 @@ func RunUnseenApps(cfg Config) (*UnseenAppsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runUnseenApps(cfg, d, sys)
+}
+
+// runUnseenApps is RunUnseenApps on what BuildData(cfg) returns; it
+// only reads d.
+func runUnseenApps(cfg Config, d *dataset.Dataset, sys *telemetry.SystemSpec) (*UnseenAppsResult, error) {
 	apps := sys.AppNames()
 	res := &UnseenAppsResult{Config: cfg}
 	methods := []string{BestStrategy(cfg.System), "random"}
@@ -354,6 +360,12 @@ func RunUnseenInputs(cfg Config) (*UnseenInputsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runUnseenInputs(cfg, d)
+}
+
+// runUnseenInputs is RunUnseenInputs on the dataset BuildData(cfg)
+// returns; it only reads d.
+func runUnseenInputs(cfg Config, d *dataset.Dataset) (*UnseenInputsResult, error) {
 	res := &UnseenInputsResult{Config: cfg}
 	methods := []string{BestStrategy(cfg.System), "random"}
 	perMethod := map[string][][]float64{}

@@ -43,6 +43,12 @@ func RunTable5(cfg Config) (*Table5Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runTable5(cfg, d)
+}
+
+// runTable5 is RunTable5 on the dataset BuildData(cfg) returns; it only
+// reads d.
+func runTable5(cfg Config, d *dataset.Dataset) (*Table5Result, error) {
 	res := &Table5Result{
 		Config:            cfg,
 		FeatureExtraction: cfg.Extractor,

@@ -108,7 +108,7 @@ if [ "$deep" -eq 1 ]; then
   # COVER_OUT (used by CI) additionally writes the same run's profile.
   go test -cover ${COVER_OUT:+-coverprofile="$COVER_OUT"} \
     ./internal/server/ ./internal/stream/ ./internal/active/ \
-    ./internal/wal/ ./internal/pipeline/ ./internal/fleet/ ./internal/loadgen/ \
+    ./internal/wal/ ./internal/pipeline/ ./internal/fleet/ ./internal/feed/ \
     > /tmp/albadross_cover.$$ 2>&1 || { cat /tmp/albadross_cover.$$; rm -f /tmp/albadross_cover.$$; exit 1; }
   cat /tmp/albadross_cover.$$
   awk '
