@@ -19,9 +19,9 @@ import (
 //     a data race.
 //
 // The first style is what the repo uses (registry's atomic.Pointer
-// snapshot swap, the lifecycle cooldown fields, the obs counters); the
-// second exists so a regression to the old mixed style is caught, not
-// grandfathered.
+// snapshot swap, the lifecycle's closed flag and promotion counts, the
+// obs counters); the second exists so a regression to the old mixed
+// style is caught, not grandfathered.
 var atomicsafeAnalyzer = &Analyzer{
 	Name: "atomicsafe",
 	Doc:  "struct fields used atomically in one place and plainly in another",

@@ -63,10 +63,9 @@ func serve(args []string) {
 		regKeep   = fs.Int("registry-keep", 5, "model versions retained for rollback")
 		driftWin  = fs.Int("drift-window", 512, "drift window rows")
 		driftPSI  = fs.Float64("drift-psi", 0.2, "per-feature PSI threshold")
-		driftFrac = fs.Float64("drift-fraction", 0.25, "drifted-feature fraction that triggers retraining")
+		driftFrac = fs.Float64("drift-fraction", 0.25, "drifted-feature fraction at which the window reports drift")
 		shadowRow = fs.Int("shadow-rows", 256, "duplicated rows before the promotion decision")
 		minAgree  = fs.Float64("min-agreement", 0.85, "champion-agreement floor for promotion")
-		cooldown  = fs.Duration("trigger-cooldown", 30*time.Second, "min spacing between drift triggers")
 
 		ingShards  = fs.Int("ingest-shards", 0, "ingest shard workers: node streams from POST /api/ingest/bulk are hashed onto them, plus the /api/fleet node view and rollup serving (0 disables ingest; see docs/FLEET.md and docs/REPLAY.md)")
 		ingMetrics = fs.Int("ingest-metrics", 0, "raw metrics per ingest reading (builds the telemetry schema, at least 27; required with -ingest-shards)")
@@ -163,12 +162,11 @@ func serve(args []string) {
 			TriggerFraction: *driftFrac,
 			Seed:            *seed + 13,
 		},
-		ShadowMinRows:   *shadowRow,
-		MinAgreement:    *minAgree,
-		TriggerCooldown: *cooldown,
-		Schema:          schema,
-		Extractor:       ext,
-		Fleet:           flcfg,
+		ShadowMinRows: *shadowRow,
+		MinAgreement:  *minAgree,
+		Schema:        schema,
+		Extractor:     ext,
+		Fleet:         flcfg,
 	})
 	if err != nil {
 		fatal(err)

@@ -5,8 +5,8 @@
 // on. The online-classification line of work the paper leaves as future
 // deployment reality (Netti et al., Borghesi et al. in PAPERS.md) names
 // the failure mode exactly: a diagnoser trained on one window of
-// production telemetry silently degrades on the next, so retraining
-// must be *triggered* by observed drift rather than assumed away.
+// production telemetry silently degrades on the next, so the drift must
+// be observed and reported rather than assumed away.
 //
 // Two complementary statistics are maintained against a reference
 // snapshot of the training distribution (reservoir-sampled so memory is
@@ -26,7 +26,7 @@
 // counts and is called at batch granularity, not per row.
 //
 // The monitor itself only measures; the serving layer owns the policy
-// (cooldowns, champion–challenger vetting, rollback — see
+// (reporting, champion–challenger vetting, rollback — see
 // internal/server and docs/LIFECYCLE.md).
 package drift
 
@@ -67,8 +67,7 @@ type Config struct {
 	// feature counts as drifted (default 0.2).
 	KSThreshold float64
 	// TriggerFraction is the fraction of features that must be drifted
-	// for the whole window to count as drifted — the retrain trigger
-	// (default 0.25).
+	// for the whole window to count as drifted (default 0.25).
 	TriggerFraction float64
 	// Seed drives the reservoir subsampling; the same reference rows
 	// and seed always produce the same reference snapshot.
@@ -325,7 +324,7 @@ type Status struct {
 	MaxPSI          float64 `json:"max_psi"`
 	MeanPSI         float64 `json:"mean_psi"`
 	MaxKS           float64 `json:"max_ks"`
-	// Drifted is the retrain trigger: DriftedFraction has cleared
+	// Drifted is the reported drift state: DriftedFraction has cleared
 	// TriggerFraction on a ready window.
 	Drifted bool `json:"drifted"`
 	// Resets counts reference re-anchors so far.

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"time"
@@ -27,12 +31,14 @@ import (
 // RunLifecycle stands up the real annotation server with the drift-aware
 // lifecycle enabled and walks it through the failure sequence a
 // production deployment must survive: in-distribution traffic (no
-// trigger), a workload shift built from an unseen application plus
-// maximum-intensity hpas anomalies (drift trigger → shadow retrain →
-// promotion), a poisoned candidate (quarantined, never serves), an
-// operator rollback (byte-identical restoration), and a wedged shadow
-// scorer (bounded queue sheds, champion latency unaffected). Every
-// phase's invariant is asserted in-process; a violation fails the run.
+// drift), a workload shift built from an unseen application plus
+// maximum-intensity hpas anomalies (drift reported, the champion keeps
+// serving), an annotation answered through the HTTP API (a new model
+// published), a poisoned candidate (quarantined, never serves), an
+// operator rollback (byte-identical restoration of the first model),
+// and a wedged shadow scorer (bounded queue sheds, champion latency
+// unaffected). Every phase's invariant is asserted in-process; a
+// violation fails the run.
 
 // LifecycleOptions sizes the scenario; zero values pick defaults.
 type LifecycleOptions struct {
@@ -43,8 +49,6 @@ type LifecycleOptions struct {
 	ShadowMinRows int
 	// ShadowQueue bounds the duplicated-batch queue.
 	ShadowQueue int
-	// TriggerCooldown spaces drift triggers.
-	TriggerCooldown time.Duration
 	// ProbeRows sizes the fixed probe set for the byte-identity check.
 	ProbeRows int
 	// PhaseTimeout bounds each phase's wait for an async lifecycle
@@ -58,20 +62,17 @@ func LifecycleDefaults(scale Scale) LifecycleOptions {
 	case Tiny:
 		return LifecycleOptions{
 			DriftWindow: 96, MinWindow: 48, ShadowMinRows: 48,
-			ShadowQueue: 8, TriggerCooldown: 50 * time.Millisecond,
-			ProbeRows: 12,
+			ShadowQueue: 8, ProbeRows: 12,
 		}
 	case Paper:
 		return LifecycleOptions{
 			DriftWindow: 512, MinWindow: 256, ShadowMinRows: 256,
-			ShadowQueue: 32, TriggerCooldown: 250 * time.Millisecond,
-			ProbeRows: 32,
+			ShadowQueue: 32, ProbeRows: 32,
 		}
 	default:
 		return LifecycleOptions{
 			DriftWindow: 256, MinWindow: 128, ShadowMinRows: 128,
-			ShadowQueue: 16, TriggerCooldown: 100 * time.Millisecond,
-			ProbeRows: 16,
+			ShadowQueue: 16, ProbeRows: 16,
 		}
 	}
 }
@@ -89,9 +90,6 @@ func (o LifecycleOptions) withDefaults() LifecycleOptions {
 	}
 	if o.ShadowQueue <= 0 {
 		o.ShadowQueue = d.ShadowQueue
-	}
-	if o.TriggerCooldown <= 0 {
-		o.TriggerCooldown = d.TriggerCooldown
 	}
 	if o.ProbeRows <= 0 {
 		o.ProbeRows = d.ProbeRows
@@ -206,10 +204,12 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 			Window: opts.DriftWindow, MinWindow: opts.MinWindow,
 			Seed: cfg.Seed + 13,
 		},
-		ShadowMinRows:   opts.ShadowMinRows,
-		ShadowQueue:     opts.ShadowQueue,
-		TriggerCooldown: opts.TriggerCooldown,
-		ShadowMaxWait:   opts.PhaseTimeout,
+		// Every label version, the poisoned and the wedged challenger
+		// fit next to v1, so rollback can always reach it.
+		RegistryKeep:  maxLabels + 3,
+		ShadowMinRows: opts.ShadowMinRows,
+		ShadowQueue:   opts.ShadowQueue,
+		ShadowMaxWait: opts.PhaseTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -255,8 +255,8 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	}
 	v1 := baseline[0].ModelVersion
 
-	// --- Phase 1: clean traffic must not trigger -----------------------
-	fed, err := feedUntil(srv, cleanRows, opts.PhaseTimeout, func(st server.ModelStatus) bool {
+	// --- Phase 1: clean traffic must not drift -------------------------
+	fed, err := feedUntil(srv, cleanRows, opts.PhaseTimeout, nil, func(st server.ModelStatus) bool {
 		return st.Drift != nil && st.Drift.Ready
 	})
 	if err != nil {
@@ -269,27 +269,48 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	if st.Promotions != 0 || st.ActiveVersion != v1 {
 		return nil, fmt.Errorf("experiments: clean traffic changed the serving model (version %d, %d promotions)", st.ActiveVersion, st.Promotions)
 	}
-	record("clean", fed, "in-distribution traffic, no trigger")
+	record("clean", fed, "in-distribution traffic, no drift")
 
-	// --- Phase 2: injected drift must trigger retrain and promote ------
+	// --- Phase 2: injected drift is reported, the champion serves on ---
 	driftRows, err := driftTraffic(cfg, sys, ex, prep, unseenApp, unseen, tr)
 	if err != nil {
 		return nil, err
 	}
-	fed, err = feedUntil(srv, driftRows, opts.PhaseTimeout, func(st server.ModelStatus) bool {
-		return st.Promotions >= 1
+	fed, err = feedUntil(srv, driftRows, opts.PhaseTimeout, nil, func(st server.ModelStatus) bool {
+		return st.Drift != nil && st.Drift.Drifted
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: injected drift never promoted a retrained model: %w", err)
+		return nil, fmt.Errorf("experiments: injected drift was never reported: %w", err)
 	}
 	st = srv.Model()
-	v2 := st.ActiveVersion
-	if v2 == v1 {
-		return nil, fmt.Errorf("experiments: promotion did not change the serving version (%d)", v1)
+	if st.Promotions != 0 || st.ActiveVersion != v1 || len(st.Registry) != 1 {
+		return nil, fmt.Errorf("experiments: drift changed the models (serving v%d, %d promotions, %d registry entries)",
+			st.ActiveVersion, st.Promotions, len(st.Registry))
 	}
-	record("drift", fed, fmt.Sprintf("unseen app %s + max-intensity anomalies -> promoted v%d", unseenApp, v2))
+	record("drift", fed, fmt.Sprintf("unseen app %s + max-intensity anomalies -> drift reported, v%d serves", unseenApp, v1))
 
-	// --- Phase 3: a poisoned candidate must be quarantined -------------
+	// --- Phase 3: an answered query publishes a different model --------
+	h := srv.Handler()
+	labels, differ := 0, 0
+	var v2 uint64
+	for differ == 0 {
+		if labels == maxLabels {
+			return nil, fmt.Errorf("experiments: %d labels left the %d-row probe unchanged", labels, len(probe))
+		}
+		if err := annotate(h, tr); err != nil {
+			return nil, fmt.Errorf("experiments: lifecycle label phase: %w", err)
+		}
+		labels++
+		res, err := srv.DiagnoseVectors(probe)
+		if err != nil {
+			return nil, err
+		}
+		v2, differ = res[0].ModelVersion, cellsDiffer(res, baseline)
+	}
+	record("label", labels, fmt.Sprintf("%d label(s) published v%d: %d of %d probe cells differ from v%d",
+		labels, v2, differ, len(probe)*len(baseline[0].Probs), v1))
+
+	// --- Phase 4: a poisoned candidate must be quarantined -------------
 	poisonedModel, err := fitOn(tr, alSplit.Initial, cfg.rfFactory(cfg.Seed+101), len(d.Classes))
 	if err != nil {
 		return nil, err
@@ -299,7 +320,7 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 		return nil, fmt.Errorf("experiments: submitting poisoned challenger: %w", err)
 	}
 	served := map[uint64]bool{}
-	fed, err = feedUntilServed(srv, cleanRows, opts.PhaseTimeout, served, func(st server.ModelStatus) bool {
+	fed, err = feedUntil(srv, cleanRows, opts.PhaseTimeout, served, func(st server.ModelStatus) bool {
 		return st.Quarantines >= 1
 	})
 	if err != nil {
@@ -323,10 +344,13 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	}
 	record("poison", fed, "quarantined: "+reason)
 
-	// --- Phase 4: rollback must restore byte-identical predictions -----
-	restored, err := srv.RollbackModel("lifecycle-chaos rollback")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rollback: %w", err)
+	// --- Phase 5: rollback must restore byte-identical predictions -----
+	// Each label published one version over v1; walk back over them all.
+	var restored uint64
+	for i := 0; i < labels; i++ {
+		if restored, err = srv.RollbackModel("lifecycle-chaos rollback"); err != nil {
+			return nil, fmt.Errorf("experiments: rollback: %w", err)
+		}
 	}
 	if restored != v1 {
 		return nil, fmt.Errorf("experiments: rollback landed on v%d, want v%d", restored, v1)
@@ -335,28 +359,22 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range probe {
-		if after[i].ModelVersion != v1 {
-			return nil, fmt.Errorf("experiments: probe row %d served by v%d after rollback", i, after[i].ModelVersion)
-		}
-		if len(after[i].Probs) != len(baseline[i].Probs) {
-			return nil, fmt.Errorf("experiments: probe row %d probability width changed after rollback", i)
-		}
-		for c := range after[i].Probs {
-			if math.Float64bits(after[i].Probs[c]) != math.Float64bits(baseline[i].Probs[c]) {
-				return nil, fmt.Errorf("experiments: rollback not byte-identical at probe row %d class %d: %v vs %v",
-					i, c, after[i].Probs[c], baseline[i].Probs[c])
-			}
-		}
+	if after[0].ModelVersion != v1 {
+		return nil, fmt.Errorf("experiments: probe served by v%d after rollback", after[0].ModelVersion)
 	}
-	record("rollback", len(probe), fmt.Sprintf("restored v%d, %d-row probe byte-identical", v1, len(probe)))
+	if n := cellsDiffer(after, baseline); n > 0 {
+		return nil, fmt.Errorf("experiments: rollback not byte-identical: %d probe cells differ from v%d's", n, v1)
+	}
+	record("rollback", len(probe), fmt.Sprintf("restored v%d over v%d, %d-row probe byte-identical", v1, v2, len(probe)))
 
-	// --- Phase 5: a wedged shadow scorer must shed, not slow serving ---
+	// --- Phase 6: a wedged shadow scorer must shed, not slow serving ---
 	blockedModel, err := fitOn(tr, alSplit.Initial, cfg.rfFactory(cfg.Seed+202), len(d.Classes))
 	if err != nil {
 		return nil, err
 	}
 	blocked := &blockingModel{Classifier: blockedModel, release: make(chan struct{}), entered: make(chan struct{})}
+	// Released when the scenario returns, before the deferred Close.
+	defer close(blocked.release)
 	if _, err := srv.StartChallenger(blocked, "lifecycle-chaos-overload"); err != nil {
 		return nil, fmt.Errorf("experiments: submitting blocking challenger: %w", err)
 	}
@@ -375,16 +393,13 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	calls := 0
 	for shedTotal() <= shedBefore {
 		if time.Now().After(overloadDeadline) {
-			close(blocked.release)
 			return nil, fmt.Errorf("experiments: bounded shadow queue never shed under overload (%d calls)", calls)
 		}
 		if _, err := srv.DiagnoseVectors(cleanRows[:min(len(cleanRows), 32)]); err != nil {
-			close(blocked.release)
 			return nil, err
 		}
 		calls++
 	}
-	close(blocked.release)
 	res.Shed = shedTotal() - shedBefore
 	record("overload", calls*min(len(cleanRows), 32), fmt.Sprintf("%d duplicated batches shed, champion unaffected", res.Shed))
 
@@ -392,6 +407,48 @@ func RunLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleResult, error) {
 	res.FinalVersion = final.ActiveVersion
 	res.RegistryLen = len(final.Registry)
 	return res, nil
+}
+
+// maxLabels bounds the label phase: the answers it sends before a
+// published model's probe must differ from v1's.
+const maxLabels = 5
+
+// annotate answers one query through the HTTP API with the dataset's
+// own label: GET /api/next, then POST /api/label, which publishes.
+func annotate(h http.Handler, d *dataset.Dataset) error {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/next", nil))
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("GET /api/next: status %d: %s", rec.Code, rec.Body)
+	}
+	var next server.NextResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &next); err != nil {
+		return err
+	}
+	body, err := json.Marshal(server.LabelRequest{ID: next.ID, Label: d.Classes[d.Y[next.ID]]})
+	if err != nil {
+		return err
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/label", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("POST /api/label: status %d: %s", rec.Code, rec.Body)
+	}
+	return nil
+}
+
+// cellsDiffer counts the probability cells of got whose bits differ
+// from want's, row by row.
+func cellsDiffer(got, want []server.DiagnoseResponse) int {
+	n := 0
+	for i := range want {
+		for c := range want[i].Probs {
+			if c >= len(got[i].Probs) || math.Float64bits(got[i].Probs[c]) != math.Float64bits(want[i].Probs[c]) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // driftTraffic builds the workload-shift rows: every row of the held-out
@@ -440,21 +497,13 @@ func driftTraffic(cfg Config, sys *telemetry.SystemSpec, ex features.Extractor,
 }
 
 // feedUntil cycles rows through the serving path until done(status) or
-// the deadline. Returns the number of rows fed.
-func feedUntil(srv *server.Server, rows [][]float64, timeout time.Duration, done func(server.ModelStatus) bool) (int, error) {
-	return feedUntilServed(srv, rows, timeout, nil, done)
-}
-
-// feedUntilServed is feedUntil, additionally recording every served
-// model version into seen (when non-nil).
-func feedUntilServed(srv *server.Server, rows [][]float64, timeout time.Duration,
+// the deadline, recording every served model version into seen (when
+// non-nil). Returns the number of rows fed.
+func feedUntil(srv *server.Server, rows [][]float64, timeout time.Duration,
 	seen map[uint64]bool, done func(server.ModelStatus) bool) (int, error) {
 	deadline := time.Now().Add(timeout)
 	fed := 0
-	chunk := 32
-	if chunk > len(rows) {
-		chunk = len(rows)
-	}
+	chunk := min(32, len(rows))
 	for at := 0; ; at = (at + chunk) % len(rows) {
 		if done(srv.Model()) {
 			return fed, nil
@@ -462,10 +511,7 @@ func feedUntilServed(srv *server.Server, rows [][]float64, timeout time.Duration
 		if time.Now().After(deadline) {
 			return fed, fmt.Errorf("deadline after %d rows", fed)
 		}
-		end := at + chunk
-		if end > len(rows) {
-			end = len(rows)
-		}
+		end := min(at+chunk, len(rows))
 		res, err := srv.DiagnoseVectors(rows[at:end])
 		if err != nil {
 			return fed, err

@@ -6,10 +6,11 @@ import (
 )
 
 // TestRunLifecycleTiny drives the full lifecycle chaos scenario at CI
-// sizing. The scenario asserts its own invariants (drift triggers a
-// retrain, the poisoned candidate is quarantined and never serves,
-// rollback restores byte-identical predictions, the bounded shadow
-// queue sheds under overload) — a violation surfaces as an error here.
+// sizing. The scenario asserts its own invariants (drift is reported
+// and changes no model, a label publishes a model whose probe differs,
+// the poisoned candidate is quarantined and never serves, rollback
+// restores byte-identical predictions, the bounded shadow queue sheds
+// under overload) — a violation surfaces as an error here.
 func TestRunLifecycleTiny(t *testing.T) {
 	cfg := Config{
 		System: "volta", Extractor: "mvts", Metrics: 27,
@@ -20,7 +21,7 @@ func TestRunLifecycleTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPhases := []string{"clean", "drift", "poison", "rollback", "overload"}
+	wantPhases := []string{"clean", "drift", "label", "poison", "rollback", "overload"}
 	if len(res.Phases) != len(wantPhases) {
 		t.Fatalf("recorded %d phases, want %d: %+v", len(res.Phases), len(wantPhases), res.Phases)
 	}
@@ -32,11 +33,18 @@ func TestRunLifecycleTiny(t *testing.T) {
 	if res.Phases[0].Promotions != 0 || res.Phases[0].Drifted {
 		t.Fatalf("clean phase saw lifecycle action: %+v", res.Phases[0])
 	}
-	if res.Phases[1].Promotions != 1 {
-		t.Fatalf("drift phase promotions = %d, want 1", res.Phases[1].Promotions)
+	v1 := res.Phases[0].ActiveVersion
+	if p := res.Phases[1]; !p.Drifted || p.Promotions != 0 || p.ActiveVersion != v1 {
+		t.Fatalf("drift phase: %+v, want drifted with no promotion, v%d serving", p, v1)
 	}
-	if res.Phases[2].Quarantines < 1 {
-		t.Fatalf("poison phase quarantines = %d, want >= 1", res.Phases[2].Quarantines)
+	if p := res.Phases[2]; p.ActiveVersion == v1 || p.Promotions != 0 {
+		t.Fatalf("label phase: %+v, want a published version other than v%d", p, v1)
+	}
+	if res.Phases[3].Quarantines < 1 {
+		t.Fatalf("poison phase quarantines = %d, want >= 1", res.Phases[3].Quarantines)
+	}
+	if res.Phases[4].ActiveVersion != v1 {
+		t.Fatalf("rollback landed on v%d, want v%d", res.Phases[4].ActiveVersion, v1)
 	}
 	if res.Shed == 0 {
 		t.Fatal("overload phase shed no batches")

@@ -3,7 +3,8 @@ package obs_test
 // This test is the contract behind docs/OBSERVABILITY.md's claim of
 // completeness: it imports every instrumented package (registering all
 // metric families on the default registry), walks the registry, and
-// fails if any family is missing from the document.
+// fails if any family is missing from the document, or if the
+// document's catalog lists a family that is not registered.
 
 import (
 	"os"
@@ -34,6 +35,21 @@ func TestEveryFamilyIsDocumented(t *testing.T) {
 	fams := obs.Default().Families()
 	if len(fams) < 20 {
 		t.Fatalf("only %d families registered — instrumented packages missing from the import list?", len(fams))
+	}
+	registered := map[string]bool{}
+	for _, f := range fams {
+		registered[f.Name] = true
+	}
+	// Every catalog row starts with its family's name: "| `name` |".
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			continue
+		}
+		name, _, _ := strings.Cut(rest, "`")
+		if !registered[name] {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which no package registers", name)
+		}
 	}
 	for _, f := range fams {
 		// The catalog lists each family in a table cell as `name`.

@@ -67,7 +67,7 @@ type Meta struct {
 	// TrainSize is the number of training rows.
 	TrainSize int
 	// Origin says what produced the entry: "initial", "label",
-	// "drift-retrain", "operator", ...
+	// "operator", a challenger's own origin, ...
 	Origin string
 }
 

@@ -41,7 +41,7 @@ func (s *Server) classify(rows [][]float64, feed bool) ([][]float64, *snapshot, 
 	if i := firstBadRow(rows, sn.dim); i >= 0 {
 		return nil, nil, fmt.Errorf("row %d (%d values) is not %d finite features", i, len(rows[i]), sn.dim)
 	}
-	probs := ml.ProbaBatchParallel(sn.model, rows, s.cfg.BatchWorkers)
+	probs := ml.ProbaBatchParallel(sn.model, rows, 0)
 	if feed && s.lc != nil {
 		s.lc.offer(rows, probs, sn)
 	}

@@ -1,7 +1,8 @@
 package server
 
 // Test seams: operator-style entry points that no command calls. The
-// tests drive shadow-evidence replay and forced retrains through them.
+// tests drive shadow-evidence replay, forced retrains and candidate
+// challengers through them.
 
 import (
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math"
 
 	"albadross/internal/fleet"
+	"albadross/internal/ml"
 	"albadross/internal/pipeline"
 )
 
@@ -127,4 +129,11 @@ func (s *Server) Retrain() error {
 	}
 	s.publish(m, v, "operator")
 	return nil
+}
+
+// trainCandidate fits a fresh model on a training snapshot, retrying
+// transient failures (see retrying).
+func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
+	nClasses := len(s.cfg.Data.Classes)
+	return s.retrying(func(m ml.Classifier) error { return m.Fit(x, y, nClasses) })
 }

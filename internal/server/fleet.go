@@ -55,10 +55,10 @@ type FleetConfig struct {
 	// RollupRecent is the per-node ring of recent diagnoses the
 	// /api/fleet/topk anomaly score is computed over (default 16).
 	RollupRecent int
-	// TopKDefault is /api/fleet/topk's k when the query omits it
-	// (default 10).
-	TopKDefault int
 }
+
+// topKDefault is /api/fleet/topk's k when the query omits it.
+const topKDefault = 10
 
 // fleetState is the server's fleet subsystem: the routing coordinator
 // and the rollup it feeds.
@@ -74,9 +74,6 @@ type fleetState struct {
 // chains), and starts the shard workers.
 func newFleet(s *Server) (*fleetState, error) {
 	cfg := s.cfg.Fleet
-	if cfg.TopKDefault <= 0 {
-		cfg.TopKDefault = 10
-	}
 	if s.cfg.Schema == nil || s.cfg.Extractor == nil {
 		return nil, errors.New("server: ingest requires Schema and Extractor")
 	}
@@ -97,7 +94,7 @@ func newFleet(s *Server) (*fleetState, error) {
 	}
 	g := &fleetState{s: s, cfg: cfg}
 	// Nodes are built lazily, so compose one throwaway chain now: a bad
-	// stream geometry (window length, reorder/jump bounds) must refuse
+	// stream geometry (window length, stride, reorder horizon) must refuse
 	// the server, not every later row.
 	probe := &servePredict{s: s}
 	if _, err := g.buildChain(probe, probe, nil); err != nil {
@@ -184,17 +181,15 @@ func (g *fleetState) newNode(node int, sink pipeline.Sink) (*fleet.NodeStream, e
 func (g *fleetState) buildChain(pred pipeline.PredictStage, sink pipeline.Sink, journal *wal.Log) (*pipeline.Chain, error) {
 	cfg, srv := g.cfg, g.s.cfg
 	return pipeline.NewChain(pipeline.ChainConfig{
-		Metrics:    len(srv.Schema),
-		Window:     cfg.Window,
-		Stride:     cfg.Stride,
-		Reorder:    cfg.Reorder,
-		MaxJump:    cfg.MaxJump,
-		Gap:        cfg.Gap,
-		MaxMissing: cfg.MaxMissing,
-		Features:   pipeline.BatchFeatures{Schema: srv.Schema, Gap: cfg.Gap, Extractor: srv.Extractor},
-		Predict:    pred,
-		Sink:       sink,
-		Journal:    journal,
+		Metrics:  len(srv.Schema),
+		Window:   cfg.Window,
+		Stride:   cfg.Stride,
+		Reorder:  cfg.Reorder,
+		Gap:      cfg.Gap,
+		Features: pipeline.BatchFeatures{Schema: srv.Schema, Gap: cfg.Gap, Extractor: srv.Extractor},
+		Predict:  pred,
+		Sink:     sink,
+		Journal:  journal,
 	})
 }
 
@@ -349,7 +344,7 @@ func (s *Server) handleFleetTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("ingest is not enabled"))
 		return
 	}
-	k := s.fl.cfg.TopKDefault
+	k := topKDefault
 	if q := r.URL.Query().Get("k"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v <= 0 {

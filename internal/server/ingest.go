@@ -15,7 +15,9 @@ import (
 // IngestConfig is the per-node stream geometry and journaling of the
 // ingest subsystem (embedded in FleetConfig). It requires the
 // window-mode prerequisites on the parent Config: Schema and Extractor
-// (plus Prep when the model was trained on transformed vectors).
+// (plus Prep when the model was trained on transformed vectors). The
+// plausible forward timestamp jump and the GapAbstain tolerance are the
+// stage chain's defaults (pipeline.ChainConfig).
 type IngestConfig struct {
 	// Shards is the shard WORKER count node ids are consistent-hashed
 	// onto — not a node count; each worker admits up to
@@ -27,13 +29,8 @@ type IngestConfig struct {
 	Stride int
 	// Reorder is the reordering-buffer horizon for timestamped arrivals.
 	Reorder int
-	// MaxJump bounds the plausible forward timestamp jump; 0 defaults to
-	// 4*Window+Reorder.
-	MaxJump int
 	// Gap selects the missing-data repair policy.
 	Gap stream.GapPolicy
-	// MaxMissing is the GapAbstain tolerance; 0 defaults to 0.5.
-	MaxMissing float64
 	// WALDir roots the per-node write-ahead logs (node-NNNNNN
 	// directories); empty disables journaling (and with it crash
 	// recovery and shadow replay).

@@ -93,7 +93,6 @@ func ingestTestServer(t *testing.T, walDir string, mutate func(*Config)) *Server
 			Stride:          16,
 			Reorder:         4,
 			Gap:             stream.GapAbstain,
-			MaxMissing:      0.5,
 			WALDir:          walDir,
 			WALSegmentBytes: 4 << 10,
 		}},
@@ -381,10 +380,7 @@ func TestIngestShadowReplayVetting(t *testing.T) {
 		c.Lifecycle = true
 		c.ShadowMinRows = 1 << 20 // keep the trial open for the whole test
 		c.ShadowMaxWait = time.Hour
-		c.TriggerCooldown = time.Hour
 	})
-	// Freeze the drift trigger: this test owns the challenger slot.
-	srv.lc.cooldownEnd.Store(time.Now().Add(time.Hour).UnixNano())
 
 	feedIngest(t, srv, 0, ingestFeed(3, 300, 55))
 	liveHash, err := srv.EvidenceHash(0)

@@ -2,11 +2,14 @@
 // served feature vectors are duplicated off the diagnose hot path into
 // a bounded queue, where a single worker feeds the drift monitor and
 // shadow-scores any challenger awaiting promotion. Drift past the
-// configured threshold triggers a retrain whose candidate must win the
+// configured threshold is reported (/api/health, /api/model) until the
+// next publication re-anchors the monitor; it does not retrain, because
+// a refit of the same labeled set with the same seeded factory is the
+// champion again. A challenger (Server.StartChallenger) must win the
 // champion–challenger gate (windowed agreement plus holdout macro-F1)
-// before it serves live traffic; a failed candidate is quarantined and
-// the trigger backs off. Operator rollback (POST /api/model/rollback)
-// restores the previous registry version in one pointer swap.
+// before it serves live traffic; a failed one is quarantined. Operator
+// rollback (POST /api/model/rollback) restores the previous registry
+// version in one pointer swap.
 //
 // Concurrency contract: the queue worker is the only goroutine that
 // mutates trial scoring state, so those fields need no lock; the trial
@@ -55,17 +58,12 @@ type lifecycle struct {
 	monitor *drift.Monitor
 	queue   chan shadowBatch
 
-	closeMu sync.RWMutex // guards closed vs in-flight offers
-	closed  bool
+	closeMu sync.RWMutex // orders setting closed against in-flight offers
+	closed  atomic.Bool  // set once close begins; the worker reads it unlocked
 	done    chan struct{}
 
 	trialMu sync.Mutex
 	trial   *trial
-
-	retrainWG   sync.WaitGroup // joins the in-flight drift retrain goroutine
-	retraining  atomic.Bool    // single-flight for drift-triggered retrains
-	cooldownEnd atomic.Int64   // unix nanos before which no drift trigger fires
-	cooldownMul atomic.Int64   // current backoff multiplier (1, 2, ... capped)
 
 	quarantines atomic.Uint64
 	promotions  atomic.Uint64
@@ -88,7 +86,6 @@ func newLifecycle(s *Server, refX [][]float64) (*lifecycle, error) {
 		queue:   make(chan shadowBatch, s.cfg.ShadowQueue),
 		done:    make(chan struct{}),
 	}
-	lc.cooldownMul.Store(1)
 	go lc.run()
 	return lc, nil
 }
@@ -103,7 +100,7 @@ func newLifecycle(s *Server, refX [][]float64) (*lifecycle, error) {
 func (lc *lifecycle) offer(rows [][]float64, probs [][]float64, sn *snapshot) {
 	lc.closeMu.RLock()
 	defer lc.closeMu.RUnlock()
-	if lc.closed {
+	if lc.closed.Load() {
 		return
 	}
 	b := shadowBatch{
@@ -125,40 +122,38 @@ func (lc *lifecycle) offer(rows [][]float64, probs [][]float64, sn *snapshot) {
 // close stops the worker after it drains the queue.
 func (lc *lifecycle) close() {
 	lc.closeMu.Lock()
-	if lc.closed {
+	if lc.closed.Load() {
 		lc.closeMu.Unlock()
 		return
 	}
-	lc.closed = true
+	lc.closed.Store(true)
 	close(lc.queue)
 	lc.closeMu.Unlock()
 	<-lc.done
-	// A drift-triggered retrain may still be training; join it so Close
-	// never leaves a goroutine mutating server state behind it.
-	lc.retrainWG.Wait()
 }
 
 // run is the shadow worker: every duplicated batch feeds the drift
-// monitor, scores the current trial (if any), and may fire the drift
-// trigger. All slow work happens here, on this goroutine, with no lock
-// held.
+// monitor and scores the current trial (if any). All slow work happens
+// here, on this goroutine, with no lock held.
 func (lc *lifecycle) run() {
 	defer close(lc.done)
 	for b := range lc.queue {
 		shadowQueueDepth.Set(float64(len(lc.queue)))
 		lc.monitor.ObserveBatch(b.rows)
 		lc.scoreTrial(b)
-		lc.maybeTrigger()
 	}
 }
 
 // scoreTrial shadow-scores one batch against the current challenger and
 // decides promotion once enough evidence (or the deadline) arrives.
+// Once close has begun it decides nothing: the batches it drains then
+// still feed the monitor, but /api/diagnose keeps answering after
+// Close, so a shutdown must not change the model it serves.
 func (lc *lifecycle) scoreTrial(b shadowBatch) {
 	lc.trialMu.Lock()
 	t := lc.trial
 	lc.trialMu.Unlock()
-	if t == nil {
+	if t == nil || lc.closed.Load() {
 		return
 	}
 	if t.total < lc.s.cfg.ShadowMinRows && time.Now().After(t.deadline) {
@@ -168,7 +163,7 @@ func (lc *lifecycle) scoreTrial(b shadowBatch) {
 		return
 	}
 	chal := t.entry.Payload
-	probs := ml.ProbaBatchParallel(chal.model, b.rows, lc.s.cfg.BatchWorkers)
+	probs := ml.ProbaBatchParallel(chal.model, b.rows, 0)
 	for i, p := range probs {
 		if ml.Argmax(p) == b.champLabels[i] {
 			t.agree++
@@ -199,10 +194,10 @@ func (lc *lifecycle) scoreTrial(b shadowBatch) {
 			agreement, lc.s.cfg.MinAgreement, t.total))
 		return
 	}
-	if chalF1 < champF1-lc.s.cfg.F1Tolerance {
+	if chalF1 < champF1-f1Tolerance {
 		lc.finishTrial(t, false, fmt.Sprintf(
 			"holdout macro-F1 %.3f more than %.3f below champion %.3f",
-			chalF1, lc.s.cfg.F1Tolerance, champF1))
+			chalF1, f1Tolerance, champF1))
 		return
 	}
 	lc.finishTrial(t, true, "")
@@ -237,9 +232,12 @@ func (lc *lifecycle) holdoutF1(chal *snapshot) (chalF1, champF1 float64, err err
 	return chalRep.MacroF1, champRep.MacroF1, nil
 }
 
-// finishTrial promotes or quarantines the challenger and adjusts the
-// trigger cooldown: promotion resets the backoff, quarantine doubles it
-// (capped at 32x). Registry ops run with no mutex held.
+// f1Tolerance is how far below the champion's holdout macro-F1 a
+// challenger may score and still promote.
+const f1Tolerance = 0.02
+
+// finishTrial promotes or quarantines the challenger. Registry ops run
+// with no mutex held.
 func (lc *lifecycle) finishTrial(t *trial, promote bool, reason string) {
 	lc.trialMu.Lock()
 	if lc.trial != t {
@@ -256,7 +254,6 @@ func (lc *lifecycle) finishTrial(t *trial, promote bool, reason string) {
 		}
 		lc.promotions.Add(1)
 		promotionsTotal.Inc()
-		lc.cooldownMul.Store(1)
 		lc.s.afterSwap(t.entry.Payload)
 		lc.s.cfg.Log.Printf("server: promoted model version %d after %d shadow rows", t.entry.Version, t.total)
 		return
@@ -266,85 +263,23 @@ func (lc *lifecycle) finishTrial(t *trial, promote bool, reason string) {
 	}
 	lc.quarantines.Add(1)
 	quarantinesTotal.Inc()
-	mul := lc.cooldownMul.Load()
-	if mul < 32 {
-		lc.cooldownMul.Store(mul * 2)
-	}
-	lc.armCooldown()
 	lc.s.cfg.Log.Printf("server: quarantined model version %d: %s", t.entry.Version, reason)
-}
-
-// armCooldown pushes the next allowed drift trigger out by the current
-// backoff multiple of TriggerCooldown.
-func (lc *lifecycle) armCooldown() {
-	d := time.Duration(lc.cooldownMul.Load()) * lc.s.cfg.TriggerCooldown
-	lc.cooldownEnd.Store(time.Now().Add(d).UnixNano())
-}
-
-// maybeTrigger fires a drift-triggered retrain when the monitor reports
-// drift, the cooldown has lapsed, and no challenger or retrain is
-// already in flight. The training itself runs on its own goroutine so
-// the worker keeps draining the queue.
-func (lc *lifecycle) maybeTrigger() {
-	st := lc.monitor.Snapshot()
-	if !st.Drifted {
-		return
-	}
-	if time.Now().UnixNano() < lc.cooldownEnd.Load() {
-		return
-	}
-	lc.trialMu.Lock()
-	busy := lc.trial != nil
-	lc.trialMu.Unlock()
-	if busy || !lc.retraining.CompareAndSwap(false, true) {
-		return
-	}
-	driftTriggers.Inc()
-	lc.armCooldown()
-	lc.s.cfg.Log.Printf("server: drift trigger: %d/%d features drifted (max PSI %.3f, max KS %.3f)",
-		st.DriftedFeatures, st.Features, st.MaxPSI, st.MaxKS)
-	lc.retrainWG.Add(1)
-	go func() {
-		defer lc.retrainWG.Done()
-		lc.retrainFromDrift()
-	}()
-}
-
-// retrainFromDrift trains a candidate on the current labeled set and
-// submits it to the shadow gate. Unlike the annotation path this never
-// publishes directly: the candidate must earn promotion.
-func (lc *lifecycle) retrainFromDrift() {
-	defer lc.retraining.Store(false)
-	s := lc.s
-	v := s.training()
-	m, err := s.trainCandidate(v.x, v.y)
-	if err != nil {
-		s.cfg.Log.Printf("server: drift-triggered retrain failed: %v", err)
-		return
-	}
-	if _, err := s.startChallenger(m, v, "drift-retrain"); err != nil {
-		s.cfg.Log.Printf("server: drift-triggered challenger rejected: %v", err)
-	}
 }
 
 // StartChallenger registers a candidate model for shadow evaluation
 // against the live champion. The candidate serves no live traffic until
 // (and unless) it wins the promotion gate. Returns the registry version
 // assigned to the candidate. Errors if the lifecycle is disabled or a
-// trial is already in flight.
+// trial is already in flight. The registry records the size and hash of
+// the labeled set as of the last annotation.
 func (s *Server) StartChallenger(m ml.Classifier, origin string) (uint64, error) {
-	return s.startChallenger(m, s.training(), origin)
-}
-
-// startChallenger installs the trial with an explicit training
-// snapshot, whose size and hash the registry records.
-func (s *Server) startChallenger(m ml.Classifier, v trainView, origin string) (uint64, error) {
 	if s.lc == nil {
 		return 0, errors.New("server: lifecycle is disabled")
 	}
 	if origin == "" {
 		origin = "challenger"
 	}
+	v := s.training()
 	e := s.reg.Add(func(version uint64) *snapshot {
 		return s.newSnapshot(m, version)
 	}, registry.Meta{TrainHash: v.hash, TrainSize: len(v.x), Origin: origin})

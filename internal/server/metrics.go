@@ -61,8 +61,8 @@ var (
 		Unit: "version",
 	})
 
-	// Lifecycle metrics (Config.Lifecycle): drift-triggered retraining,
-	// shadow champion–challenger evaluation, and rollback.
+	// Lifecycle metrics (Config.Lifecycle): shadow champion–challenger
+	// evaluation, promotion and rollback.
 	shadowRows = obs.NewCounter(obs.Opts{
 		Name: "shadow_rows_total",
 		Help: "Duplicated feature rows scored by a shadowed challenger.",
@@ -97,11 +97,6 @@ var (
 		Name: "lifecycle_rollbacks_total",
 		Help: "Operator or automatic rollbacks to a previous model version.",
 		Unit: "rollbacks",
-	})
-	driftTriggers = obs.NewCounter(obs.Opts{
-		Name: "lifecycle_drift_triggers_total",
-		Help: "Retrains triggered by the drift monitor clearing its threshold.",
-		Unit: "triggers",
 	})
 	lastPublish = obs.NewGauge(obs.Opts{
 		Name: "lifecycle_last_publish_timestamp_seconds",

@@ -289,40 +289,29 @@ func TestHealthRespondsDuringRetrain(t *testing.T) {
 
 func TestRetrainRetriesTransientFailures(t *testing.T) {
 	d, split := newTestProblem(t)
-	fails := 2
 	var mu sync.Mutex
 	real := forest.NewFactory(forest.Config{NEstimators: 8, MaxDepth: 5, Seed: 3})
-	srv, err := New(Config{
-		Data:  d,
-		Split: split,
-		Factory: func() ml.Classifier {
-			return flakyClassifier{Classifier: real(), fails: &fails, mu: &mu}
-		},
-		Strategy:       active.Uncertainty{},
-		Seed:           4,
-		RetrainRetries: 2,
-		RetrainBackoff: time.Millisecond,
-	})
+	newFlaky := func(fails int) (*Server, error) {
+		return New(Config{
+			Data:  d,
+			Split: split,
+			Factory: func() ml.Classifier {
+				return flakyClassifier{Classifier: real(), fails: &fails, mu: &mu}
+			},
+			Strategy: active.Uncertainty{},
+			Seed:     4,
+		})
+	}
+	srv, err := newFlaky(retrainRetries)
 	if err != nil {
-		t.Fatalf("New should survive 2 transient failures with 2 retries: %v", err)
+		t.Fatalf("New should survive %d transient failures with %d retries: %v", retrainRetries, retrainRetries, err)
 	}
 	if srv.serving() == nil {
 		t.Fatal("no model after retried training")
 	}
 
-	// With the budget exhausted every attempt fails and New reports it.
-	fails = 100
-	if _, err := New(Config{
-		Data:  d,
-		Split: split,
-		Factory: func() ml.Classifier {
-			return flakyClassifier{Classifier: real(), fails: &fails, mu: &mu}
-		},
-		Strategy:       active.Uncertainty{},
-		Seed:           4,
-		RetrainRetries: 1,
-		RetrainBackoff: time.Millisecond,
-	}); err == nil {
+	// One failure past the retries: every attempt fails and New reports it.
+	if _, err := newFlaky(retrainRetries + 1); err == nil {
 		t.Fatal("persistent training failure should surface")
 	}
 }

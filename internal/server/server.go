@@ -86,12 +86,6 @@ type Config struct {
 	FeatureNames []string
 	// Seed drives strategy randomness.
 	Seed int64
-	// RetrainRetries is how many extra retraining attempts a transient
-	// failure gets before the annotation is rejected (default 2).
-	RetrainRetries int
-	// RetrainBackoff is the initial delay between retraining attempts,
-	// doubling per retry (default 50ms).
-	RetrainBackoff time.Duration
 	// Log receives recovered panics and retry notices (default
 	// log.Default()).
 	Log *log.Logger
@@ -103,10 +97,6 @@ type Config struct {
 	// /api/diagnose request may carry (default 64) — a bound on outside
 	// input, like the request body limit.
 	BatchMaxSize int
-	// BatchWorkers bounds the per-row fan-out of one classification (or
-	// one /api/next pool scoring) for models without a native batch
-	// predictor (default runtime.NumCPU() via ml.ProbaBatchParallel).
-	BatchWorkers int
 
 	// Schema optionally describes raw telemetry windows (order
 	// matters); with Extractor set it enables window-mode diagnosis:
@@ -123,10 +113,10 @@ type Config struct {
 
 	// Lifecycle enables the drift-aware model lifecycle (see
 	// docs/LIFECYCLE.md): a streaming drift monitor over served feature
-	// vectors, drift-triggered retraining vetted by shadow
-	// champion–challenger evaluation, and operator rollback via
-	// POST /api/model/rollback. Off by default: the plain label-driven
-	// publish path is unchanged.
+	// vectors, reported until the next publication, shadow
+	// champion–challenger vetting of submitted challengers, and operator
+	// rollback via POST /api/model/rollback. Off by default: the plain
+	// label-driven publish path is unchanged.
 	Lifecycle bool
 	// Drift tunes the drift monitor (zero values take the drift
 	// package's documented defaults).
@@ -144,13 +134,6 @@ type Config struct {
 	// MinAgreement is the promotion gate's champion-agreement floor
 	// (default 0.85).
 	MinAgreement float64
-	// F1Tolerance is how far below the champion's holdout macro-F1 a
-	// challenger may score and still promote (default 0.02).
-	F1Tolerance float64
-	// TriggerCooldown is the minimum spacing between drift-triggered
-	// retrains; it doubles each time a challenger is quarantined
-	// (capped at 32x) and resets on promotion (default 30s).
-	TriggerCooldown time.Duration
 	// ShadowMaxWait bounds how long a challenger may wait for
 	// ShadowMinRows of traffic before being quarantined for
 	// insufficient evidence (default 60s).
@@ -248,12 +231,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Factory == nil || cfg.Strategy == nil {
 		return nil, errors.New("server: Factory and Strategy are required")
 	}
-	if cfg.RetrainRetries <= 0 {
-		cfg.RetrainRetries = 2
-	}
-	if cfg.RetrainBackoff <= 0 {
-		cfg.RetrainBackoff = 50 * time.Millisecond
-	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
@@ -275,12 +252,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MinAgreement <= 0 {
 		cfg.MinAgreement = 0.85
 	}
-	if cfg.F1Tolerance <= 0 {
-		cfg.F1Tolerance = 0.02
-	}
-	if cfg.TriggerCooldown <= 0 {
-		cfg.TriggerCooldown = 30 * time.Second
-	}
 	if cfg.ShadowMaxWait <= 0 {
 		cfg.ShadowMaxWait = 60 * time.Second
 	}
@@ -292,7 +263,7 @@ func New(cfg Config) (*Server, error) {
 		rowFold:   newTrainFold(),
 	}
 	s.sess = active.NewSession(cfg.Data, cfg.Split.Initial, cfg.Split.Pool,
-		active.Oracle{D: cfg.Data}, cfg.Strategy, cfg.Seed, cfg.BatchWorkers)
+		active.Oracle{D: cfg.Data}, cfg.Strategy, cfg.Seed, 0)
 	s.test = cfg.Data.Subset(cfg.Split.Test)
 	if _, err := s.refit("initial"); err != nil {
 		return nil, err
@@ -351,9 +322,8 @@ func (s *Server) Close() {
 // landed is then quarantined as stale (registry.PromoteUnlessStale), so
 // the active TrainSize never goes backwards on this path. Readers that
 // loaded the previous snapshot keep using it for the requests they
-// already started (RCU semantics). Drift-triggered candidates do NOT
-// take this path: they go through the shadow champion–challenger gate
-// (lifecycle.go).
+// already started (RCU semantics). Challengers do NOT take this path:
+// they go through the shadow champion–challenger gate (lifecycle.go).
 func (s *Server) publish(m ml.Classifier, v trainView, origin string) {
 	e := s.reg.Add(func(version uint64) *snapshot {
 		return s.newSnapshot(m, version)
@@ -432,7 +402,7 @@ type trainView struct {
 }
 
 // training returns the labeled set as of the last annotation, for the
-// retrains that run outside the annotation path.
+// models built outside the annotation path.
 func (s *Server) training() trainView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,12 +425,13 @@ func (s *Server) nextRetryDelay(base time.Duration) time.Duration {
 	return base/2 + time.Duration(s.jitterRng.Int63n(int64(base)))
 }
 
-// trainCandidate fits a fresh model on a training snapshot, retrying
-// transient failures (see retrying).
-func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
-	nClasses := len(s.cfg.Data.Classes)
-	return s.retrying(func(m ml.Classifier) error { return m.Fit(x, y, nClasses) })
-}
+// retrainRetries is how many extra attempts a transient training
+// failure gets before the annotation is rejected; retryBackoff is the
+// delay before the first retry, doubling per retry.
+const (
+	retrainRetries = 2
+	retryBackoff   = 50 * time.Millisecond
+)
 
 // retrying fits fresh models from the factory with fit until one
 // succeeds, backing off between attempts with doubling, seeded-jittered
@@ -469,9 +440,9 @@ func (s *Server) trainCandidate(x [][]float64, y []int) (ml.Classifier, error) {
 // publishes the candidate.
 func (s *Server) retrying(fit func(ml.Classifier) error) (ml.Classifier, error) {
 	var err error
-	backoff := s.cfg.RetrainBackoff
+	backoff := retryBackoff
 	defer retrainBackoff.Set(0)
-	for attempt := 0; attempt <= s.cfg.RetrainRetries; attempt++ {
+	for attempt := 0; attempt <= retrainRetries; attempt++ {
 		if attempt > 0 {
 			s.cfg.Log.Printf("server: retraining attempt %d after error: %v", attempt+1, err)
 			delay := s.nextRetryDelay(backoff)
@@ -806,8 +777,8 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 // handleHealth is the liveness/readiness probe: cheap, lock-scoped
 // state only, suitable for load-balancer checks. With the lifecycle on
 // it additionally distinguishes "serving a stale champion under drift"
-// from "healthy": probes get the drift trigger state, the time since
-// the last successful retrain, and the challenger/quarantine state.
+// from "healthy": probes get the drift state, the time since the last
+// successful retrain, and the challenger/quarantine state.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))

@@ -65,7 +65,7 @@ echo "== allocation gates (testing.AllocsPerRun; without -race, under which sync
 go test -count=1 -run 'Alloc' ./internal/features/mvts/ ./internal/stream/ \
   ./internal/ml/... ./internal/fleet/ ./internal/wal/
 
-echo "== lifecycle chaos scenario (drift trigger, quarantine, rollback; see docs/LIFECYCLE.md)"
+echo "== lifecycle chaos scenario (drift reported, label, quarantine, rollback; see docs/LIFECYCLE.md)"
 # Every phase invariant is asserted in-process; a violation exits
 # non-zero. LIFECYCLE_OUT (used by CI) writes the phase table as CSV.
 go run ./cmd/experiments -run lifecycle -scale tiny ${LIFECYCLE_OUT:+-out "$LIFECYCLE_OUT"}
